@@ -27,7 +27,6 @@ from .constraints import (
     apply_metric,
     apply_sqrt_metric,
     normalize_constraint,
-    validate_psd,
 )
 from .recipes import (
     CaProfiles,
@@ -73,7 +72,6 @@ __all__ = [
     "is_empty_matrix",
     "Constraint",
     "normalize_constraint",
-    "validate_psd",
     "apply_metric",
     "apply_sqrt_metric",
     "apply_invsqrt_metric",

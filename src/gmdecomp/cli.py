@@ -21,6 +21,7 @@ from . import kernel, recipes
 from .decomp import geigen, gplssvd, gsvd
 from .errors import (
     GmdError,
+    InvalidArgumentError,
     NumericalError,
     ParseError,
     RaggedRowsError,
@@ -229,6 +230,11 @@ def _scree_svg(l_full):
     return _svg_document(width, height, "".join(body))
 
 
+def _xml_text(label):
+    # What xml.sax.saxutils.escape does, without importing urllib.request.
+    return str(label).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _scatter_svg(scores, labels=None):
     width, height, pad = 480, 480, 40
     xs, ys = scores[:, 0], scores[:, 1]
@@ -242,7 +248,7 @@ def _scatter_svg(scores, labels=None):
         if labels is not None:
             body.append(
                 f'<text x="{px + 4:.2f}" y="{py - 4:.2f}" '
-                f'font-size="10">{labels[i]}</text>\n'
+                f'font-size="10">{_xml_text(labels[i])}</text>\n'
             )
     return _svg_document(width, height, "".join(body))
 
@@ -265,6 +271,17 @@ def emit_plots(result, outdir, fi_labels=None, fj_labels=None):
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
+
+
+def _parse_omegas(text):
+    """Parse --omega: comma-separated nonnegative ridge strengths."""
+    try:
+        omegas = [float(s) for s in text.split(",") if s.strip() != ""]
+        if all(omega >= 0 for omega in omegas):
+            return omegas
+    except ValueError:
+        pass
+    raise InvalidArgumentError(f"invalid --omega {text!r}; use nonnegative numbers")
 
 
 def _parse_tol(text, default):
@@ -431,7 +448,7 @@ def _run_rmca(args, command_line):
     )
     tol = _parse_tol(args.tol, kernel.EPS)
     tab = recipes.disjunctive_coding(cat, variable_names=col_labels)
-    omegas = [float(s) for s in args.omega.split(",") if s.strip() != ""]
+    omegas = _parse_omegas(args.omega)
     multi = len(omegas) > 1
     for omega in omegas:
         result = recipes.rmca(tab, omega, k=args.k, tol=tol)
@@ -476,6 +493,9 @@ def main(argv=None):
         if args.plot:
             emit_plots(result, args.out, fi_labels=fi_labels, fj_labels=fj_labels)
         return EXIT_OK
+    except InvalidArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

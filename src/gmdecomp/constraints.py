@@ -5,14 +5,20 @@ three forms: identity (applied as a no-op), diagonal (stored as a vector and
 applied by row/column scaling), or a dense symmetric PSD matrix. A diagonal
 matrix input collapses to its diagonal vector, and an all-ones diagonal
 collapses to identity, so the cheap paths are taken whenever possible.
+
+A dense constraint is factorized once: the one eigendecomposition that
+validates it as PSD is kept on the constraint, and its square root and
+pseudo-inverse square root are derived from those eigenpairs on first use
+and cached for the life of the constraint.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import kernel
-from .errors import DimensionMismatchError, NotPSDError
+from .errors import DimensionMismatchError, NonFiniteError, NotPSDError
 
 IDENTITY = "identity"
 DIAGONAL = "diagonal"
@@ -24,13 +30,17 @@ class Constraint:
     """A canonicalized PSD metric of a given dimension.
 
     `weights` is set for the diagonal form, `matrix` for the dense form;
-    both are None for identity.
+    both are None for identity. `name` is the slot it fills, for errors.
+    `eigen` holds a dense metric's validated eigenpairs; when absent they
+    are computed (and validated) on first use.
     """
 
     dim: int
     kind: str
     weights: np.ndarray = None
     matrix: np.ndarray = None
+    name: str = "constraint"
+    eigen: tuple = field(default=None, repr=False, compare=False)
 
     def as_matrix(self):
         """Materialize the full metric matrix (mostly for tests/oracles)."""
@@ -40,108 +50,94 @@ class Constraint:
             return np.diag(self.weights)
         return self.matrix.copy()
 
+    def _eigenpairs(self):
+        if self.eigen is None:
+            object.__setattr__(self, "eigen", kernel.psd_eigen(self.matrix, self.name))
+        return self.eigen
 
-def identity_constraint(dim):
-    return Constraint(dim=int(dim), kind=IDENTITY)
+    @cached_property
+    def sqrt_matrix(self):
+        """Square root of the dense metric, derived from its eigenpairs."""
+        return kernel.psd_root(*self._eigenpairs())
+
+    @cached_property
+    def invsqrt_matrix(self):
+        """Pseudo-inverse square root of the dense metric, from its eigenpairs."""
+        return kernel.psd_root(*self._eigenpairs(), inverse=True)
 
 
-def normalize_constraint(raw, dim):
+def normalize_constraint(raw, dim, name="constraint"):
     """Canonicalize a raw constraint input (None, vector, or matrix).
 
     Missing constraints are mathematically identity matrices. Vectors are
     diagonal weights; a diagonal matrix is demoted to its diagonal, and an
     all-ones diagonal to identity. Anything else must be a symmetric PSD
-    matrix of shape (dim, dim).
+    matrix of shape (dim, dim); it is eigendecomposed once here, which both
+    validates it and yields its roots. `name` names the slot in errors.
     """
     dim = int(dim)
     if raw is None:
-        return identity_constraint(dim)
+        return Constraint(dim=dim, kind=IDENTITY)
     if isinstance(raw, Constraint):
         if raw.dim != dim:
             raise DimensionMismatchError(
-                f"constraint dim {raw.dim} does not match expected {dim}"
+                f"{name}: constraint dim {raw.dim} does not match expected {dim}"
             )
         return raw
     arr = np.asarray(raw, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError(f"{name} contains NaN or Inf entries")
     if arr.ndim == 1:
         if arr.shape[0] != dim:
             raise DimensionMismatchError(
-                f"constraint vector length {arr.shape[0]} != expected {dim}"
+                f"{name}: constraint vector length {arr.shape[0]} != expected {dim}"
             )
-        return _from_weights(arr, dim)
+        return _from_weights(arr, dim, name)
     if arr.ndim != 2:
-        raise DimensionMismatchError("constraint must be a vector or a matrix")
+        raise DimensionMismatchError(f"{name}: constraint must be a vector or a matrix")
     if arr.shape != (dim, dim):
         raise DimensionMismatchError(
-            f"constraint matrix shape {arr.shape} != expected ({dim}, {dim})"
+            f"{name}: constraint matrix shape {arr.shape} != expected ({dim}, {dim})"
         )
     if kernel.is_diagonal_matrix(arr):
-        return _from_weights(np.diag(arr).copy(), dim)
-    # Dense path: validated symmetric PSD, then symmetrized exactly.
-    _min_eigenvalue(arr)
-    return Constraint(dim=dim, kind=DENSE, matrix=(arr + arr.T) / 2.0)
+        return _from_weights(np.diag(arr).copy(), dim, name)
+    # Dense path: one eigendecomposition validates it as symmetric PSD and
+    # yields its roots; the stored matrix is symmetrized exactly.
+    eigen = kernel.psd_eigen(arr, name)
+    return Constraint(dim, DENSE, matrix=(arr + arr.T) / 2.0, name=name, eigen=eigen)
 
 
-def _from_weights(weights, dim):
+def _from_weights(weights, dim, name):
     if weights.size and weights.min() < 0:
-        raise NotPSDError(
-            f"diagonal constraint has a negative weight ({weights.min():.6g})"
-        )
+        raise NotPSDError(f"{name} has a negative weight ({weights.min():.6g})")
     if np.all(weights == 1.0):
-        return identity_constraint(dim)
-    return Constraint(dim=dim, kind=DIAGONAL, weights=weights)
+        return Constraint(dim=dim, kind=IDENTITY)
+    return Constraint(dim=dim, kind=DIAGONAL, weights=weights, name=name)
 
 
-def _min_eigenvalue(arr):
-    if not kernel.is_symmetric(arr):
-        raise NotPSDError("dense constraint must be symmetric")
-    lam = kernel.symmetric_eigen((arr + arr.T) / 2.0).values
-    lam_max = lam[0] if lam.size else 0.0
-    if lam.size and lam.min() < -kernel.PSD_RTOL * max(lam_max, 0.0):
-        raise NotPSDError(
-            f"dense constraint is not PSD (min eigenvalue {lam.min():.6g})"
-        )
-    return lam.min() if lam.size else 0.0
-
-
-def validate_psd(c):
-    """Raise NotPSDError unless the constraint is positive semi-definite."""
-    if c.kind == DIAGONAL and c.weights.size and c.weights.min() < 0:
-        raise NotPSDError(
-            f"diagonal constraint has a negative weight ({c.weights.min():.6g})"
-        )
-    if c.kind == DENSE:
-        _min_eigenvalue(c.matrix)
-
-
-def _check_conformable(c, x, side):
-    n = x.shape[0] if side == "left" else x.shape[1]
-    if c.dim != n:
-        raise DimensionMismatchError(
-            f"constraint dim {c.dim} does not conform to matrix {x.shape} on {side}"
-        )
-
-
-def _apply(c, x, side, diag_transform, dense_transform):
+def _apply(c, x, side, diag_transform, dense_attr):
     x = np.asarray(x, dtype=np.float64)
-    _check_conformable(c, x, side)
+    if c.dim != (x.shape[0] if side == "left" else x.shape[1]):
+        raise DimensionMismatchError(
+            f"{c.name} dim {c.dim} does not conform to matrix {x.shape} on {side}"
+        )
     if c.kind == IDENTITY:
         return x
     if c.kind == DIAGONAL:
         w = diag_transform(c.weights)
         return w[:, None] * x if side == "left" else x * w[None, :]
-    m = dense_transform(c.matrix)
+    m = getattr(c, dense_attr)
     return m @ x if side == "left" else x @ m
 
 
 def apply_metric(c, x, side="left"):
     """Compute c @ x (side='left') or x @ c (side='right')."""
-    return _apply(c, x, side, lambda w: w, lambda m: m)
+    return _apply(c, x, side, lambda w: w, "matrix")
 
 
 def apply_sqrt_metric(c, x, side="left"):
     """Apply the PSD square root of the metric."""
-    return _apply(c, x, side, np.sqrt, kernel.sqrt_psd_matrix)
+    return _apply(c, x, side, np.sqrt, "sqrt_matrix")
 
 
 def apply_invsqrt_metric(c, x, side="left"):
@@ -150,4 +146,4 @@ def apply_invsqrt_metric(c, x, side="left"):
     def diag_inv(w):
         return np.where(w > 0, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
 
-    return _apply(c, x, side, diag_inv, kernel.invsqrt_psd_matrix)
+    return _apply(c, x, side, diag_inv, "invsqrt_matrix")

@@ -25,7 +25,7 @@ from .constraints import (
     apply_sqrt_metric,
     normalize_constraint,
 )
-from .errors import EmptyMatrixError, DimensionMismatchError
+from .errors import DimensionMismatchError, EmptyMatrixError, NonFiniteError
 
 GEIGEN = "geigen"
 GSVD = "gsvd"
@@ -69,7 +69,7 @@ def _resolve_k(k, n_total):
     if k > n_total:
         warnings.warn(
             f"requested k={k} exceeds the {n_total} retained components; clamping",
-            stacklevel=3,
+            stacklevel=4,
         )
         return n_total
     return k
@@ -80,8 +80,26 @@ def _validate_data(x, name="x"):
     if x.ndim != 2 or x.size == 0:
         raise EmptyMatrixError(f"{name} must be a non-empty 2-d matrix")
     if not np.all(np.isfinite(x)):
-        raise EmptyMatrixError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains NaN or Inf entries")
     return x
+
+
+def _assemble(method, k, d_full, l_full, **columns):
+    """Pack a result: per-component outputs, computed on the full retained
+    set, are sliced to the first k columns so a k-run is a bit-identical
+    prefix of the full run."""
+    n_total = d_full.shape[0]
+    kk = _resolve_k(k, n_total)
+    return DecompositionResult(
+        method=method,
+        d=d_full[:kk],
+        d_full=d_full,
+        l=l_full[:kk],
+        l_full=l_full,
+        n_total_components=n_total,
+        n_retained=kk,
+        **{name: m[:, :kk] for name, m in columns.items()},
+    )
 
 
 def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS, symmetric=None):
@@ -107,7 +125,7 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS, symmetric=None):
     x = _validate_data(x)
     if x.shape[0] != x.shape[1]:
         raise DimensionMismatchError(f"geigen requires a square matrix, got {x.shape}")
-    c = normalize_constraint(w, x.shape[0])
+    c = normalize_constraint(w, x.shape[0], "w")
     xt = apply_sqrt_metric(c, apply_sqrt_metric(c, x, "right"), "left")
     eig = kernel.tolerance_eigen(xt, tol=tol, symmetric=symmetric)
 
@@ -117,20 +135,7 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS, symmetric=None):
     q = apply_invsqrt_metric(c, v, "left")
     fj = apply_metric(c, q, "left") * d_full[None, :]
 
-    n_total = l_full.shape[0]
-    kk = _resolve_k(k, n_total)
-    return DecompositionResult(
-        method=GEIGEN,
-        d=d_full[:kk],
-        d_full=d_full,
-        l=l_full[:kk],
-        l_full=l_full,
-        v=v[:, :kk],
-        q=q[:, :kk],
-        fj=fj[:, :kk],
-        n_total_components=n_total,
-        n_retained=kk,
-    )
+    return _assemble(GEIGEN, k, d_full, l_full, v=v, q=q, fj=fj)
 
 
 def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
@@ -141,8 +146,8 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     fj = rw Q diag(d).
     """
     x = _validate_data(x)
-    lwc = normalize_constraint(lw, x.shape[0])
-    rwc = normalize_constraint(rw, x.shape[1])
+    lwc = normalize_constraint(lw, x.shape[0], "lw")
+    rwc = normalize_constraint(rw, x.shape[1], "rw")
     xt = apply_sqrt_metric(lwc, apply_sqrt_metric(rwc, x, "right"), "left")
     sv = kernel.tolerance_svd(xt, tol=tol)
 
@@ -153,23 +158,7 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     fi = apply_metric(lwc, p, "left") * d_full[None, :]
     fj = apply_metric(rwc, q, "left") * d_full[None, :]
 
-    n_total = d_full.shape[0]
-    kk = _resolve_k(k, n_total)
-    return DecompositionResult(
-        method=GSVD,
-        d=d_full[:kk],
-        d_full=d_full,
-        l=l_full[:kk],
-        l_full=l_full,
-        u=sv.u[:, :kk],
-        v=sv.v[:, :kk],
-        p=p[:, :kk],
-        q=q[:, :kk],
-        fi=fi[:, :kk],
-        fj=fj[:, :kk],
-        n_total_components=n_total,
-        n_retained=kk,
-    )
+    return _assemble(GSVD, k, d_full, l_full, u=sv.u, v=sv.v, p=p, q=q, fi=fi, fj=fj)
 
 
 def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
@@ -187,10 +176,10 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
         raise DimensionMismatchError(
             f"x and y must share rows: {x.shape[0]} vs {y.shape[0]}"
         )
-    xlwc = normalize_constraint(xlw, x.shape[0])
-    xrwc = normalize_constraint(xrw, x.shape[1])
-    ylwc = normalize_constraint(ylw, y.shape[0])
-    yrwc = normalize_constraint(yrw, y.shape[1])
+    xlwc = normalize_constraint(xlw, x.shape[0], "xlw")
+    xrwc = normalize_constraint(xrw, x.shape[1], "xrw")
+    ylwc = normalize_constraint(ylw, y.shape[0], "ylw")
+    yrwc = normalize_constraint(yrw, y.shape[1], "yrw")
 
     xt = apply_sqrt_metric(xlwc, apply_sqrt_metric(xrwc, x, "right"), "left")
     yt = apply_sqrt_metric(ylwc, apply_sqrt_metric(yrwc, y, "right"), "left")
@@ -205,22 +194,7 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
     lx = apply_sqrt_metric(xlwc, x @ apply_metric(xrwc, p, "left"), "left")
     ly = apply_sqrt_metric(ylwc, y @ apply_metric(yrwc, q, "left"), "left")
 
-    n_total = d_full.shape[0]
-    kk = _resolve_k(k, n_total)
-    return DecompositionResult(
-        method=GPLSSVD,
-        d=d_full[:kk],
-        d_full=d_full,
-        l=l_full[:kk],
-        l_full=l_full,
-        u=sv.u[:, :kk],
-        v=sv.v[:, :kk],
-        p=p[:, :kk],
-        q=q[:, :kk],
-        fi=fi[:, :kk],
-        fj=fj[:, :kk],
-        lx=lx[:, :kk],
-        ly=ly[:, :kk],
-        n_total_components=n_total,
-        n_retained=kk,
+    return _assemble(
+        GPLSSVD, k, d_full, l_full,
+        u=sv.u, v=sv.v, p=p, q=q, fi=fi, fj=fj, lx=lx, ly=ly,
     )

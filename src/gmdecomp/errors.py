@@ -15,6 +15,10 @@ class ValidationError(GmdError):
     """Input data or constraints failed validation."""
 
 
+class InvalidArgumentError(GmdError, ValueError):
+    """An option is out of its domain (unknown PCA route, negative omega)."""
+
+
 class NumericalError(GmdError):
     """A numerical routine failed (non-convergence, bad spectrum)."""
 
@@ -23,12 +27,12 @@ class NonSquareError(ValidationError):
     pass
 
 
-class NotSymmetricError(ValidationError):
-    pass
-
-
 class NotPSDError(ValidationError):
     pass
+
+
+class NotSymmetricError(NotPSDError):
+    """Not symmetric, hence also not a symmetric PSD metric."""
 
 
 class DimensionMismatchError(ValidationError):
@@ -87,7 +91,3 @@ class ComplexOrNegativeEigenvalueError(NumericalError):
     """Raised when an active tolerance finds eigen/singular values that are
     not real and positive (e.g. decomposing a non-PSD matrix without
     disabling the tolerance)."""
-
-
-class ComplexOrNegativeSingularValueError(ComplexOrNegativeEigenvalueError):
-    pass

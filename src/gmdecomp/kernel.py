@@ -6,8 +6,8 @@ threshold. The threshold can be disabled (``tol=None``, NaN, infinity, or any
 negative value), in which case the full spectrum is returned, including
 negative eigenvalues.
 
-Also provides the PSD matrix square root / inverse square root helpers used
-to turn constraint metrics into half and inverse-half forms.
+Also provides the validated PSD eigenpairs and the square roots derived from
+them, which turn constraint metrics into half and inverse-half forms.
 """
 
 from dataclasses import dataclass
@@ -182,7 +182,9 @@ def tolerance_svd(x, tol=EPS):
     return SvdOutput(u=u, d=d, v=v)
 
 
-def _psd_eigen(w, name):
+def psd_eigen(w, name="w"):
+    """Eigenvalues (descending, clipped at 0) and eigenvectors of (w + w')/2,
+    after checking that `w` is symmetric and PSD; errors name `name`."""
     w = _as_matrix(w, name)
     _require_square(w, name)
     if not is_symmetric(w):
@@ -190,33 +192,35 @@ def _psd_eigen(w, name):
     out = symmetric_eigen((w + w.T) / 2.0)
     lam = out.values
     lam_max = lam[0] if lam.size else 0.0
-    floor = -PSD_RTOL * max(lam_max, 0.0)
-    if lam.size and lam.min() < floor:
+    if lam.size and lam.min() < -PSD_RTOL * max(lam_max, 0.0):
         raise NotPSDError(
             f"{name} is not positive semi-definite (min eigenvalue {lam.min():.6g})"
         )
     return np.clip(lam, 0.0, None), out.vectors
 
 
+def psd_root(lam, vec, inverse=False):
+    """Symmetric square root from :func:`psd_eigen` pairs. With `inverse`, the
+    pseudo-inverse root: eigenvalues above a relative cutoff map to
+    lambda**-0.5, the rest to zero, so singular directions are annihilated."""
+    if inverse:
+        lam_max = lam[0] if lam.size else 0.0
+        cutoff = lam_max * lam.shape[0] * EPS
+        scale = np.where(lam > cutoff, 1.0 / np.sqrt(np.where(lam > cutoff, lam, 1.0)), 0.0)
+    else:
+        scale = np.sqrt(lam)
+    s = (vec * scale) @ vec.T
+    return (s + s.T) / 2.0
+
+
 def sqrt_psd_matrix(w):
     """Symmetric PSD square root: returns S with S @ S ~= w."""
-    lam, vec = _psd_eigen(w, "w")
-    s = (vec * np.sqrt(lam)) @ vec.T
-    return (s + s.T) / 2.0
+    return psd_root(*psd_eigen(w))
 
 
 def invsqrt_psd_matrix(w):
-    """Pseudo-inverse square root of a PSD matrix.
-
-    Eigenvalues above a relative cutoff map to lambda**-0.5, the rest to
-    zero, so singular directions are annihilated rather than amplified.
-    """
-    lam, vec = _psd_eigen(w, "w")
-    lam_max = lam[0] if lam.size else 0.0
-    cutoff = lam_max * w.shape[0] * EPS
-    inv = np.where(lam > cutoff, 1.0 / np.sqrt(np.where(lam > cutoff, lam, 1.0)), 0.0)
-    s = (vec * inv) @ vec.T
-    return (s + s.T) / 2.0
+    """Pseudo-inverse square root of a PSD matrix (see :func:`psd_root`)."""
+    return psd_root(*psd_eigen(w), inverse=True)
 
 
 def is_diagonal_matrix(w):

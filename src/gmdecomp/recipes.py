@@ -18,6 +18,7 @@ from .decomp import DecompositionResult, geigen, gplssvd, gsvd
 from .errors import (
     DimensionMismatchError,
     EmptyMarginError,
+    InvalidArgumentError,
     NegativeCountError,
     NonPositiveWeightError,
     NotADistanceMatrixError,
@@ -81,7 +82,9 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
     """
     data = np.asarray(data, dtype=np.float64)
     if route not in PCA_ROUTES:
-        raise ValueError(f"unknown PCA route {route!r}; expected one of {PCA_ROUTES}")
+        raise InvalidArgumentError(
+            f"unknown PCA route {route!r}; expected one of {PCA_ROUTES}"
+        )
     if data.shape[0] < 2:
         raise DimensionMismatchError("PCA needs at least 2 rows")
     n = data.shape[0]
@@ -309,8 +312,8 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     else:
         indicator = np.asarray(disjunctive, dtype=np.float64)
     omega = float(omega)
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
+    if not omega >= 0:
+        raise InvalidArgumentError(f"omega must be nonnegative, got {omega!r}")
     centered = indicator - indicator.mean(axis=0)
     cross_inv = pseudo_inverse(centered @ centered.T)
     lw = np.eye(centered.shape[0]) + omega * cross_inv

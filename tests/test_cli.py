@@ -211,3 +211,29 @@ def test_tol_flag_parsing(tmp_path):
     assert cli._parse_tol("1e-8", 0.5) == 1e-8
     with pytest.raises(ParseError):
         cli._parse_tol("huh", 0.5)
+
+
+def test_exit_code_bad_omega_is_usage_error(tmp_path, capsys):
+    cat = [["a", "x"], ["b", "y"], ["a", "y"], ["b", "x"], ["a", "x"], ["b", "y"]]
+    catp = write_csv(tmp_path / "cat.csv", cat)
+    out = tmp_path / "rmca"
+    for omega in ("--omega=-1", "--omega=abc", "--omega=0,-1"):
+        assert cli.main(["rmca", "--x", catp, omega, "--out", str(out)]) == 2
+        assert "--omega" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# SVG output
+
+
+def test_scatter_svg_escapes_labels():
+    from xml.dom import minidom
+    from xml.sax.saxutils import escape
+
+    labels = ["<r1>", "r&2", "plain"]
+    assert all(cli._xml_text(s) == escape(s) for s in labels + ["a&lt;b>'\""])
+    svg = cli._scatter_svg(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]), labels)
+    texts = minidom.parseString(svg).getElementsByTagName("text")
+    assert [t.firstChild.data for t in texts] == labels
+    assert 'font-size="10">plain</text>' in svg

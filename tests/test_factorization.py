@@ -1,0 +1,240 @@
+"""One factorization per dense constraint.
+
+A dense metric is eigendecomposed once, when it is canonicalized; its square
+root and pseudo-inverse square root derive from those eigenpairs. The
+savings are pinned as eigh call counts (never wall time), the outputs as
+bit-identical to the decomposition written out with the kernel's public
+root functions, and the paper's invariants by a bounded property test over
+identity, diagonal (with zero weights), dense and singular-PSD constraints.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gmdecomp import constraints, kernel
+from gmdecomp.decomp import geigen, gplssvd, gsvd
+from gmdecomp.errors import NotPSDError, NotSymmetricError
+
+from conftest import random_spd
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of every np.linalg.eigh call made while the test runs."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_dense_gsvd_makes_two_eigh_calls(rng, eigh_calls):
+    gsvd(rng.normal(size=(9, 6)), lw=random_spd(rng, 9), rw=random_spd(rng, 6))
+    assert eigh_calls == [(9, 9), (6, 6)]
+
+
+def test_dense_geigen_makes_two_eigh_calls(rng, eigh_calls):
+    # one for w, one for the metric-weighted matrix itself
+    geigen(random_spd(rng, 7), w=random_spd(rng, 7))
+    assert eigh_calls == [(7, 7), (7, 7)]
+
+
+def test_dense_gplssvd_makes_two_eigh_calls(rng, eigh_calls):
+    gplssvd(
+        rng.normal(size=(10, 4)),
+        rng.normal(size=(10, 5)),
+        xrw=random_spd(rng, 4),
+        yrw=random_spd(rng, 5),
+    )
+    assert eigh_calls == [(4, 4), (5, 5)]
+
+
+def test_diagonal_and_identity_constraints_make_no_eigh_calls(rng, eigh_calls):
+    gsvd(rng.normal(size=(8, 5)), lw=rng.uniform(0.5, 2.0, 8))
+    gplssvd(rng.normal(size=(8, 3)), rng.normal(size=(8, 4)), ylw=np.ones(8))
+    assert eigh_calls == []
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the decomposition written out by hand
+
+
+def _roots(m):
+    m = (m + m.T) / 2.0
+    return m, kernel.sqrt_psd_matrix(m), kernel.invsqrt_psd_matrix(m)
+
+
+def test_dense_gsvd_matches_written_out_roots(rng):
+    x = rng.normal(size=(12, 7))
+    lw, lw_s, lw_i = _roots(random_spd(rng, 12))
+    rw, rw_s, rw_i = _roots(random_spd(rng, 7))
+    sv = kernel.tolerance_svd(lw_s @ (x @ rw_s), tol=kernel.EPS)
+    p = lw_i @ sv.u
+    q = rw_i @ sv.v
+    expected = dict(
+        d=sv.d, u=sv.u, v=sv.v, p=p, q=q,
+        fi=(lw @ p) * sv.d[None, :], fj=(rw @ q) * sv.d[None, :],
+    )
+    out = gsvd(x, lw=lw, rw=rw)
+    for name, value in expected.items():
+        assert np.array_equal(getattr(out, name), value), name
+
+
+def test_dense_geigen_matches_written_out_roots(rng):
+    x = random_spd(rng, 8)
+    w, w_s, w_i = _roots(random_spd(rng, 8))
+    eig = kernel.tolerance_eigen(w_s @ (x @ w_s), tol=kernel.SQRT_EPS)
+    d = np.sqrt(np.clip(eig.values, 0.0, None))
+    q = w_i @ eig.vectors
+    out = geigen(x, w=w)
+    assert np.array_equal(out.l, eig.values)
+    assert np.array_equal(out.d, d)
+    assert np.array_equal(out.v, eig.vectors)
+    assert np.array_equal(out.q, q)
+    assert np.array_equal(out.fj, (w @ q) * d[None, :])
+
+
+def test_dense_gplssvd_matches_written_out_roots(rng):
+    x = rng.normal(size=(15, 4))
+    y = rng.normal(size=(15, 6))
+    xrw, xrw_s, xrw_i = _roots(random_spd(rng, 4))
+    yrw, yrw_s, yrw_i = _roots(random_spd(rng, 6))
+    sv = kernel.tolerance_svd((x @ xrw_s).T @ (y @ yrw_s), tol=kernel.EPS)
+    p = xrw_i @ sv.u
+    q = yrw_i @ sv.v
+    expected = dict(
+        d=sv.d, u=sv.u, v=sv.v, p=p, q=q,
+        fi=(xrw @ p) * sv.d[None, :], fj=(yrw @ q) * sv.d[None, :],
+        lx=x @ (xrw @ p), ly=y @ (yrw @ q),
+    )
+    out = gplssvd(x, y, xrw=xrw, yrw=yrw)
+    for name, value in expected.items():
+        assert np.array_equal(getattr(out, name), value), name
+
+
+# ---------------------------------------------------------------------------
+# constraints built directly
+
+
+def test_directly_built_dense_constraint_factorizes_lazily(rng, eigh_calls):
+    m = random_spd(rng, 5)
+    c = constraints.Constraint(dim=5, kind=constraints.DENSE, matrix=m)
+    assert eigh_calls == []
+    x = rng.normal(size=(5, 3))
+    out = gsvd(x, lw=c)
+    assert eigh_calls == [(5, 5)]
+    assert np.array_equal(out.p, gsvd(x, lw=m).p)
+    assert np.array_equal(c.sqrt_matrix, kernel.sqrt_psd_matrix(m))
+    assert np.array_equal(c.invsqrt_matrix, kernel.invsqrt_psd_matrix(m))
+
+
+def test_directly_built_dense_constraint_is_validated():
+    bad = constraints.Constraint(
+        dim=2, kind=constraints.DENSE, matrix=np.array([[1.0, 2.0], [2.0, 1.0]])
+    )
+    with pytest.raises(NotPSDError, match="not positive semi-definite"):
+        gsvd(np.ones((2, 2)), lw=bad)
+
+
+def test_asymmetric_dense_constraint_names_its_slot():
+    with pytest.raises(NotSymmetricError, match="rw must be symmetric"):
+        gsvd(np.ones((2, 2)), rw=np.array([[1.0, 2.0], [0.5, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# invariants over every kind of constraint
+
+KINDS = ("identity", "diagonal_zero", "dense", "singular")
+
+
+def _make_constraint(kind, rng, n):
+    if kind == "identity":
+        return None, np.eye(n)
+    if kind == "diagonal_zero":
+        w = rng.uniform(0.2, 2.0, n)
+        w[rng.integers(n)] = 0.0
+        return w, np.diag(w)
+    if kind == "dense":
+        m = random_spd(rng, n)
+        return m, m
+    a = rng.normal(size=(n, int(rng.integers(1, n))))
+    m = a @ a.T
+    return m, m
+
+
+def _check_orthonormal(vectors, metric, kind):
+    # A singular dense metric can leave a near-null component whose
+    # generalized vector is annihilated; see the xfail test below.
+    if kind != "singular":
+        gram = vectors.T @ metric @ vectors
+        assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-8
+
+
+def _check_prefix(full, run, kk):
+    for name, value in run.fields().items():
+        expected = getattr(full, name)
+        if name not in ("d_full", "l_full"):
+            expected = expected[..., :kk]
+        assert np.array_equal(value, expected), name
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    m=st.integers(2, 6),
+    lkind=st.sampled_from(KINDS),
+    rkind=st.sampled_from(KINDS),
+)
+def test_gsvd_invariants_property(seed, n, m, lkind, rkind):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, m))
+    lw, lw_m = _make_constraint(lkind, rng, n)
+    rw, rw_m = _make_constraint(rkind, rng, m)
+    out = gsvd(x, lw=lw, rw=rw)
+    _check_orthonormal(out.p, lw_m, lkind)
+    _check_orthonormal(out.q, rw_m, rkind)
+    # Metric reconstruction: lw P D Q' rw = lw x rw (plain reconstruction
+    # when both metrics are nonsingular).
+    recon = lw_m @ (out.p * out.d[None, :]) @ out.q.T @ rw_m
+    target = lw_m @ x @ rw_m
+    assert np.abs(recon - target).max() < 1e-8 * max(1.0, np.abs(target).max())
+    if out.n_retained > 1:
+        kk = int(rng.integers(1, out.n_retained))
+        _check_prefix(out, gsvd(x, lw=lw, rw=rw, k=kk), kk)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), kind=st.sampled_from(KINDS))
+def test_geigen_invariants_property(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    x = random_spd(rng, n)
+    w, w_m = _make_constraint(kind, rng, n)
+    out = geigen(x, w=w)
+    _check_orthonormal(out.q, w_m, kind)
+    recon = w_m @ (out.q * out.l[None, :]) @ out.q.T @ w_m
+    target = w_m @ x @ w_m
+    assert np.abs(recon - target).max() < 1e-8 * max(1.0, np.abs(target).max())
+    if out.n_retained > 1:
+        kk = int(rng.integers(1, out.n_retained))
+        _check_prefix(out, geigen(x, w=w, k=kk), kk)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the square root of a singular dense metric keeps eigenvalues below "
+    "the inverse root's cutoff, so a near-null component survives with p = 0",
+)
+def test_singular_dense_metric_keeps_p_orthonormal():
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(3, 1))
+    lw = a @ a.T
+    out = gsvd(rng.normal(size=(3, 4)), lw=lw)
+    gram = out.p.T @ lw @ out.p
+    assert np.abs(gram - np.eye(out.n_retained)).max() < 1e-8

@@ -1,0 +1,63 @@
+"""Bad inputs raise typed errors that name the slot at fault."""
+
+import numpy as np
+import pytest
+
+from gmdecomp import recipes
+from gmdecomp.decomp import geigen, gplssvd, gsvd
+from gmdecomp.errors import GmdError, InvalidArgumentError, NonFiniteError
+
+from conftest import mca_fixture, random_spd
+
+
+@pytest.fixture
+def no_eigh(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("eigh ran before the non-finite input was rejected")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+
+
+def test_nan_weight_vector_names_its_slot(rng):
+    with pytest.raises(NonFiniteError, match=r"^lw contains NaN"):
+        gsvd(rng.normal(size=(5, 3)), lw=[1.0, np.nan, 1.0, 1.0, 1.0])
+
+
+def test_nan_in_dense_metric_names_its_slot(rng, no_eigh):
+    w = random_spd(rng, 4)
+    w[1, 2] = w[2, 1] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^w contains NaN"):
+        geigen(random_spd(rng, 4), w=w)
+    with pytest.raises(NonFiniteError, match=r"^lw contains NaN"):
+        gsvd(rng.normal(size=(4, 3)), lw=w)
+
+
+def test_inf_in_each_gplssvd_constraint_names_its_slot(rng, no_eigh):
+    x, y = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+    for slot, dim in (("xlw", 4), ("xrw", 3), ("ylw", 4), ("yrw", 2)):
+        bad = np.ones(dim)
+        bad[-1] = np.inf
+        with pytest.raises(NonFiniteError, match=f"^{slot} contains"):
+            gplssvd(x, y, **{slot: bad})
+
+
+def test_non_finite_data_names_its_slot(rng, no_eigh):
+    x = rng.normal(size=(4, 3))
+    x[0, 0] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^x contains NaN"):
+        gsvd(x)
+    with pytest.raises(NonFiniteError, match=r"^x contains NaN"):
+        geigen(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    with pytest.raises(NonFiniteError, match=r"^y contains NaN"):
+        gplssvd(rng.normal(size=(4, 3)), x)
+
+
+def test_bad_arguments_raise_invalid_argument_error(rng):
+    with pytest.raises(InvalidArgumentError, match="unknown PCA route"):
+        recipes.pca(rng.normal(size=(10, 3)), route="nope")
+    table = recipes.disjunctive_coding(mca_fixture())
+    for omega in (-1.0, float("nan")):
+        with pytest.raises(InvalidArgumentError, match="omega must be nonnegative"):
+            recipes.rmca(table, omega)
+    assert issubclass(InvalidArgumentError, GmdError)
+    assert issubclass(InvalidArgumentError, ValueError)
