@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Loads matrices and constraint vectors/matrices from CSV, runs any of the
-decompositions or recipes, and writes one CSV per populated result field
-plus a summary.json, with optional static SVG scree/score plots.
+Every subcommand is one entry of ``COMMANDS``: its input kind (numeric, or
+categorical and coded once into a disjunctive table), whether it takes a
+second table ``--y``, its constraint flags, its extra flags, and the recipe
+call. One run path loads the CSV inputs, makes the call, and writes each
+result as one CSV per populated field plus a summary.json, with optional
+static SVG scree/score plots; ``rmca`` with several ``--omega`` values
+writes one ``omega_<value>/`` directory per value.
 
 Exit codes: 0 success, 2 usage error, 3 data/validation error, 4 numerical
 failure.
@@ -17,15 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernel, recipes
-from .decomp import geigen, gplssvd, gsvd
+from . import recipes
+from .decomp import DecompositionResult, geigen, gplssvd, gsvd
 from .errors import (
     GmdError,
     InvalidArgumentError,
     NumericalError,
     ParseError,
     RaggedRowsError,
-    ValidationError,
 )
 
 EXIT_OK = 0
@@ -43,32 +46,41 @@ class LabeledMatrix:
     col_labels: list = None
 
 
+def load_categorical_csv(path, has_header=False, has_rownames=False):
+    """Read a CSV file as (rows of strings, row labels, column labels), the
+    first row/column consumed as labels when flagged. Every loader reads
+    its rows through this function."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not rows:
+        raise ParseError(f"{path}: file is empty")
+    col_labels = None
+    if has_header:
+        header = rows.pop(0)
+        if not rows:
+            raise ParseError(f"{path}: no data rows below the header")
+        if len(header) != len(rows[0]):
+            raise RaggedRowsError(f"{path}: the header has {len(header)} values, "
+                                  f"line 2 has {len(rows[0])}")
+        col_labels = header[1:] if has_rownames else header
+    row_labels = [row.pop(0) for row in rows] if has_rownames else None
+    return rows, row_labels, col_labels
+
+
 def load_matrix_csv(path, has_header=False, has_rownames=False):
     """Read a CSV file into a LabeledMatrix.
 
     The first row/column is consumed as labels when flagged. Numeric parse
     failures report the (row, column) coordinates of the offending cell.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ParseError(f"{path}: file is empty")
-    col_labels = None
-    if has_header:
-        header = rows.pop(0)
-        col_labels = header[1:] if has_rownames else header
-        if not rows:
-            raise ParseError(f"{path}: no data rows below the header")
-    row_labels = [] if has_rownames else None
+    rows, row_labels, col_labels = load_categorical_csv(path, has_header, has_rownames)
+    width = len(rows[0])
     data = []
-    width = None
     for i, row in enumerate(rows):
-        if has_rownames:
-            row_labels.append(row[0])
-            row = row[1:]
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != width:
             raise RaggedRowsError(
                 f"{path}: line {i + 1 + int(has_header)} has {len(row)} "
                 f"values, expected {width}"
@@ -82,31 +94,7 @@ def load_matrix_csv(path, has_header=False, has_rownames=False):
                     f"{path}: cannot parse {cell!r} at row {i + 1}, column {j + 1}"
                 ) from None
         data.append(parsed)
-    return LabeledMatrix(
-        values=np.asarray(data, dtype=np.float64),
-        row_labels=row_labels,
-        col_labels=col_labels,
-    )
-
-
-def load_categorical_csv(path, has_header=False, has_rownames=False):
-    """Read a CSV of categorical values as a list of string rows, plus labels."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ParseError(f"{path}: file is empty")
-    col_labels = None
-    if has_header:
-        header = rows.pop(0)
-        col_labels = header[1:] if has_rownames else header
-    row_labels = [] if has_rownames else None
-    data = []
-    for row in rows:
-        if has_rownames:
-            row_labels.append(row[0])
-            row = row[1:]
-        data.append(row)
-    return data, row_labels, col_labels
+    return LabeledMatrix(np.asarray(data, dtype=np.float64), row_labels, col_labels)
 
 
 def load_constraint_csv(path, has_header=False, has_rownames=False):
@@ -143,51 +131,42 @@ def _write_matrix_csv(path, mat, row_labels=None):
                 writer.writerow([_fmt(x) for x in row])
 
 
-# Which label set annotates each matrix field: row labels of x/y or column
-# labels of x/y.
-_LABEL_SOURCE = {
-    "u": "xrow_or_xcol",
-    "p": "xrow_or_xcol",
-    "fi": "xrow_or_xcol",
-    "v": "ycol_or_xcol",
-    "q": "ycol_or_xcol",
-    "fj": "ycol_or_xcol",
-    "lx": "xrow",
-    "ly": "yrow",
-}
+def _field_labels(result, x_row_labels, x_col_labels, y_row_labels, y_col_labels):
+    """Row labels of each matrix field: the rows and columns of x for one
+    table; the columns of x and of y, and the shared rows, for two."""
+    if result.method == "gplssvd":
+        first, second = x_col_labels, y_col_labels
+    else:
+        first, second = x_row_labels, x_col_labels
+    return dict(u=first, p=first, fi=first, v=second, q=second, fj=second,
+                lx=x_row_labels, ly=y_row_labels)
 
 
 def write_result(result, outdir, x_row_labels=None, x_col_labels=None,
-                 y_row_labels=None, y_col_labels=None, tol="default",
+                 y_row_labels=None, y_col_labels=None, tol=None,
                  command_line=None, n_rows=None, n_cols=None):
-    """Write one CSV per populated result field and a summary.json."""
+    """Write one CSV per populated result field and a summary.json.
+
+    The summary records `tol` if given, else the tolerance the decomposition
+    used; a disabled tolerance is written as "off".
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    two_table = result.method == "gplssvd"
+    labels = _field_labels(result, x_row_labels, x_col_labels, y_row_labels, y_col_labels)
     for name, value in result.fields().items():
         path = outdir / f"{name}.csv"
         if value.ndim == 1:
             _write_vector_csv(path, value)
-            continue
-        source = _LABEL_SOURCE.get(name)
-        if source == "xrow_or_xcol":
-            labels = x_col_labels if two_table else x_row_labels
-        elif source == "ycol_or_xcol":
-            labels = y_col_labels if two_table else x_col_labels
-        elif source == "xrow":
-            labels = x_row_labels
-        elif source == "yrow":
-            labels = y_row_labels
         else:
-            labels = None
-        _write_matrix_csv(path, value, row_labels=labels)
+            _write_matrix_csv(path, value, row_labels=labels.get(name))
+    tol = result.tol if tol is None else tol
     summary = {
         "method": result.method,
         "n_rows": n_rows,
         "n_cols": n_cols,
         "n_total_components": result.n_total_components,
         "n_retained": result.n_retained,
-        "tol": tol if isinstance(tol, str) or tol is None else float(tol),
+        "tol": "off" if tol is None else tol if isinstance(tol, str) else float(tol),
         "command_line": command_line,
     }
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
@@ -258,14 +237,13 @@ def emit_plots(result, outdir, fi_labels=None, fj_labels=None):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "scree.svg").write_text(_scree_svg(list(result.l_full)), encoding="utf-8")
-    if result.n_retained >= 2:
-        if result.fi is not None:
-            (outdir / "scores_fi.svg").write_text(
-                _scatter_svg(result.fi[:, :2], fi_labels), encoding="utf-8"
-            )
-        if result.fj is not None:
-            (outdir / "scores_fj.svg").write_text(
-                _scatter_svg(result.fj[:, :2], fj_labels), encoding="utf-8"
+    if result.n_retained < 2:
+        return
+    for name, labels in (("fi", fi_labels), ("fj", fj_labels)):
+        scores = getattr(result, name)
+        if scores is not None:
+            (outdir / f"scores_{name}.svg").write_text(
+                _scatter_svg(scores[:, :2], labels), encoding="utf-8"
             )
 
 
@@ -281,230 +259,146 @@ def _parse_omegas(text):
             return omegas
     except ValueError:
         pass
-    raise InvalidArgumentError(f"invalid --omega {text!r}; use nonnegative numbers")
+    raise argparse.ArgumentTypeError(f"invalid value {text!r}; use nonnegative numbers")
 
 
-def _parse_tol(text, default):
-    if text is None:
-        return default
-    if text.lower() == "off":
-        return None
+def _tolerance(text):
+    """Parse --tol: a threshold, or 'off' (None) to keep the full spectrum."""
     try:
-        return float(text)
+        return None if text.lower() == "off" else float(text)
     except ValueError:
-        raise ParseError(f"invalid --tol value {text!r}; use a number or 'off'") from None
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}; use a number or 'off'")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+@dataclass(frozen=True)
+class Command:
+    """One subcommand. `call(x, y, k=..., **options)` gets the loaded inputs
+    (DisjunctiveTables when `categorical`; y is None without `needs_y`) and,
+    by name, each constraint slot, each flag's `dest`, and `tol` when given.
+    It returns a result, or (subdirectory, result) pairs for a sweep."""
+
+    call: object
+    categorical: bool = False
+    needs_y: bool = False
+    constraints: tuple = ()
+    required: tuple = ()
+    flags: tuple = ()
+    tol: bool = True
+
+
+_TWO_TABLE = dict(needs_y=True, flags=(
+    ("--no-center", dict(dest="center", action="store_false")),
+    ("--no-scale", dict(dest="scale", action="store_false")),
+))
+
+
+def _rmca_sweep(x, y, omega, **kw):
+    for value in omega:
+        yield f"omega_{value:g}" if len(omega) > 1 else "", recipes.rmca(x, value, **kw)
+
+
+# Calls name recipes and decompositions through module attributes at call
+# time, so a wrapper installed on a module attribute sees every call.
+COMMANDS = {
+    "geigen": Command(lambda x, y, **kw: geigen(x, **kw), constraints=("w",)),
+    "gsvd": Command(lambda x, y, **kw: gsvd(x, **kw), constraints=("lw", "rw")),
+    "gplssvd": Command(lambda x, y, **kw: gplssvd(x, y, **kw), needs_y=True,
+                       constraints=("xlw", "xrw", "ylw", "yrw")),
+    "pca": Command(lambda x, y, **kw: recipes.pca(x, **kw), flags=(
+        ("--route", dict(dest="route", default="eigen_cor",
+                         choices=recipes.PCA_ROUTES)),)),
+    "mds": Command(lambda x, y, **kw: recipes.mds(x, **kw)),
+    "wmds": Command(lambda x, y, w, **kw: recipes.weighted_mds(x, w, **kw),
+                    constraints=("w",), required=("w",), tol=False),
+    "ca": Command(lambda x, y, **kw: recipes.ca(x, **kw)),
+    "mca": Command(lambda x, y, **kw: recipes.mca(x, **kw), categorical=True),
+    "rmca": Command(_rmca_sweep, categorical=True, flags=(
+        ("--omega", dict(dest="omega", default="0", type=_parse_omegas,
+                         help="comma-separated omega values")),)),
+    "pls": Command(lambda x, y, **kw: recipes.pls(x, y, **kw), **_TWO_TABLE),
+    "rrr": Command(lambda x, y, **kw: recipes.rrr(x, y, **kw), **_TWO_TABLE),
+    "cca": Command(lambda x, y, **kw: recipes.cca(x, y, **kw), **_TWO_TABLE),
+    "plsca": Command(lambda x, y, **kw: recipes.plsca(x, y, **kw),
+                     categorical=True, needs_y=True),
+}
 
 
 def build_parser():
-    parser = _Parser(prog="gmdecomp", description=__doc__)
+    parser = argparse.ArgumentParser(prog="gmdecomp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, needs_y=False, constraint_flags=(), extra=None):
+    for name, cmd in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--x", required=True, help="input data matrix (CSV)")
-        if needs_y:
+        if cmd.needs_y:
             p.add_argument("--y", required=True, help="second data matrix (CSV)")
-        for flag in constraint_flags:
-            p.add_argument(f"--{flag}", help=f"{flag.upper()} constraint (CSV)")
+        for slot in cmd.constraints:
+            p.add_argument(f"--{slot}", required=slot in cmd.required,
+                           help=f"{slot.upper()} constraint (CSV)")
         p.add_argument("--k", type=int, default=0)
-        p.add_argument("--tol", default=None, help="threshold value or 'off'")
+        if cmd.tol:
+            p.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
+                           help="threshold value or 'off' (default: the method's)")
         p.add_argument("--header", action="store_true")
         p.add_argument("--rownames", action="store_true")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--plot", action="store_true")
-        if extra:
-            extra(p)
-        return p
-
-    add("geigen", constraint_flags=("w",))
-    add("gsvd", constraint_flags=("lw", "rw"))
-    add("gplssvd", needs_y=True, constraint_flags=("xlw", "xrw", "ylw", "yrw"))
-
-    def pca_extra(p):
-        p.add_argument("--route", default="eigen_cor", choices=recipes.PCA_ROUTES)
-
-    add("pca", extra=pca_extra)
-    add("mds")
-
-    def wmds_extra(p):
-        p.add_argument("--w", required=True, help="row weights vector (CSV)")
-
-    add("wmds", extra=wmds_extra)
-    add("ca")
-    add("mca")
-
-    def rmca_extra(p):
-        p.add_argument("--omega", default="0", help="comma-separated omega values")
-
-    add("rmca", extra=rmca_extra)
-
-    def cs_extra(p):
-        p.add_argument("--no-center", dest="center", action="store_false")
-        p.add_argument("--no-scale", dest="scale", action="store_false")
-
-    add("pls", needs_y=True, extra=cs_extra)
-    add("rrr", needs_y=True, extra=cs_extra)
-    add("cca", needs_y=True, extra=cs_extra)
-    add("plsca", needs_y=True)
+        for flag, options in cmd.flags:
+            p.add_argument(flag, **options)
     return parser
 
 
-def _run_command(args, command_line):
-    load = lambda path: load_matrix_csv(path, args.header, args.rownames)
-    load_c = lambda path: (
-        load_constraint_csv(path, args.header, args.rownames) if path else None
-    )
-    cmd = args.command
-    eigen_default = kernel.SQRT_EPS
-    svd_default = kernel.EPS
-
-    if cmd in ("mca", "plsca"):
-        cat_x, xrl, xcl = load_categorical_csv(args.x, args.header, args.rownames)
-        if cmd == "mca":
-            tol = _parse_tol(args.tol, svd_default)
-            tab = recipes.disjunctive_coding(cat_x, variable_names=xcl)
-            result = recipes.ca(tab.indicator, k=args.k, tol=tol)
-            return result, dict(
-                x_row_labels=xrl,
-                x_col_labels=list(tab.level_labels),
-                tol=tol,
-                n_rows=tab.indicator.shape[0],
-                n_cols=tab.indicator.shape[1],
-            )
-        cat_y, yrl, ycl = load_categorical_csv(args.y, args.header, args.rownames)
-        tol = _parse_tol(args.tol, svd_default)
-        tab_x = recipes.disjunctive_coding(cat_x, variable_names=xcl)
-        tab_y = recipes.disjunctive_coding(cat_y, variable_names=ycl)
-        result = recipes.plsca(cat_x, cat_y, k=args.k, tol=tol,
-                               x_variable_names=xcl, y_variable_names=ycl)
-        return result, dict(
-            x_row_labels=xrl,
-            x_col_labels=list(tab_x.level_labels),
-            y_row_labels=yrl,
-            y_col_labels=list(tab_y.level_labels),
-            tol=tol,
-            n_rows=tab_x.indicator.shape[0],
-            n_cols=tab_x.indicator.shape[1],
-        )
-
-    x = load(args.x)
-    labels = dict(
-        x_row_labels=x.row_labels,
-        x_col_labels=x.col_labels,
-        n_rows=x.values.shape[0],
-        n_cols=x.values.shape[1],
-    )
-
-    if cmd == "geigen":
-        tol = _parse_tol(args.tol, eigen_default)
-        result = geigen(x.values, w=load_c(args.w), k=args.k, tol=tol)
-    elif cmd == "gsvd":
-        tol = _parse_tol(args.tol, svd_default)
-        result = gsvd(x.values, lw=load_c(args.lw), rw=load_c(args.rw),
-                      k=args.k, tol=tol)
-    elif cmd == "gplssvd":
-        y = load(args.y)
-        labels.update(y_row_labels=y.row_labels, y_col_labels=y.col_labels)
-        tol = _parse_tol(args.tol, svd_default)
-        result = gplssvd(x.values, y.values, xlw=load_c(args.xlw),
-                         xrw=load_c(args.xrw), ylw=load_c(args.ylw),
-                         yrw=load_c(args.yrw), k=args.k, tol=tol)
-    elif cmd == "pca":
-        default = eigen_default if args.route.startswith("eigen") else svd_default
-        tol = _parse_tol(args.tol, default)
-        result = recipes.pca(x.values, route=args.route, k=args.k, tol=tol)
-    elif cmd == "mds":
-        tol = _parse_tol(args.tol, eigen_default)
-        result = recipes.mds(x.values, k=args.k, tol=tol)
-    elif cmd == "wmds":
-        w = load_constraint_csv(args.w, args.header, args.rownames)
-        tol = None
-        result = recipes.weighted_mds(x.values, np.atleast_1d(w), k=args.k)
-    elif cmd == "ca":
-        tol = _parse_tol(args.tol, svd_default)
-        result = recipes.ca(x.values, k=args.k, tol=tol)
-    elif cmd in ("pls", "rrr", "cca"):
-        y = load(args.y)
-        labels.update(y_row_labels=y.row_labels, y_col_labels=y.col_labels)
-        tol = _parse_tol(args.tol, svd_default)
-        fn = getattr(recipes, cmd)
-        result = fn(x.values, y.values, k=args.k, tol=tol,
-                    center=args.center, scale=args.scale)
-    else:  # pragma: no cover - parser restricts commands
-        raise ParseError(f"unknown command {cmd}")
-    labels["tol"] = tol
-    return result, labels
+def _load(path, args, categorical):
+    """The recipe's input, and the matrix whose labels and shape are reported."""
+    if not categorical:
+        m = load_matrix_csv(path, args.header, args.rownames)
+        return m.values, m
+    rows, row_labels, names = load_categorical_csv(path, args.header, args.rownames)
+    tab = recipes.disjunctive_coding(rows, variable_names=names)
+    return tab, LabeledMatrix(tab.indicator, row_labels, list(tab.level_labels))
 
 
-def _run_rmca(args, command_line):
-    cat, row_labels, col_labels = load_categorical_csv(
-        args.x, args.header, args.rownames
-    )
-    tol = _parse_tol(args.tol, kernel.EPS)
-    tab = recipes.disjunctive_coding(cat, variable_names=col_labels)
-    omegas = _parse_omegas(args.omega)
-    multi = len(omegas) > 1
-    for omega in omegas:
-        result = recipes.rmca(tab, omega, k=args.k, tol=tol)
-        outdir = Path(args.out)
-        if multi:
-            outdir = outdir / f"omega_{omega:g}"
-        write_result(
-            result,
-            outdir,
-            x_row_labels=row_labels,
-            x_col_labels=list(tab.level_labels),
-            tol=tol,
-            command_line=command_line,
-            n_rows=tab.indicator.shape[0],
-            n_cols=tab.indicator.shape[1],
-        )
+def _run(cmd, args, command_line):
+    x, xm = _load(args.x, args, cmd.categorical)
+    y, ym = None, LabeledMatrix(None)
+    if cmd.needs_y:
+        y, ym = _load(args.y, args, cmd.categorical)
+    kw = {options["dest"]: getattr(args, options["dest"]) for _, options in cmd.flags}
+    for slot in cmd.constraints:
+        path = getattr(args, slot)
+        kw[slot] = load_constraint_csv(path, args.header, args.rownames) if path else None
+    if "tol" in args:
+        kw["tol"] = args.tol
+    out = cmd.call(x, y, k=args.k, **kw)
+    labels = dict(x_row_labels=xm.row_labels, x_col_labels=xm.col_labels,
+                  y_row_labels=ym.row_labels, y_col_labels=ym.col_labels)
+    for sub, result in [("", out)] if isinstance(out, DecompositionResult) else out:
+        outdir = Path(args.out) / sub
+        write_result(result, outdir, command_line=command_line,
+                     n_rows=xm.values.shape[0], n_cols=xm.values.shape[1], **labels)
         if args.plot:
-            emit_plots(result, outdir, fi_labels=row_labels,
-                       fj_labels=list(tab.level_labels))
-    return EXIT_OK
+            fields = _field_labels(result, **labels)
+            emit_plots(result, outdir, fi_labels=fields["fi"], fj_labels=fields["fj"])
+
+
+_EXIT_CODES = (
+    (InvalidArgumentError, EXIT_USAGE),
+    (NumericalError, EXIT_NUMERICAL),
+    ((GmdError, OSError), EXIT_DATA),
+)
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    command_line = "gmdecomp " + " ".join(argv)
     try:
-        if args.command == "rmca":
-            return _run_rmca(args, command_line)
-        result, info = _run_command(args, command_line)
-        tol = info.pop("tol", "default")
-        fi_labels = info.get("x_row_labels")
-        fj_labels = info.get("y_col_labels") or info.get("x_col_labels")
-        if result.method == "gplssvd":
-            fi_labels = info.get("x_col_labels")
-        write_result(result, args.out, tol="off" if tol is None else tol,
-                     command_line=command_line, **info)
-        if args.plot:
-            emit_plots(result, args.out, fi_labels=fi_labels, fj_labels=fj_labels)
-        return EXIT_OK
-    except InvalidArgumentError as exc:
+        _run(COMMANDS[args.command], args, "gmdecomp " + " ".join(argv))
+    except (GmdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except GmdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

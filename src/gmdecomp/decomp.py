@@ -38,6 +38,7 @@ class DecompositionResult:
 
     Vector/score fields absent for a method are None:
     geigen lacks u, p, fi, lx, ly; gsvd lacks lx, ly; gplssvd has all.
+    `tol` is the retention threshold used (None when it was disabled).
     """
 
     method: str
@@ -55,6 +56,7 @@ class DecompositionResult:
     ly: np.ndarray = None
     n_total_components: int = 0
     n_retained: int = 0
+    tol: float = None
 
     def fields(self):
         """Populated per-component fields in a stable order."""
@@ -84,7 +86,7 @@ def _validate_data(x, name="x"):
     return x
 
 
-def _assemble(method, k, d_full, l_full, **columns):
+def _assemble(method, k, tol, d_full, l_full, **columns):
     """Pack a result: per-component outputs, computed on the full retained
     set, are sliced to the first k columns so a k-run is a bit-identical
     prefix of the full run."""
@@ -98,6 +100,7 @@ def _assemble(method, k, d_full, l_full, **columns):
         l_full=l_full,
         n_total_components=n_total,
         n_retained=kk,
+        tol=tol,
         **{name: m[:, :kk] for name, m in columns.items()},
     )
 
@@ -135,7 +138,7 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS, symmetric=None):
     q = apply_invsqrt_metric(c, v, "left")
     fj = apply_metric(c, q, "left") * d_full[None, :]
 
-    return _assemble(GEIGEN, k, d_full, l_full, v=v, q=q, fj=fj)
+    return _assemble(GEIGEN, k, tol, d_full, l_full, v=v, q=q, fj=fj)
 
 
 def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
@@ -158,7 +161,7 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     fi = apply_metric(lwc, p, "left") * d_full[None, :]
     fj = apply_metric(rwc, q, "left") * d_full[None, :]
 
-    return _assemble(GSVD, k, d_full, l_full, u=sv.u, v=sv.v, p=p, q=q, fi=fi, fj=fj)
+    return _assemble(GSVD, k, tol, d_full, l_full, u=sv.u, v=sv.v, p=p, q=q, fi=fi, fj=fj)
 
 
 def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
@@ -195,6 +198,6 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
     ly = apply_sqrt_metric(ylwc, y @ apply_metric(yrwc, q, "left"), "left")
 
     return _assemble(
-        GPLSSVD, k, d_full, l_full,
+        GPLSSVD, k, tol, d_full, l_full,
         u=sv.u, v=sv.v, p=p, q=q, fi=fi, fj=fj, lx=lx, ly=ly,
     )

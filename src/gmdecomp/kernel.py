@@ -200,15 +200,13 @@ def psd_eigen(w, name="w"):
 
 
 def psd_root(lam, vec, inverse=False):
-    """Symmetric square root from :func:`psd_eigen` pairs. With `inverse`, the
-    pseudo-inverse root: eigenvalues above a relative cutoff map to
-    lambda**-0.5, the rest to zero, so singular directions are annihilated."""
-    if inverse:
-        lam_max = lam[0] if lam.size else 0.0
-        cutoff = lam_max * lam.shape[0] * EPS
-        scale = np.where(lam > cutoff, 1.0 / np.sqrt(np.where(lam > cutoff, lam, 1.0)), 0.0)
-    else:
-        scale = np.sqrt(lam)
+    """Symmetric square root from :func:`psd_eigen` pairs, or with `inverse`
+    the pseudo-inverse root. Eigenvalues at or below a relative cutoff map
+    to zero in both, so the two roots agree on the singular directions."""
+    lam_max = lam[0] if lam.size else 0.0
+    keep = lam > lam_max * lam.shape[0] * EPS
+    root = np.sqrt(np.where(keep, lam, 1.0))
+    scale = np.where(keep, 1.0 / root if inverse else root, 0.0)
     s = (vec * scale) @ vec.T
     return (s + s.T) / 2.0
 

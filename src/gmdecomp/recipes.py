@@ -18,8 +18,11 @@ from .decomp import DecompositionResult, geigen, gplssvd, gsvd
 from .errors import (
     DimensionMismatchError,
     EmptyMarginError,
+    EmptyMatrixError,
     InvalidArgumentError,
     NegativeCountError,
+    NoConvergenceError,
+    NonFiniteError,
     NonPositiveWeightError,
     NotADistanceMatrixError,
     SingleLevelVariableError,
@@ -55,7 +58,10 @@ def pseudo_inverse(a):
     matches the generalized-inverse convention common in statistical code.
     """
     a = np.asarray(a, dtype=np.float64)
-    u, d, vt = np.linalg.svd(a, full_matrices=False)
+    try:
+        u, d, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"pseudo-inverse: {exc}") from exc
     if d.size == 0 or d[0] == 0:
         return np.zeros(a.T.shape)
     keep = d > kernel.SQRT_EPS * d[0]
@@ -263,10 +269,14 @@ def disjunctive_coding(table, variable_names=None):
     if not rows:
         raise SingleLevelVariableError("no rows to code")
     n_vars = len(rows[0])
+    if n_vars == 0:
+        raise EmptyMatrixError("categorical table has no variables")
     if any(len(r) != n_vars for r in rows):
         raise DimensionMismatchError("ragged categorical table")
     if variable_names is None:
         variable_names = [f"var{j + 1}" for j in range(n_vars)]
+    elif len(variable_names) != n_vars:
+        raise DimensionMismatchError(f"{len(variable_names)} names for {n_vars} variables")
     blocks, spans, labels = [], [], []
     start = 0
     for j in range(n_vars):
@@ -290,12 +300,18 @@ def disjunctive_coding(table, variable_names=None):
     )
 
 
+def _coded(table, variable_names):
+    if isinstance(table, DisjunctiveTable):
+        return table
+    return disjunctive_coding(table, variable_names=variable_names)
+
+
 def mca(categorical, k=0, tol=kernel.EPS, variable_names=None):
     """Multiple correspondence analysis: CA of the complete disjunctive
-    table. The coding is rank deficient (one null dimension per variable
-    beyond the first), so the tolerance discards those dimensions."""
-    tab = disjunctive_coding(categorical, variable_names=variable_names)
-    return ca(tab.indicator, k=k, tol=tol)
+    table (a DisjunctiveTable, or coded here). The coding is rank deficient
+    (one null dimension per variable beyond the first), so the tolerance
+    discards those dimensions."""
+    return ca(_coded(categorical, variable_names).indicator, k=k, tol=tol)
 
 
 def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
@@ -327,19 +343,26 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
 # two-table methods
 
 
+def _preprocess_pair(x, y, center, scale):
+    """Center/scale both tables; non-finite entries are rejected first, as
+    they would otherwise fail inside LAPACK in the pseudo-inverse."""
+    for name, data in (("x", x), ("y", y)):
+        if not np.all(np.isfinite(data)):
+            raise NonFiniteError(f"{name} contains NaN or Inf entries")
+    return center_scale(x, center, scale), center_scale(y, center, scale)
+
+
 def pls(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Partial least squares SVD: gplssvd of the two (preprocessed) data
     matrices with identity constraints."""
-    xp = center_scale(x, center=center, scale=scale)
-    yp = center_scale(y, center=center, scale=scale)
+    xp, yp = _preprocess_pair(x, y, center, scale)
     return gplssvd(xp, yp, k=k, tol=tol)
 
 
 def rrr(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Reduced rank regression (redundancy analysis): gplssvd with the
     pseudo-inverse of X'X as the column metric for x."""
-    xp = center_scale(x, center=center, scale=scale)
-    yp = center_scale(y, center=center, scale=scale)
+    xp, yp = _preprocess_pair(x, y, center, scale)
     return gplssvd(xp, yp, xrw=pseudo_inverse(xp.T @ xp), k=k, tol=tol)
 
 
@@ -347,8 +370,7 @@ def cca(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Canonical correlation analysis: gplssvd with pseudo-inverse
     cross-product metrics on both column sides. The singular values are the
     canonical correlations."""
-    xp = center_scale(x, center=center, scale=scale)
-    yp = center_scale(y, center=center, scale=scale)
+    xp, yp = _preprocess_pair(x, y, center, scale)
     return gplssvd(
         xp,
         yp,
@@ -382,12 +404,13 @@ def plsca(cat_x, cat_y, k=0, tol=kernel.EPS, x_variable_names=None, y_variable_n
     """Partial least squares correspondence analysis for two categorical
     tables sharing their rows.
 
-    Both tables are disjunctively coded and CA-preprocessed independently;
-    the deviation matrices go through gplssvd with reciprocal row/column
-    probability constraints on all four slots.
+    Both tables are disjunctively coded (unless already DisjunctiveTables)
+    and CA-preprocessed independently; the deviation matrices go through
+    gplssvd with reciprocal row/column probability constraints on all four
+    slots.
     """
-    tab_x = disjunctive_coding(cat_x, variable_names=x_variable_names)
-    tab_y = disjunctive_coding(cat_y, variable_names=y_variable_names)
+    tab_x = _coded(cat_x, x_variable_names)
+    tab_y = _coded(cat_y, y_variable_names)
     if tab_x.indicator.shape[0] != tab_y.indicator.shape[0]:
         raise DimensionMismatchError("categorical tables must share rows")
     prof_x = ca_preprocess(tab_x.indicator)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gmdecomp import cli
+from gmdecomp import cli, kernel
 from gmdecomp.decomp import gsvd
 from gmdecomp.errors import ParseError, RaggedRowsError
 
@@ -205,12 +205,21 @@ def test_exit_code_numerical(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_tol_flag_parsing(tmp_path):
-    assert cli._parse_tol(None, 0.5) == 0.5
-    assert cli._parse_tol("off", 0.5) is None
-    assert cli._parse_tol("1e-8", 0.5) == 1e-8
-    with pytest.raises(ParseError):
-        cli._parse_tol("huh", 0.5)
+def test_tol_flag_through_main(tmp_path, rng):
+    xp = write_matrix(tmp_path / "x.csv", rng.normal(size=(6, 3)))
+    recorded = {}
+    for name, flags in (("default", []), ("off", ["--tol", "off"]),
+                        ("number", ["--tol", "1e-8"])):
+        out = tmp_path / name
+        assert cli.main(["gsvd", "--x", xp, "--out", str(out)] + flags) == 0
+        recorded[name] = json.loads((out / "summary.json").read_text())["tol"]
+    assert recorded == {"default": kernel.EPS, "off": "off", "number": 1e-8}
+    # a bad value is a usage error, and wmds has no tolerance to set
+    assert cli.main(["gsvd", "--x", xp, "--tol", "huh", "--out", str(tmp_path / "bad")]) == 2
+    wp = write_csv(tmp_path / "w.csv", [["1"]] * 6)
+    assert cli.main(["wmds", "--x", xp, "--w", wp, "--tol", "0.5",
+                     "--out", str(tmp_path / "wmds")]) == 2
+    assert not (tmp_path / "bad").exists() and not (tmp_path / "wmds").exists()
 
 
 def test_exit_code_bad_omega_is_usage_error(tmp_path, capsys):

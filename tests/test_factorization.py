@@ -168,12 +168,9 @@ def _make_constraint(kind, rng, n):
     return m, m
 
 
-def _check_orthonormal(vectors, metric, kind):
-    # A singular dense metric can leave a near-null component whose
-    # generalized vector is annihilated; see the xfail test below.
-    if kind != "singular":
-        gram = vectors.T @ metric @ vectors
-        assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-8
+def _check_orthonormal(vectors, metric):
+    gram = vectors.T @ metric @ vectors
+    assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-8
 
 
 def _check_prefix(full, run, kk):
@@ -198,8 +195,8 @@ def test_gsvd_invariants_property(seed, n, m, lkind, rkind):
     lw, lw_m = _make_constraint(lkind, rng, n)
     rw, rw_m = _make_constraint(rkind, rng, m)
     out = gsvd(x, lw=lw, rw=rw)
-    _check_orthonormal(out.p, lw_m, lkind)
-    _check_orthonormal(out.q, rw_m, rkind)
+    _check_orthonormal(out.p, lw_m)
+    _check_orthonormal(out.q, rw_m)
     # Metric reconstruction: lw P D Q' rw = lw x rw (plain reconstruction
     # when both metrics are nonsingular).
     recon = lw_m @ (out.p * out.d[None, :]) @ out.q.T @ rw_m
@@ -217,7 +214,7 @@ def test_geigen_invariants_property(seed, n, kind):
     x = random_spd(rng, n)
     w, w_m = _make_constraint(kind, rng, n)
     out = geigen(x, w=w)
-    _check_orthonormal(out.q, w_m, kind)
+    _check_orthonormal(out.q, w_m)
     recon = w_m @ (out.q * out.l[None, :]) @ out.q.T @ w_m
     target = w_m @ x @ w_m
     assert np.abs(recon - target).max() < 1e-8 * max(1.0, np.abs(target).max())
@@ -226,11 +223,6 @@ def test_geigen_invariants_property(seed, n, kind):
         _check_prefix(out, geigen(x, w=w, k=kk), kk)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the square root of a singular dense metric keeps eigenvalues below "
-    "the inverse root's cutoff, so a near-null component survives with p = 0",
-)
 def test_singular_dense_metric_keeps_p_orthonormal():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 1))

@@ -1,0 +1,77 @@
+"""Bounded property tests over random data for two of the paper's claims:
+identity constraints reduce each generalized decomposition to its plain
+counterpart, and the four PCA routes agree."""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gmdecomp import recipes
+from gmdecomp.decomp import geigen, gplssvd, gsvd
+
+from conftest import align_signs, random_spd
+
+BOUNDED = settings(max_examples=30, deadline=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+TOL = 1e-9
+
+
+def _close(a, b):
+    return np.abs(np.asarray(a) - np.asarray(b)).max() < TOL * max(1.0, np.abs(b).max())
+
+
+def _match_svd(out, m):
+    u, d, vt = np.linalg.svd(m, full_matrices=False)
+    r = out.n_retained
+    assert r == d.size and _close(out.d, d)
+    assert _close(align_signs(out.u, u), u) and _close(align_signs(out.v, vt.T), vt.T)
+    # identity metrics leave the generalized vectors equal to the plain ones
+    assert np.array_equal(out.p, out.u) and np.array_equal(out.q, out.v)
+
+
+@BOUNDED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(2, 6))
+def test_gsvd_with_identity_constraints_is_the_svd(seed, n, m):
+    x = np.random.default_rng(seed).normal(size=(n, m))
+    _match_svd(gsvd(x), x)
+
+
+@BOUNDED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), mx=st.integers(2, 5),
+       my=st.integers(2, 5))
+def test_gplssvd_with_identity_constraints_is_the_svd_of_the_crossproduct(seed, n, mx, my):
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(n, mx)), rng.normal(size=(n, my))
+    out = gplssvd(x, y)
+    if out.n_retained == min(mx, my):  # a rank-deficient x'y drops components
+        _match_svd(out, x.T @ y)
+    assert _close(out.lx, x @ out.p) and _close(out.ly, y @ out.q)
+
+
+@BOUNDED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7))
+def test_geigen_with_identity_constraint_is_the_eigendecomposition(seed, n):
+    s = random_spd(np.random.default_rng(seed), n)
+    values, vectors = np.linalg.eigh(s)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    out = geigen(s)
+    assert _close(out.l, values)
+    assert _close(align_signs(out.v, vectors), vectors)
+    assert np.array_equal(out.q, out.v)
+
+
+@BOUNDED
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), extra=st.integers(2, 10))
+def test_pca_routes_agree(seed, m, extra):
+    data = np.random.default_rng(seed).normal(size=(m + extra, m))
+    cov = recipes.pca(data, route="eigen_cov")
+    cor = recipes.pca(data, route="eigen_cor")
+    scaled = recipes.pca(data, route="triplet_scaled")
+    metric = recipes.pca(data, route="triplet_metric")
+    centered = data - data.mean(axis=0)
+    assert _close(cov.l, np.linalg.eigvalsh(centered.T @ centered / (m + extra - 1))[::-1])
+    assert _close(cor.l, scaled.l)
+    assert _close(metric.l, scaled.l)
+    for name in ("u", "p", "fi"):
+        a, b = getattr(metric, name), getattr(scaled, name)
+        assert _close(align_signs(a, b), b), name
