@@ -5,29 +5,13 @@ Three workhorse decompositions — :func:`geigen`, :func:`gsvd`, and
 semi-definite row/column constraint metrics, and a set of recipes builds
 the classic multivariate methods (PCA, MDS, CA, MCA, regularized MCA, PLS,
 RRR, CCA, PLS-CA) on top of them.
+
+The package root exports those, the result record and :mod:`errors`; the
+eigen/SVD primitives and constraint metrics live in :mod:`gmdecomp.kernel`
+and :mod:`gmdecomp.constraints`.
 """
 
 from .decomp import DecompositionResult, geigen, gplssvd, gsvd
-from .kernel import (
-    EPS,
-    SQRT_EPS,
-    EigenOutput,
-    SvdOutput,
-    invsqrt_psd_matrix,
-    is_diagonal_matrix,
-    is_empty_matrix,
-    sqrt_psd_matrix,
-    symmetric_eigen,
-    tolerance_eigen,
-    tolerance_svd,
-)
-from .constraints import (
-    Constraint,
-    apply_invsqrt_metric,
-    apply_metric,
-    apply_sqrt_metric,
-    normalize_constraint,
-)
 from .recipes import (
     CaProfiles,
     DisjunctiveTable,
@@ -59,22 +43,6 @@ __all__ = [
     "geigen",
     "gsvd",
     "gplssvd",
-    "EigenOutput",
-    "SvdOutput",
-    "EPS",
-    "SQRT_EPS",
-    "tolerance_eigen",
-    "tolerance_svd",
-    "symmetric_eigen",
-    "sqrt_psd_matrix",
-    "invsqrt_psd_matrix",
-    "is_diagonal_matrix",
-    "is_empty_matrix",
-    "Constraint",
-    "normalize_constraint",
-    "apply_metric",
-    "apply_sqrt_metric",
-    "apply_invsqrt_metric",
     "CaProfiles",
     "DisjunctiveTable",
     "pca",

@@ -97,9 +97,10 @@ def load_matrix_csv(path, has_header=False, has_rownames=False):
     return LabeledMatrix(np.asarray(data, dtype=np.float64), row_labels, col_labels)
 
 
-def load_constraint_csv(path, has_header=False, has_rownames=False):
-    """Load a constraint; a single-column file becomes a diagonal vector."""
-    mat = load_matrix_csv(path, has_header=has_header, has_rownames=has_rownames)
+def load_constraint_csv(path):
+    """Load a constraint from a plain numeric CSV file (no labels); a
+    single-column file becomes a diagonal vector."""
+    mat = load_matrix_csv(path)
     if mat.values.shape[1] == 1 and mat.values.shape[0] != 1:
         return mat.values[:, 0]
     return mat.values
@@ -338,8 +339,11 @@ def build_parser():
         if cmd.tol:
             p.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
                            help="threshold value or 'off' (default: the method's)")
-        p.add_argument("--header", action="store_true")
-        p.add_argument("--rownames", action="store_true")
+        p.add_argument("--header", action="store_true",
+                       help="data files start with a row of column labels")
+        p.add_argument("--rownames", action="store_true",
+                       help="data files start with a column of row labels "
+                            "(constraint files are plain numbers)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--plot", action="store_true")
         for flag, options in cmd.flags:
@@ -365,7 +369,7 @@ def _run(cmd, args, command_line):
     kw = {options["dest"]: getattr(args, options["dest"]) for _, options in cmd.flags}
     for slot in cmd.constraints:
         path = getattr(args, slot)
-        kw[slot] = load_constraint_csv(path, args.header, args.rownames) if path else None
+        kw[slot] = load_constraint_csv(path) if path else None
     if "tol" in args:
         kw["tol"] = args.tol
     out = cmd.call(x, y, k=args.k, **kw)

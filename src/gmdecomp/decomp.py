@@ -25,7 +25,7 @@ from .constraints import (
     apply_sqrt_metric,
     normalize_constraint,
 )
-from .errors import DimensionMismatchError, EmptyMatrixError, NonFiniteError
+from .errors import DimensionMismatchError
 
 GEIGEN = "geigen"
 GSVD = "gsvd"
@@ -77,15 +77,6 @@ def _resolve_k(k, n_total):
     return k
 
 
-def _validate_data(x, name="x"):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise EmptyMatrixError(f"{name} must be a non-empty 2-d matrix")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError(f"{name} contains NaN or Inf entries")
-    return x
-
-
 def _assemble(method, k, tol, d_full, l_full, **columns):
     """Pack a result: per-component outputs, computed on the full retained
     set, are sliced to the first k columns so a k-run is a bit-identical
@@ -105,7 +96,7 @@ def _assemble(method, k, tol, d_full, l_full, **columns):
     )
 
 
-def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS, symmetric=None):
+def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
     """Generalized eigendecomposition of a square matrix under metric `w`.
 
     Decomposes x = Q L Q^T with Q^T w Q = I by eigendecomposing
@@ -122,15 +113,13 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS, symmetric=None):
     tol : float or None
         Eigenvalues at or below this are dropped; None (or NaN/inf/negative)
         disables the tolerance and keeps negative eigenvalues.
-    symmetric : bool, optional
-        Skip the symmetry test when the caller already knows.
     """
-    x = _validate_data(x)
+    x = kernel.as_matrix(x, "x")
     if x.shape[0] != x.shape[1]:
         raise DimensionMismatchError(f"geigen requires a square matrix, got {x.shape}")
     c = normalize_constraint(w, x.shape[0], "w")
     xt = apply_sqrt_metric(c, apply_sqrt_metric(c, x, "right"), "left")
-    eig = kernel.tolerance_eigen(xt, tol=tol, symmetric=symmetric)
+    eig = kernel.tolerance_eigen(xt, tol=tol)
 
     l_full = eig.values
     d_full = np.sqrt(np.clip(l_full, 0.0, None))
@@ -148,7 +137,7 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     SVD of lw^(1/2) x rw^(1/2). Row scores fi = lw P diag(d), column scores
     fj = rw Q diag(d).
     """
-    x = _validate_data(x)
+    x = kernel.as_matrix(x, "x")
     lwc = normalize_constraint(lw, x.shape[0], "lw")
     rwc = normalize_constraint(rw, x.shape[1], "rw")
     xt = apply_sqrt_metric(lwc, apply_sqrt_metric(rwc, x, "right"), "left")
@@ -173,8 +162,8 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
     lx = xlw^(1/2) x xrw p and ly = ylw^(1/2) y yrw q, whose cross-product
     diagonal equals d.
     """
-    x = _validate_data(x, "x")
-    y = _validate_data(y, "y")
+    x = kernel.as_matrix(x, "x")
+    y = kernel.as_matrix(y, "y")
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatchError(
             f"x and y must share rows: {x.shape[0]} vs {y.shape[0]}"

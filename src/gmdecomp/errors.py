@@ -47,10 +47,6 @@ class NonFiniteError(ValidationError):
     pass
 
 
-class UnsupportedError(ValidationError):
-    pass
-
-
 class ZeroVarianceColumnError(ValidationError):
     pass
 

@@ -22,7 +22,6 @@ from .errors import (
     NonSquareError,
     NotPSDError,
     NotSymmetricError,
-    UnsupportedError,
 )
 
 # Default retention thresholds (eigen uses sqrt(eps), svd uses eps).
@@ -65,11 +64,13 @@ def tolerance_active(tol):
     return True
 
 
-def _as_matrix(a, name="matrix"):
+def as_matrix(a, name):
+    """`a` as a float64 array, checked to be a non-empty, finite 2-d matrix;
+    errors name the slot `name`."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise EmptyMatrixError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.ndim != 2 or a.size == 0:
+        raise EmptyMatrixError(f"{name} must be a non-empty 2-d matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{name} contains NaN or Inf entries")
     return a
 
@@ -111,7 +112,7 @@ def symmetric_eigen(s):
     Columns of the returned vectors follow the deterministic sign
     convention (largest-magnitude entry positive).
     """
-    s = _as_matrix(s, "s")
+    s = as_matrix(s, "s")
     _require_square(s, "s")
     if not is_symmetric(s):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
@@ -126,22 +127,15 @@ def symmetric_eigen(s):
     return EigenOutput(values=values, vectors=vectors)
 
 
-def tolerance_eigen(s, tol=SQRT_EPS, symmetric=None):
-    """Eigendecomposition that drops eigenvalues at or below `tol`.
+def tolerance_eigen(s, tol=SQRT_EPS):
+    """Eigendecomposition of a symmetric matrix (see :func:`symmetric_eigen`)
+    that drops eigenvalues at or below `tol`.
 
     With an active tolerance the retained spectrum must be strictly
     positive; an eigenvalue below ``-tol`` raises
     :class:`ComplexOrNegativeEigenvalueError`. Disabling the tolerance
     returns every eigenvalue, negatives included.
     """
-    s = _as_matrix(s, "s")
-    _require_square(s, "s")
-    if symmetric is None:
-        symmetric = is_symmetric(s)
-    if not symmetric:
-        # Only the symmetric path is supported; every standard use of the
-        # generalized eigendecomposition in this package is symmetric.
-        raise UnsupportedError("asymmetric eigendecomposition is not supported")
     out = symmetric_eigen(s)
     if not tolerance_active(tol):
         return out
@@ -162,9 +156,7 @@ def tolerance_svd(x, tol=EPS):
     entry positive; the matching left vector is flipped jointly so the
     reconstruction is preserved.
     """
-    x = _as_matrix(x, "x")
-    if x.size == 0:
-        raise EmptyMatrixError("cannot decompose an empty matrix")
+    x = as_matrix(x, "x")
     try:
         u, d, vt = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -185,7 +177,7 @@ def tolerance_svd(x, tol=EPS):
 def psd_eigen(w, name="w"):
     """Eigenvalues (descending, clipped at 0) and eigenvectors of (w + w')/2,
     after checking that `w` is symmetric and PSD; errors name `name`."""
-    w = _as_matrix(w, name)
+    w = as_matrix(w, name)
     _require_square(w, name)
     if not is_symmetric(w):
         raise NotSymmetricError(f"{name} must be symmetric")
@@ -227,9 +219,3 @@ def is_diagonal_matrix(w):
     _require_square(w, "w")
     off = w - np.diag(np.diag(w))
     return bool(np.count_nonzero(off) == 0)
-
-
-def is_empty_matrix(w):
-    """True iff the matrix has no rows/columns or is entirely zero."""
-    w = np.asarray(w, dtype=np.float64)
-    return w.size == 0 or not np.any(w)

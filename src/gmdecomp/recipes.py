@@ -43,6 +43,8 @@ def center_scale(data, center=True, scale=True):
     data = np.asarray(data, dtype=np.float64)
     out = data - data.mean(axis=0) if center else data.copy()
     if scale:
+        if data.shape[0] < 2:
+            raise DimensionMismatchError("scaling needs at least 2 rows")
         sd = np.std(data, axis=0, ddof=1)
         if np.any(sd == 0):
             bad = int(np.flatnonzero(sd == 0)[0])
@@ -135,33 +137,34 @@ def _check_distance_matrix(dist):
     return dist
 
 
-def double_centered_gram(dist):
-    """-1/2 * C d^2 C' with C the uniform centering matrix, computed by
-    subtracting row/column means and adding back the grand mean."""
+def double_centered_gram(dist, weights=None):
+    """-1/2 * Cw d^2 Cw', symmetrized, with Cw = I - 1 w' the centering by
+    masses `w` (uniform 1/n when omitted, the classical centering). Computed
+    in O(n^2) from the row and column corrections d^2 w and w' d^2 and the
+    grand term w' d^2 w."""
     d2 = dist**2
-    row = d2.mean(axis=1, keepdims=True)
-    col = d2.mean(axis=0, keepdims=True)
-    grand = d2.mean()
-    return -0.5 * (d2 - row - col + grand)
+    w = np.full(d2.shape[0], 1.0 / d2.shape[0]) if weights is None else weights
+    row = d2 @ w
+    b = -0.5 * (d2 - row[:, None] - (w @ d2)[None, :] + w @ row)
+    return (b + b.T) / 2.0
 
 
 def mds(dist, k=0, tol=kernel.SQRT_EPS):
     """Classical (Torgerson) metric MDS via geigen of the double-centered
     squared distances. Component scores fj hold the coordinates."""
     dist = _check_distance_matrix(dist)
-    b = double_centered_gram(dist)
-    b = (b + b.T) / 2.0
-    return geigen(b, k=k, tol=tol)
+    return geigen(double_centered_gram(dist), k=k, tol=tol)
 
 
 def weighted_mds(dist, row_weights, k=0):
     """Weighted classical scaling with per-observation masses.
 
-    Uses the weight-based centering Cw = I - 1 w^T (weights are taken as
-    masses directly, so uniform masses 1/n reproduce the classical centering
-    matrix) and runs geigen under the diagonal metric of the weights with
-    the tolerance disabled: unless the weights sum to one, the doubly
-    centered matrix is not PSD and the trailing eigenvalues are negative.
+    Uses the weight-based centering Cw = I - 1 w^T of
+    :func:`double_centered_gram` (weights are taken as masses directly, so
+    uniform masses 1/n reproduce the classical centering) and runs geigen
+    under the diagonal metric of the weights with the tolerance disabled:
+    unless the weights sum to one, the doubly centered matrix is not PSD
+    and the trailing eigenvalues are negative.
     """
     dist = _check_distance_matrix(dist)
     w = np.asarray(row_weights, dtype=np.float64)
@@ -169,11 +172,7 @@ def weighted_mds(dist, row_weights, k=0):
         raise DimensionMismatchError("row_weights must be a vector of length n")
     if np.any(w <= 0):
         raise NonPositiveWeightError("row weights must be strictly positive")
-    n = dist.shape[0]
-    cw = np.eye(n) - np.outer(np.ones(n), w)
-    b = -0.5 * cw @ (dist**2) @ cw.T
-    b = (b + b.T) / 2.0
-    return geigen(b, w=w, k=k, tol=None)
+    return geigen(double_centered_gram(dist, w), w=w, k=k, tol=None)
 
 
 def mds_score_sets(result):
@@ -195,15 +194,12 @@ def mds_score_sets(result):
 
 @dataclass(frozen=True)
 class CaProfiles:
-    """Observed/expected/deviation probability matrices of a contingency
-    table, with the row and column margins and the original grand total."""
+    """Row and column margins of a contingency table's probability matrix
+    and its deviations from independence (observed - expected)."""
 
-    observed: np.ndarray
     row_prob: np.ndarray
     col_prob: np.ndarray
-    expected: np.ndarray
     deviations: np.ndarray
-    n_total: float
 
 
 def ca_preprocess(counts):
@@ -221,14 +217,10 @@ def ca_preprocess(counts):
     col_prob = observed.sum(axis=0)
     if np.any(row_prob == 0) or np.any(col_prob == 0):
         raise EmptyMarginError("table has an all-zero row or column")
-    expected = np.outer(row_prob, col_prob)
     return CaProfiles(
-        observed=observed,
         row_prob=row_prob,
         col_prob=col_prob,
-        expected=expected,
-        deviations=observed - expected,
-        n_total=float(total),
+        deviations=observed - np.outer(row_prob, col_prob),
     )
 
 

@@ -68,6 +68,29 @@ def test_load_constraint_vector_vs_matrix(tmp_path):
     assert mat.shape == (2, 2)
 
 
+def test_constraint_files_are_read_without_labels(tmp_path, rng, capsys):
+    x = rng.normal(size=(4, 3))
+    plain = write_matrix(tmp_path / "x.csv", x)
+    labeled = write_csv(tmp_path / "labeled.csv", [["", "a", "b", "c"]] + [
+        [f"r{i}"] + [repr(float(v)) for v in row] for i, row in enumerate(x)
+    ])
+    lw = write_csv(tmp_path / "lw.csv", [["0.5"], ["1.5"], ["2"], ["1"]])
+    base = ["gsvd", "--lw", lw, "--out"]
+    assert cli.main(base + [str(tmp_path / "plain"), "--x", plain]) == 0
+    assert cli.main(base + [str(tmp_path / "labeled"), "--x", labeled,
+                            "--header", "--rownames"]) == 0
+    d = (tmp_path / "plain" / "d.csv").read_bytes()
+    assert d == (tmp_path / "labeled" / "d.csv").read_bytes()
+    # a constraint file with labels is a parse error naming the file and cell
+    lw_labeled = write_csv(tmp_path / "lw_labeled.csv", [["w"], ["0.5"], ["1.5"], ["2"], ["1"]])
+    argv = ["gsvd", "--x", labeled, "--lw", lw_labeled, "--header", "--rownames",
+            "--out", str(tmp_path / "bad")]
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "lw_labeled.csv" in err and "row 1, column 1" in err
+
+
 # ---------------------------------------------------------------------------
 # result writing and round-trip
 
@@ -203,6 +226,12 @@ def test_exit_code_numerical(tmp_path, capsys):
     xp = write_matrix(tmp_path / "x.csv", np.diag([2.0, -1.0]))
     assert cli.main(["geigen", "--x", xp, "--out", str(tmp_path / "o")]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_asymmetric_geigen_input(tmp_path, capsys):
+    xp = write_matrix(tmp_path / "x.csv", [[1.0, 2.0], [0.0, 1.0]])
+    assert cli.main(["geigen", "--x", xp, "--out", str(tmp_path / "o")]) == 3
+    assert "not symmetric" in capsys.readouterr().err
 
 
 def test_tol_flag_through_main(tmp_path, rng):

@@ -161,9 +161,11 @@ def test_exit_code_is_always_documented(files, data):
     (["gsvd", "--x", "binary"], 3),
     (["mca", "--x", "one_column", "--rownames"], 3),
     (["rrr", "--x", "nan", "--y", "nan"], 3),
-    (["cca", "--x", "one_row", "--y", "one_row"], 4),
+    (["cca", "--x", "one_row", "--y", "one_row"], 3),
     (["cca", "--x", "ragged", "--y", "ragged", "--header", "--plot"], 3),
     (["plsca", "--x", "levels", "--y", "ragged", "--header"], 3),
+    (["pls", "--x", "one_row", "--y", "one_row"], 3),
+    (["rrr", "--x", "one_row", "--y", "one_row"], 3),
 ])
 def test_malformed_input_exits_with_a_documented_code(argv, code, files, tmp_path, capsys):
     argv = [files.get(a, a) for a in argv]

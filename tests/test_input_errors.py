@@ -5,7 +5,14 @@ import pytest
 
 from gmdecomp import recipes
 from gmdecomp.decomp import geigen, gplssvd, gsvd
-from gmdecomp.errors import GmdError, InvalidArgumentError, NonFiniteError
+from gmdecomp.errors import (
+    DimensionMismatchError,
+    GmdError,
+    InvalidArgumentError,
+    NonFiniteError,
+    NotSymmetricError,
+    ValidationError,
+)
 
 from conftest import mca_fixture, random_spd
 
@@ -61,3 +68,16 @@ def test_bad_arguments_raise_invalid_argument_error(rng):
             recipes.rmca(table, omega)
     assert issubclass(InvalidArgumentError, GmdError)
     assert issubclass(InvalidArgumentError, ValueError)
+
+
+def test_geigen_asymmetric_input_is_not_symmetric_error():
+    with pytest.raises(NotSymmetricError) as info:
+        geigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    assert isinstance(info.value, ValidationError)
+
+
+@pytest.mark.parametrize("method", [recipes.pls, recipes.rrr, recipes.cca])
+def test_one_row_table_is_a_dimension_error(method):
+    one_row = np.array([[1.0, 2.0, 3.0]])
+    with pytest.raises(DimensionMismatchError, match="at least 2 rows"):
+        method(one_row, one_row)

@@ -8,7 +8,6 @@ from gmdecomp.errors import (
     NonSquareError,
     NotPSDError,
     NotSymmetricError,
-    UnsupportedError,
 )
 
 from conftest import align_signs
@@ -107,8 +106,8 @@ def test_tolerance_eigen_errors_on_negative_spectrum_with_active_tol():
 
 
 def test_tolerance_eigen_asymmetric_unsupported():
-    with pytest.raises(UnsupportedError):
-        kernel.tolerance_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]), symmetric=False)
+    with pytest.raises(NotSymmetricError):
+        kernel.tolerance_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_tolerance_svd_diagonal():
@@ -197,9 +196,3 @@ def test_is_diagonal_matrix():
     assert kernel.is_diagonal_matrix(np.eye(1))
     with pytest.raises(NonSquareError):
         kernel.is_diagonal_matrix(np.ones((2, 3)))
-
-
-def test_is_empty_matrix():
-    assert kernel.is_empty_matrix(np.zeros((0, 3)))
-    assert kernel.is_empty_matrix(np.zeros((2, 2)))
-    assert not kernel.is_empty_matrix(np.diag([1.0, 1.0]))

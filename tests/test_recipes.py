@@ -121,6 +121,14 @@ def test_double_centered_gram_matches_loop_oracle(rng):
     assert np.allclose(recipes.double_centered_gram(dist), loop_double_center(dist))
 
 
+def test_weighted_double_centered_gram_matches_centering_matrix(rng):
+    dist = pairwise_distances(rng.normal(size=(7, 2)))
+    w = rng.uniform(0.2, 2.0, size=7)
+    cw = np.eye(7) - np.outer(np.ones(7), w)
+    explicit = -0.5 * cw @ dist**2 @ cw.T
+    assert np.allclose(recipes.double_centered_gram(dist, w), explicit, rtol=1e-12, atol=1e-12)
+
+
 def test_mds_recovers_configuration(rng):
     points = rng.normal(size=(10, 3))
     dist = pairwise_distances(points)
