@@ -144,12 +144,12 @@ def _field_labels(result, x_row_labels, x_col_labels, y_row_labels, y_col_labels
 
 
 def write_result(result, outdir, x_row_labels=None, x_col_labels=None,
-                 y_row_labels=None, y_col_labels=None, tol=None,
+                 y_row_labels=None, y_col_labels=None,
                  command_line=None, n_rows=None, n_cols=None):
     """Write one CSV per populated result field and a summary.json.
 
-    The summary records `tol` if given, else the tolerance the decomposition
-    used; a disabled tolerance is written as "off".
+    The summary records the tolerance the decomposition used; a disabled
+    tolerance is written as "off".
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -160,14 +160,13 @@ def write_result(result, outdir, x_row_labels=None, x_col_labels=None,
             _write_vector_csv(path, value)
         else:
             _write_matrix_csv(path, value, row_labels=labels.get(name))
-    tol = result.tol if tol is None else tol
     summary = {
         "method": result.method,
         "n_rows": n_rows,
         "n_cols": n_cols,
         "n_total_components": result.n_total_components,
         "n_retained": result.n_retained,
-        "tol": "off" if tol is None else tol if isinstance(tol, str) else float(tol),
+        "tol": "off" if result.tol is None else float(result.tol),
         "command_line": command_line,
     }
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:

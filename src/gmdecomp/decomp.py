@@ -1,10 +1,12 @@
 """The three generalized decompositions: geigen, gsvd, gplssvd.
 
-Each function canonicalizes its constraint inputs, forms the metric-weighted
-matrix, decomposes it with the tolerance-aware kernel, and maps the standard
-vectors back to generalized vectors and component scores. All three return
-the same :class:`DecompositionResult` record with the fields appropriate to
-the method populated (see each function's docstring).
+geigen and gsvd canonicalize their constraint inputs, form the
+metric-weighted matrix, decompose it with the tolerance-aware kernel, and
+map the standard vectors back to generalized vectors and component scores.
+gplssvd is the gsvd of the two tables' row-weighted cross-product under
+their column metrics, plus the latent variable scores. All three return the
+same :class:`DecompositionResult` record with the fields appropriate to the
+method populated (see each function's docstring).
 
 Rank truncation: ``k=0`` (the default) returns every retained component;
 ``k > 0`` keeps the first k columns of every per-component output while
@@ -156,11 +158,10 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
 def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
     """Generalized PLS-SVD of the relationship between two data matrices.
 
-    With Xt = xlw^(1/2) x xrw^(1/2) and Yt = ylw^(1/2) y yrw^(1/2), the SVD
-    of Xt^T Yt yields u, d, v; generalized vectors are p = xrw^(-1/2) u and
-    q = yrw^(-1/2) v. Latent variable scores are
-    lx = xlw^(1/2) x xrw p and ly = ylw^(1/2) y yrw q, whose cross-product
-    diagonal equals d.
+    With xl = xlw^(1/2) x and yl = ylw^(1/2) y, this is the gsvd of the
+    cross-product xl^T yl under the column metrics: lw=xrw, rw=yrw. It
+    shares that gsvd's u, d, v, p, q, fi and fj; the latent variable
+    scores lx = xl xrw p and ly = yl yrw q have cross-product diagonal d.
     """
     x = kernel.as_matrix(x, "x")
     y = kernel.as_matrix(y, "y")
@@ -173,20 +174,13 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
     ylwc = normalize_constraint(ylw, y.shape[0], "ylw")
     yrwc = normalize_constraint(yrw, y.shape[1], "yrw")
 
-    xt = apply_sqrt_metric(xlwc, apply_sqrt_metric(xrwc, x, "right"), "left")
-    yt = apply_sqrt_metric(ylwc, apply_sqrt_metric(yrwc, y, "right"), "left")
-    sv = kernel.tolerance_svd(xt.T @ yt, tol=tol)
-
-    d_full = sv.d
-    l_full = d_full**2
-    p = apply_invsqrt_metric(xrwc, sv.u, "left")
-    q = apply_invsqrt_metric(yrwc, sv.v, "left")
-    fi = apply_metric(xrwc, p, "left") * d_full[None, :]
-    fj = apply_metric(yrwc, q, "left") * d_full[None, :]
-    lx = apply_sqrt_metric(xlwc, x @ apply_metric(xrwc, p, "left"), "left")
-    ly = apply_sqrt_metric(ylwc, y @ apply_metric(yrwc, q, "left"), "left")
+    xl = apply_sqrt_metric(xlwc, x)
+    yl = apply_sqrt_metric(ylwc, y)
+    r = gsvd(xl.T @ yl, lw=xrwc, rw=yrwc, tol=tol)
+    lx = xl @ apply_metric(xrwc, r.p)
+    ly = yl @ apply_metric(yrwc, r.q)
 
     return _assemble(
-        GPLSSVD, k, tol, d_full, l_full,
-        u=sv.u, v=sv.v, p=p, q=q, fi=fi, fj=fj, lx=lx, ly=ly,
+        GPLSSVD, k, tol, r.d_full, r.l_full,
+        u=r.u, v=r.v, p=r.p, q=r.q, fi=r.fi, fj=r.fj, lx=lx, ly=ly,
     )

@@ -106,6 +106,20 @@ def canonical_signs(vectors):
     return signs
 
 
+def _sorted_eigh(s):
+    # eigh of an already checked symmetric matrix: eigenvalues descending,
+    # vectors under the deterministic sign convention.
+    try:
+        values, vectors = np.linalg.eigh(s)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(str(exc)) from exc
+    order = np.argsort(values)[::-1]
+    values = values[order]
+    vectors = vectors[:, order]
+    canonical_signs(vectors)
+    return EigenOutput(values=values, vectors=vectors)
+
+
 def symmetric_eigen(s):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
@@ -116,15 +130,7 @@ def symmetric_eigen(s):
     _require_square(s, "s")
     if not is_symmetric(s):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
-    try:
-        values, vectors = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vectors = vectors[:, order]
-    canonical_signs(vectors)
-    return EigenOutput(values=values, vectors=vectors)
+    return _sorted_eigh(s)
 
 
 def tolerance_eigen(s, tol=SQRT_EPS):
@@ -181,7 +187,7 @@ def psd_eigen(w, name="w"):
     _require_square(w, name)
     if not is_symmetric(w):
         raise NotSymmetricError(f"{name} must be symmetric")
-    out = symmetric_eigen((w + w.T) / 2.0)
+    out = _sorted_eigh((w + w.T) / 2.0)
     lam = out.values
     lam_max = lam[0] if lam.size else 0.0
     if lam.size and lam.min() < -PSD_RTOL * max(lam_max, 0.0):

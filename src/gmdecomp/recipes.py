@@ -125,8 +125,8 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
 
 
 def _check_distance_matrix(dist):
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+    dist = kernel.as_matrix(dist, "dist")
+    if dist.shape[0] != dist.shape[1]:
         raise NotADistanceMatrixError("distance matrix must be square")
     if not kernel.is_symmetric(dist):
         raise NotADistanceMatrixError("distance matrix must be symmetric")
@@ -204,9 +204,7 @@ class CaProfiles:
 
 def ca_preprocess(counts):
     """Turn a table of nonnegative counts into CA profiles."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 2 or counts.size == 0:
-        raise EmptyMarginError("counts must be a non-empty 2-d table")
+    counts = kernel.as_matrix(counts, "counts")
     if np.any(counts < 0):
         raise NegativeCountError("counts must be nonnegative")
     total = counts.sum()
@@ -318,7 +316,7 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     if isinstance(disjunctive, DisjunctiveTable):
         indicator = disjunctive.indicator
     else:
-        indicator = np.asarray(disjunctive, dtype=np.float64)
+        indicator = kernel.as_matrix(disjunctive, "disjunctive")
     omega = float(omega)
     if not omega >= 0:
         raise InvalidArgumentError(f"omega must be nonnegative, got {omega!r}")

@@ -234,7 +234,7 @@ def test_11_cli_round_trip(tmp_path):
         x = rng.normal(size=(9, 5))
         result = gsvd(x, lw=rng.uniform(0.5, 2.0, size=9))
         outdir = tmp_path / "direct"
-        cli.write_result(result, outdir, tol=kernel.EPS)
+        cli.write_result(result, outdir)
         for name, value in result.fields().items():
             loaded = cli.load_matrix_csv(
                 outdir / f"{name}.csv", has_header=(value.ndim == 2)

@@ -97,9 +97,9 @@ def test_constraint_files_are_read_without_labels(tmp_path, rng, capsys):
 
 def test_write_result_round_trip_exact(tmp_path, rng):
     x = rng.normal(size=(6, 4))
-    result = gsvd(x, lw=rng.uniform(0.5, 2.0, size=6))
+    result = gsvd(x, lw=rng.uniform(0.5, 2.0, size=6), tol=1e-12)
     outdir = tmp_path / "out"
-    cli.write_result(result, outdir, tol=1e-12, command_line="gmdecomp gsvd",
+    cli.write_result(result, outdir, command_line="gmdecomp gsvd",
                      n_rows=6, n_cols=4)
     for name, value in result.fields().items():
         loaded = cli.load_matrix_csv(

@@ -20,18 +20,28 @@ from gmdecomp.errors import NotPSDError, NotSymmetricError
 from conftest import random_spd
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """Shapes of every np.linalg.eigh call made while the test runs."""
+def _record_shapes(monkeypatch, name):
     calls = []
-    real = np.linalg.eigh
+    real = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         calls.append(np.shape(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of every np.linalg.eigh call made while the test runs."""
+    return _record_shapes(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of every np.linalg.svd call made while the test runs."""
+    return _record_shapes(monkeypatch, "svd")
 
 
 def test_dense_gsvd_makes_two_eigh_calls(rng, eigh_calls):
@@ -53,6 +63,12 @@ def test_dense_gplssvd_makes_two_eigh_calls(rng, eigh_calls):
         yrw=random_spd(rng, 5),
     )
     assert eigh_calls == [(4, 4), (5, 5)]
+
+
+def test_dense_gplssvd_makes_one_svd_of_the_cross_product(rng, svd_calls):
+    x, y = rng.normal(size=(10, 4)), rng.normal(size=(10, 5))
+    gplssvd(x, y, xlw=random_spd(rng, 10), xrw=random_spd(rng, 4), yrw=random_spd(rng, 5))
+    assert svd_calls == [(4, 5)]
 
 
 def test_diagonal_and_identity_constraints_make_no_eigh_calls(rng, eigh_calls):
@@ -105,7 +121,7 @@ def test_dense_gplssvd_matches_written_out_roots(rng):
     y = rng.normal(size=(15, 6))
     xrw, xrw_s, xrw_i = _roots(random_spd(rng, 4))
     yrw, yrw_s, yrw_i = _roots(random_spd(rng, 6))
-    sv = kernel.tolerance_svd((x @ xrw_s).T @ (y @ yrw_s), tol=kernel.EPS)
+    sv = kernel.tolerance_svd(xrw_s @ ((x.T @ y) @ yrw_s), tol=kernel.EPS)
     p = xrw_i @ sv.u
     q = yrw_i @ sv.v
     expected = dict(
@@ -170,7 +186,7 @@ def _make_constraint(kind, rng, n):
 
 def _check_orthonormal(vectors, metric):
     gram = vectors.T @ metric @ vectors
-    assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-8
+    assert np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0) < 1e-8
 
 
 def _check_prefix(full, run, kk):
@@ -230,3 +246,28 @@ def test_singular_dense_metric_keeps_p_orthonormal():
     out = gsvd(rng.normal(size=(3, 4)), lw=lw)
     gram = out.p.T @ lw @ out.p
     assert np.abs(gram - np.eye(out.n_retained)).max() < 1e-8
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    mx=st.integers(2, 5),
+    my=st.integers(2, 5),
+    kinds=st.tuples(*[st.sampled_from(KINDS)] * 4),
+)
+def test_gplssvd_invariants_property(seed, n, mx, my, kinds):
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(n, mx)), rng.normal(size=(n, my))
+    (xlw, _), (xrw, xrw_m), (ylw, _), (yrw, yrw_m) = (
+        _make_constraint(kind, rng, dim) for kind, dim in zip(kinds, (n, mx, n, my))
+    )
+    out = gplssvd(x, y, xlw=xlw, xrw=xrw, ylw=ylw, yrw=yrw)
+    _check_orthonormal(out.p, xrw_m)
+    _check_orthonormal(out.q, yrw_m)
+    # The latent variables' cross-products are the singular values.
+    cross = np.einsum("ij,ij->j", out.lx, out.ly)
+    assert np.allclose(cross, out.d, rtol=0.0, atol=1e-8 * max(1.0, out.d.max(initial=0.0)))
+    if out.n_retained > 1:
+        kk = int(rng.integers(1, out.n_retained))
+        _check_prefix(out, gplssvd(x, y, xlw=xlw, xrw=xrw, ylw=ylw, yrw=yrw, k=kk), kk)

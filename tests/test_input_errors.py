@@ -81,3 +81,19 @@ def test_one_row_table_is_a_dimension_error(method):
     one_row = np.array([[1.0, 2.0, 3.0]])
     with pytest.raises(DimensionMismatchError, match="at least 2 rows"):
         method(one_row, one_row)
+
+
+_NAN_TABLE = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, np.nan], [1.0, 1.0, 0.0]])
+_NAN_DIST = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, np.nan], [2.0, np.nan, 0.0]])
+
+
+@pytest.mark.parametrize("slot, call", [
+    ("disjunctive", lambda: recipes.rmca(_NAN_TABLE, 1.0)),
+    ("counts", lambda: recipes.ca([[1.0, np.inf], [2.0, 3.0]])),
+    ("counts", lambda: recipes.ca(_NAN_TABLE)),
+    ("dist", lambda: recipes.mds(_NAN_DIST)),
+    ("dist", lambda: recipes.weighted_mds(_NAN_DIST, np.ones(3))),
+], ids=["rmca-nan", "ca-inf", "ca-nan", "mds-nan", "wmds-nan"])
+def test_recipe_raw_input_non_finite_names_its_slot(slot, call):
+    with pytest.raises(NonFiniteError, match=f"^{slot} contains NaN or Inf"):
+        call()
