@@ -28,7 +28,6 @@ from .recipes import (
     pca,
     pls,
     plsca,
-    pseudo_inverse,
     rmca,
     rrr,
     rrr_coefficients,
@@ -62,6 +61,5 @@ __all__ = [
     "cca_coefficients",
     "rrr_coefficients",
     "center_scale",
-    "pseudo_inverse",
     "errors",
 ]

@@ -9,7 +9,8 @@ collapses to identity, so the cheap paths are taken whenever possible.
 A dense constraint is factorized once: the one eigendecomposition that
 validates it as PSD is kept on the constraint, and its square root and
 pseudo-inverse square root are derived from those eigenpairs on first use
-and cached for the life of the constraint.
+and cached for the life of the constraint. The pseudo-inverse of a Gram
+matrix is built as a constraint from that matrix's own eigenpairs.
 """
 
 from dataclasses import dataclass, field
@@ -105,6 +106,17 @@ def normalize_constraint(raw, dim, name="constraint"):
     # yields its roots; the stored matrix is symmetrized exactly.
     eigen = kernel.psd_eigen(arr, name)
     return Constraint(dim, DENSE, matrix=(arr + arr.T) / 2.0, name=name, eigen=eigen)
+
+
+def pinv_constraint(gram, name="constraint"):
+    """Dense constraint holding the pseudo-inverse of the PSD Gram matrix
+    `gram`, built from one eigendecomposition of it (Björck & Golub 1973):
+    eigenvalues at or below sqrt(eps) times the largest count as zero."""
+    lam, vec = kernel.psd_eigen(gram, name)
+    keep = lam > kernel.SQRT_EPS * lam[0]
+    inv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
+    m = (vec * inv) @ vec.T
+    return Constraint(inv.shape[0], DENSE, matrix=(m + m.T) / 2.0, name=name, eigen=(inv, vec))
 
 
 def _from_weights(weights, dim, name):

@@ -198,10 +198,11 @@ def psd_eigen(w, name="w"):
 
 
 def psd_root(lam, vec, inverse=False):
-    """Symmetric square root from :func:`psd_eigen` pairs, or with `inverse`
-    the pseudo-inverse root. Eigenvalues at or below a relative cutoff map
-    to zero in both, so the two roots agree on the singular directions."""
-    lam_max = lam[0] if lam.size else 0.0
+    """Symmetric square root from eigenpairs (as from :func:`psd_eigen`, in
+    any order), or with `inverse` the pseudo-inverse root. Eigenvalues at or
+    below a relative cutoff map to zero in both, so the two roots agree on
+    the singular directions."""
+    lam_max = lam.max(initial=0.0)
     keep = lam > lam_max * lam.shape[0] * EPS
     root = np.sqrt(np.where(keep, lam, 1.0))
     scale = np.where(keep, 1.0 / root if inverse else root, 0.0)

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .decomp import DecompositionResult, geigen, gplssvd, gsvd
+from .constraints import pinv_constraint
+from .decomp import GSVD, _assemble, geigen, gplssvd, gsvd
 from .errors import (
     DimensionMismatchError,
     EmptyMarginError,
     EmptyMatrixError,
     InvalidArgumentError,
     NegativeCountError,
-    NoConvergenceError,
     NonFiniteError,
     NonPositiveWeightError,
     NotADistanceMatrixError,
@@ -53,24 +53,6 @@ def center_scale(data, center=True, scale=True):
     return out
 
 
-def pseudo_inverse(a):
-    """Moore-Penrose pseudo-inverse with a relative singular value cutoff.
-
-    The cutoff is sqrt(machine eps) times the largest singular value, which
-    matches the generalized-inverse convention common in statistical code.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    try:
-        u, d, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"pseudo-inverse: {exc}") from exc
-    if d.size == 0 or d[0] == 0:
-        return np.zeros(a.T.shape)
-    keep = d > kernel.SQRT_EPS * d[0]
-    inv = np.where(keep, 1.0 / np.where(keep, d, 1.0), 0.0)
-    return (vt.T * inv) @ u.T
-
-
 # ---------------------------------------------------------------------------
 # PCA
 
@@ -88,7 +70,7 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
       1/(I-1) and column weights (I-1)/sum(x_centered^2); same spectrum and
       row outputs as ``triplet_scaled``, different column metric.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = kernel.as_matrix(data, "data")
     if route not in PCA_ROUTES:
         raise InvalidArgumentError(
             f"unknown PCA route {route!r}; expected one of {PCA_ROUTES}"
@@ -168,6 +150,8 @@ def weighted_mds(dist, row_weights, k=0):
     """
     dist = _check_distance_matrix(dist)
     w = np.asarray(row_weights, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteError("row_weights contains NaN or Inf entries")
     if w.ndim != 1 or w.shape[0] != dist.shape[0]:
         raise DimensionMismatchError("row_weights must be a vector of length n")
     if np.any(w <= 0):
@@ -305,13 +289,14 @@ def mca(categorical, k=0, tol=kernel.EPS, variable_names=None):
 
 
 def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
-    """Ridge-regularized MCA with regularization strength `omega`.
-
-    Row constraints are I + omega * pinv(X X^T) and the raw column
-    constraints are diag(column sums) + omega * X^T pinv(X X^T) X, with X
-    the column-centered indicator; the transpose of the pseudo-inverse of
-    the raw column constraints is what gets passed to gsvd. omega = 0
-    reproduces standard MCA up to a per-component scaling factor.
+    """Ridge-regularized MCA with regularization strength `omega`: gsvd of
+    the column-centered indicator X under lw = I + omega * pinv(X X^T) and
+    rw = pinv(diag(column sums) + omega * X^T pinv(X X^T) X), formed with no
+    n x n matrix. With the thin SVD X = U S V^T, lw acts through U only
+    (Takane & Hwang 2006): the gsvd runs on diag(ridge * s) V^T, with ridge
+    sqrt(1 + omega / s^2) where s^2 > sqrt(eps) * s_1^2 (pinv's rank cutoff)
+    and 1 elsewhere, and u, p, fi are lifted back through U and the ridge.
+    omega = 0 reproduces standard MCA up to a per-component scaling factor.
     """
     if isinstance(disjunctive, DisjunctiveTable):
         indicator = disjunctive.indicator
@@ -321,12 +306,14 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     if not omega >= 0:
         raise InvalidArgumentError(f"omega must be nonnegative, got {omega!r}")
     centered = indicator - indicator.mean(axis=0)
-    cross_inv = pseudo_inverse(centered @ centered.T)
-    lw = np.eye(centered.shape[0]) + omega * cross_inv
-    projector = centered.T @ cross_inv @ centered
-    rw_raw = np.diag(indicator.sum(axis=0)) + omega * projector
-    rw = pseudo_inverse(rw_raw).T
-    return gsvd(centered, lw=lw, rw=rw, k=k, tol=tol)
+    sv = kernel.tolerance_svd(centered, tol=None)
+    keep = sv.d**2 > kernel.SQRT_EPS * sv.d[0] ** 2
+    ridge = np.sqrt(1.0 + omega / np.where(keep, sv.d**2, np.inf))[:, None]
+    v = sv.v[:, keep]
+    rw = pinv_constraint(np.diag(indicator.sum(axis=0)) + omega * (v @ v.T), "rw")
+    r = gsvd(ridge * sv.d[:, None] * sv.v.T, rw=rw, tol=tol)
+    return _assemble(GSVD, k, tol, r.d_full, r.l_full, u=sv.u @ r.u, v=r.v, q=r.q, fj=r.fj,
+                     p=sv.u @ (r.u / ridge), fi=sv.u @ (ridge * r.fi))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +321,9 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
 
 
 def _preprocess_pair(x, y, center, scale):
-    """Center/scale both tables; non-finite entries are rejected first, as
-    they would otherwise fail inside LAPACK in the pseudo-inverse."""
-    for name, data in (("x", x), ("y", y)):
-        if not np.all(np.isfinite(data)):
-            raise NonFiniteError(f"{name} contains NaN or Inf entries")
-    return center_scale(x, center, scale), center_scale(y, center, scale)
+    """Check, then center/scale both tables."""
+    return (center_scale(kernel.as_matrix(x, "x"), center, scale),
+            center_scale(kernel.as_matrix(y, "y"), center, scale))
 
 
 def pls(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
@@ -353,7 +337,7 @@ def rrr(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Reduced rank regression (redundancy analysis): gplssvd with the
     pseudo-inverse of X'X as the column metric for x."""
     xp, yp = _preprocess_pair(x, y, center, scale)
-    return gplssvd(xp, yp, xrw=pseudo_inverse(xp.T @ xp), k=k, tol=tol)
+    return gplssvd(xp, yp, xrw=pinv_constraint(xp.T @ xp, "xrw"), k=k, tol=tol)
 
 
 def cca(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
@@ -364,8 +348,8 @@ def cca(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     return gplssvd(
         xp,
         yp,
-        xrw=pseudo_inverse(xp.T @ xp),
-        yrw=pseudo_inverse(yp.T @ yp),
+        xrw=pinv_constraint(xp.T @ xp, "xrw"),
+        yrw=pinv_constraint(yp.T @ yp, "yrw"),
         k=k,
         tol=tol,
     )

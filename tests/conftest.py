@@ -55,3 +55,27 @@ def mca_fixture(seed=20240817, n_rows=60):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _record_shapes(monkeypatch, name):
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of every np.linalg.eigh call made while the test runs."""
+    return _record_shapes(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of every np.linalg.svd call made while the test runs."""
+    return _record_shapes(monkeypatch, "svd")

@@ -13,35 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gmdecomp import constraints, kernel
+from gmdecomp import constraints, kernel, recipes
 from gmdecomp.decomp import geigen, gplssvd, gsvd
 from gmdecomp.errors import NotPSDError, NotSymmetricError
 
-from conftest import random_spd
-
-
-def _record_shapes(monkeypatch, name):
-    calls = []
-    real = getattr(np.linalg, name)
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, counting)
-    return calls
-
-
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """Shapes of every np.linalg.eigh call made while the test runs."""
-    return _record_shapes(monkeypatch, "eigh")
-
-
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Shapes of every np.linalg.svd call made while the test runs."""
-    return _record_shapes(monkeypatch, "svd")
+from conftest import categorical_table, random_spd
 
 
 def test_dense_gsvd_makes_two_eigh_calls(rng, eigh_calls):
@@ -75,6 +51,27 @@ def test_diagonal_and_identity_constraints_make_no_eigh_calls(rng, eigh_calls):
     gsvd(rng.normal(size=(8, 5)), lw=rng.uniform(0.5, 2.0, 8))
     gplssvd(rng.normal(size=(8, 3)), rng.normal(size=(8, 4)), ylw=np.ones(8))
     assert eigh_calls == []
+
+
+def test_rmca_factorizes_nothing_of_size_n(eigh_calls, svd_calls):
+    # the thin SVD of the centred indicator, the column metric's pseudo-
+    # inverse, and the SVD of the J x J matrix the row metric reduces to
+    tab = recipes.disjunctive_coding(
+        categorical_table(np.random.default_rng(3), 120, (3, 4, 5, 4)))
+    n, j = tab.indicator.shape
+    recipes.rmca(tab, 5.0)
+    assert svd_calls == [(n, j), (j, j)]
+    assert eigh_calls == [(j, j)]
+
+
+def test_rrr_and_cca_factorize_each_gram_matrix_once(rng, eigh_calls, svd_calls):
+    x, y = rng.normal(size=(30, 4)), rng.normal(size=(30, 5))
+    recipes.rrr(x, y)
+    assert (eigh_calls, svd_calls) == ([(4, 4)], [(4, 5)])
+    eigh_calls.clear()
+    svd_calls.clear()
+    recipes.cca(x, y)
+    assert (eigh_calls, svd_calls) == ([(4, 4), (5, 5)], [(4, 5)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from gmdecomp import recipes
 from gmdecomp.decomp import geigen, gplssvd, gsvd
 from gmdecomp.errors import (
     DimensionMismatchError,
+    EmptyMatrixError,
     GmdError,
     InvalidArgumentError,
     NonFiniteError,
@@ -85,6 +86,7 @@ def test_one_row_table_is_a_dimension_error(method):
 
 _NAN_TABLE = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, np.nan], [1.0, 1.0, 0.0]])
 _NAN_DIST = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, np.nan], [2.0, np.nan, 0.0]])
+_DIST = np.nan_to_num(_NAN_DIST, nan=1.5)
 
 
 @pytest.mark.parametrize("slot, call", [
@@ -93,7 +95,16 @@ _NAN_DIST = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, np.nan], [2.0, np.nan, 0.0]])
     ("counts", lambda: recipes.ca(_NAN_TABLE)),
     ("dist", lambda: recipes.mds(_NAN_DIST)),
     ("dist", lambda: recipes.weighted_mds(_NAN_DIST, np.ones(3))),
-], ids=["rmca-nan", "ca-inf", "ca-nan", "mds-nan", "wmds-nan"])
+    ("row_weights", lambda: recipes.weighted_mds(_DIST, [1.0, np.nan, 1.0])),
+], ids=["rmca-nan", "ca-inf", "ca-nan", "mds-nan", "wmds-nan", "wmds-nan-weight"])
 def test_recipe_raw_input_non_finite_names_its_slot(slot, call):
     with pytest.raises(NonFiniteError, match=f"^{slot} contains NaN or Inf"):
         call()
+
+
+@pytest.mark.parametrize("route", recipes.PCA_ROUTES)
+def test_pca_raw_data_is_checked_first(route):
+    with pytest.raises(EmptyMatrixError, match=r"^data must be a non-empty 2-d matrix"):
+        recipes.pca(np.arange(5.0), route=route)
+    with pytest.raises(NonFiniteError, match=r"^data contains NaN or Inf"):
+        recipes.pca(_NAN_TABLE, route=route)

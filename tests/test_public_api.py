@@ -15,7 +15,7 @@ RECIPES = {
     "CaProfiles", "DisjunctiveTable", "pca", "mds", "weighted_mds", "mds_score_sets",
     "ca", "ca_preprocess", "disjunctive_coding", "mca", "rmca", "pls", "rrr", "cca",
     "plsca", "canonical_correlations", "cca_coefficients", "rrr_coefficients",
-    "center_scale", "pseudo_inverse",
+    "center_scale",
 }
 
 

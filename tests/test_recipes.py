@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmdecomp import recipes
+from gmdecomp import constraints, recipes
 from gmdecomp.errors import (
     DimensionMismatchError,
     EmptyMarginError,
@@ -37,15 +37,22 @@ def test_center_scale_zero_variance(rng):
 
 
 def test_pseudo_inverse_moore_penrose(rng):
-    a = rng.normal(size=(6, 4)) @ rng.normal(size=(4, 5))  # rank <= 4
-    g = recipes.pseudo_inverse(a)
-    assert np.allclose(a @ g @ a, a, atol=1e-9)
-    assert np.allclose(g @ a @ g, g, atol=1e-9)
-    assert np.allclose((a @ g).T, a @ g, atol=1e-9)
-    assert np.allclose((g @ a).T, g @ a, atol=1e-9)
+    a = rng.normal(size=(6, 4)) @ rng.normal(size=(4, 5))
+    gram = a.T @ a  # 5 x 5 of rank 4
+    c = constraints.pinv_constraint(gram, "xrw")
+    g = c.matrix
+    assert c.kind == constraints.DENSE
+    assert np.allclose(gram @ g @ gram, gram, atol=1e-9)
+    assert np.allclose(g @ gram @ g, g, atol=1e-9)
+    assert np.allclose((gram @ g).T, gram @ g, atol=1e-9)
+    assert np.allclose((g @ gram).T, g @ gram, atol=1e-9)
+    # its eigenpairs are the inverted ones of the Gram matrix and rebuild it
+    lam, vec = c.eigen
+    assert np.count_nonzero(lam) == 4
+    assert np.allclose((vec * lam) @ vec.T, g, atol=1e-12)
     # exact inverse for invertible input
     b = rng.normal(size=(4, 4)) + 4 * np.eye(4)
-    assert np.allclose(recipes.pseudo_inverse(b), np.linalg.inv(b), atol=1e-9)
+    assert np.allclose(constraints.pinv_constraint(b.T @ b).matrix, np.linalg.inv(b.T @ b), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,104 @@
+"""rmca through the thin SVD of the centred indicator against the n x n formula.
+
+The reference below is ridge MCA written out as the paper states it:
+gsvd(X, lw = I + omega pinv(X X^T), rw = pinv(diag(colsums) + omega
+X^T pinv(X X^T) X)), with the pseudo-inverse taken by SVD at a sqrt(eps)
+relative cutoff. rmca forms no n x n matrix, so the two share nothing but
+gsvd. Fields are compared up to column sign; where a singular value repeats,
+the block's basis is arbitrary and its projector is compared instead.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gmdecomp import kernel, recipes
+from gmdecomp.decomp import gsvd
+
+from conftest import align_signs, categorical_table, mca_fixture
+
+FIELDS = ("u", "p", "q", "fi", "fj", "v")
+OMEGAS = (0.0, 1.0, 5.0, 25.0)
+
+
+def _pinv(a):
+    u, d, vt = np.linalg.svd(a, full_matrices=False)
+    if d[0] == 0:
+        return np.zeros(a.T.shape)
+    keep = d > kernel.SQRT_EPS * d[0]
+    return (vt.T[:, keep] / d[keep]) @ u[:, keep].T
+
+
+def nxn_rmca(indicator, omega, tol=kernel.EPS):
+    centered = indicator - indicator.mean(axis=0)
+    cross_inv = _pinv(centered @ centered.T)
+    lw = np.eye(centered.shape[0]) + omega * cross_inv
+    rw_raw = np.diag(indicator.sum(axis=0)) + omega * (centered.T @ cross_inv @ centered)
+    return gsvd(centered, lw=lw, rw=_pinv(rw_raw).T, tol=tol)
+
+
+def _blocks(d):
+    """Index ranges of runs of (nearly) equal singular values."""
+    start = 0
+    for stop in range(1, d.size + 1):
+        if stop == d.size or d[stop - 1] - d[stop] > 1e-4 * d[0]:
+            yield slice(start, stop)
+            start = stop
+
+
+def assert_matches_reference(got, ref, rtol=1e-10):
+    assert got.n_total_components == ref.n_total_components
+    assert np.abs(got.d_full - ref.d_full).max(initial=0.0) <= rtol * max(ref.d_full.max(initial=0.0), 1.0)
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape, name
+        scale = np.abs(b).max(initial=1.0)
+        for blk in _blocks(ref.d_full):
+            x, y = a[:, blk], b[:, blk]
+            if x.shape[1] == 1:
+                assert np.abs(align_signs(x, y) - y).max() <= rtol * scale, name
+            else:
+                assert np.abs(x @ x.T - y @ y.T).max() <= rtol * scale**2, name
+
+
+@pytest.mark.parametrize("omega", OMEGAS)
+@pytest.mark.parametrize("n", [60, 400])
+def test_rmca_matches_the_nxn_formula(n, omega):
+    table = mca_fixture() if n == 60 else categorical_table(np.random.default_rng(11), n, (3, 4, 5, 4))
+    tab = recipes.disjunctive_coding(table)
+    assert_matches_reference(recipes.rmca(tab, omega), nxn_rmca(tab.indicator, omega))
+
+
+def test_rmca_with_the_tolerance_off_keeps_the_null_components():
+    tab = recipes.disjunctive_coding(mca_fixture())
+    got = recipes.rmca(tab, 5.0, tol=None)
+    ref = nxn_rmca(tab.indicator, 5.0, tol=None)
+    assert got.n_total_components == ref.n_total_components == 15
+    assert np.allclose(got.d_full, ref.d_full, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("omega", [0.0, 2.0])
+def test_rmca_constant_table_has_no_component(omega):
+    out = recipes.rmca(np.ones((4, 3)), omega)
+    assert out.n_total_components == 0
+    assert out.p.shape == (4, 0) and out.q.shape == (3, 0)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 40),
+    levels=st.lists(st.integers(2, 5), min_size=1, max_size=4),
+    duplicate=st.booleans(),
+    single=st.booleans(),
+    omega=st.sampled_from(OMEGAS),
+)
+def test_rmca_rank_deficient_tables_match_the_nxn_formula(seed, n, levels, duplicate, single, omega):
+    table = categorical_table(np.random.default_rng(seed), n, levels)
+    if duplicate:  # a variable coded twice adds no rank
+        table = [row + row[:1] for row in table]
+    if single:  # a level seen in one row only
+        table[-1][0] = "once"
+    tab = recipes.disjunctive_coding(table)
+    assert_matches_reference(recipes.rmca(tab, omega), nxn_rmca(tab.indicator, omega))
