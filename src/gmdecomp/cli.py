@@ -106,30 +106,18 @@ def load_constraint_csv(path):
     return mat.values
 
 
-def _fmt(x):
-    # repr of a Python float is the shortest decimal that round-trips.
-    return repr(float(x))
-
-
-def _write_vector_csv(path, vec):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for x in vec:
-            writer.writerow([_fmt(x)])
-
-
-def _write_matrix_csv(path, mat, row_labels=None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [f"comp_{j + 1}" for j in range(mat.shape[1])]
+def _write_csv(path, value, row_labels=None):
+    """Write a result field: a vector one value a line, a matrix under a
+    comp_1..comp_k header, each row after its label when labels are given.
+    csv writes each float as its repr, the shortest decimal that round-trips."""
+    if value.ndim == 1:
+        rows = value[:, None].tolist()
+    else:
+        rows = [[f"comp_{j + 1}" for j in range(value.shape[1])]] + value.tolist()
         if row_labels is not None:
-            writer.writerow([""] + header)
-            for label, row in zip(row_labels, mat):
-                writer.writerow([label] + [_fmt(x) for x in row])
-        else:
-            writer.writerow(header)
-            for row in mat:
-                writer.writerow([_fmt(x) for x in row])
+            rows = [[label] + row for label, row in zip([""] + list(row_labels), rows)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _field_labels(result, x_row_labels, x_col_labels, y_row_labels, y_col_labels):
@@ -155,11 +143,7 @@ def write_result(result, outdir, x_row_labels=None, x_col_labels=None,
     outdir.mkdir(parents=True, exist_ok=True)
     labels = _field_labels(result, x_row_labels, x_col_labels, y_row_labels, y_col_labels)
     for name, value in result.fields().items():
-        path = outdir / f"{name}.csv"
-        if value.ndim == 1:
-            _write_vector_csv(path, value)
-        else:
-            _write_matrix_csv(path, value, row_labels=labels.get(name))
+        _write_csv(outdir / f"{name}.csv", value, labels.get(name))
     summary = {
         "method": result.method,
         "n_rows": n_rows,

@@ -32,8 +32,8 @@ class Constraint:
 
     `weights` is set for the diagonal form, `matrix` for the dense form;
     both are None for identity. `name` is the slot it fills, for errors.
-    `eigen` holds a dense metric's validated eigenpairs; when absent they
-    are computed (and validated) on first use.
+    `eigen` holds a dense metric's validated eigenpairs, from which its
+    roots derive.
     """
 
     dim: int
@@ -43,28 +43,15 @@ class Constraint:
     name: str = "constraint"
     eigen: tuple = field(default=None, repr=False, compare=False)
 
-    def as_matrix(self):
-        """Materialize the full metric matrix (mostly for tests/oracles)."""
-        if self.kind == IDENTITY:
-            return np.eye(self.dim)
-        if self.kind == DIAGONAL:
-            return np.diag(self.weights)
-        return self.matrix.copy()
-
-    def _eigenpairs(self):
-        if self.eigen is None:
-            object.__setattr__(self, "eigen", kernel.psd_eigen(self.matrix, self.name))
-        return self.eigen
-
     @cached_property
     def sqrt_matrix(self):
         """Square root of the dense metric, derived from its eigenpairs."""
-        return kernel.psd_root(*self._eigenpairs())
+        return kernel.psd_root(*self.eigen)
 
     @cached_property
     def invsqrt_matrix(self):
         """Pseudo-inverse square root of the dense metric, from its eigenpairs."""
-        return kernel.psd_root(*self._eigenpairs(), inverse=True)
+        return kernel.psd_root(*self.eigen, inverse=True)
 
 
 def normalize_constraint(raw, dim, name="constraint"):
@@ -100,7 +87,7 @@ def normalize_constraint(raw, dim, name="constraint"):
         raise DimensionMismatchError(
             f"{name}: constraint matrix shape {arr.shape} != expected ({dim}, {dim})"
         )
-    if kernel.is_diagonal_matrix(arr):
+    if np.array_equal(arr, np.diag(np.diag(arr))):
         return _from_weights(np.diag(arr).copy(), dim, name)
     # Dense path: one eigendecomposition validates it as symmetric PSD and
     # yields its roots; the stored matrix is symmetrized exactly.

@@ -107,7 +107,7 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
     Parameters
     ----------
     x : (J, J) array
-        Square (symmetric) matrix to decompose.
+        Symmetric matrix to decompose.
     w : None, (J,) vector, or (J, J) PSD matrix
         Constraint metric; missing means identity.
     k : int
@@ -116,9 +116,7 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
         Eigenvalues at or below this are dropped; None (or NaN/inf/negative)
         disables the tolerance and keeps negative eigenvalues.
     """
-    x = kernel.as_matrix(x, "x")
-    if x.shape[0] != x.shape[1]:
-        raise DimensionMismatchError(f"geigen requires a square matrix, got {x.shape}")
+    x = kernel.symmetric_matrix(x, "x")
     c = normalize_constraint(w, x.shape[0], "w")
     xt = apply_sqrt_metric(c, apply_sqrt_metric(c, x, "right"), "left")
     eig = kernel.tolerance_eigen(xt, tol=tol)

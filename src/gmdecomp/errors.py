@@ -23,10 +23,6 @@ class NumericalError(GmdError):
     """A numerical routine failed (non-convergence, bad spectrum)."""
 
 
-class NonSquareError(ValidationError):
-    pass
-
-
 class NotPSDError(ValidationError):
     pass
 
@@ -37,6 +33,10 @@ class NotSymmetricError(NotPSDError):
 
 class DimensionMismatchError(ValidationError):
     pass
+
+
+class NonSquareError(DimensionMismatchError):
+    """A matrix that must be square is not: a shape mismatch with itself."""
 
 
 class EmptyMatrixError(ValidationError):

@@ -75,20 +75,27 @@ def as_matrix(a, name):
     return a
 
 
-def _require_square(a, name="matrix"):
+def symmetric_matrix(a, name):
+    """`a` checked by :func:`as_matrix` and to be square and symmetric
+    within tolerance; errors name the slot `name`."""
+    a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"{name} must be square, got shape {a.shape}")
+    if not is_symmetric(a):
+        raise NotSymmetricError(
+            f"{name} must be symmetric; it is not symmetric within a relative "
+            f"tolerance of {SYMMETRY_RTOL:g}"
+        )
+    return a
 
 
-def is_symmetric(s, rtol=SYMMETRY_RTOL):
-    """Symmetry test with an absolute allowance of rtol * max|entry|."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape[0] != s.shape[1]:
-        return False
-    if s.size == 0:
-        return True
-    scale = np.abs(s).max()
-    return bool(np.abs(s - s.T).max() <= rtol * max(scale, 1e-300))
+def is_symmetric(s):
+    """Symmetry test of a non-empty square matrix, with an absolute
+    allowance of SYMMETRY_RTOL * max|entry|."""
+    # s - s' is exactly antisymmetric, so its largest entry is its largest
+    # magnitude; neither maximum needs an |.| pass over the matrix.
+    scale = max(s.max(), -s.min())
+    return bool((s - s.T).max() <= SYMMETRY_RTOL * max(scale, 1e-300))
 
 
 def canonical_signs(vectors):
@@ -120,33 +127,22 @@ def _sorted_eigh(s):
     return EigenOutput(values=values, vectors=vectors)
 
 
-def symmetric_eigen(s):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Columns of the returned vectors follow the deterministic sign
-    convention (largest-magnitude entry positive).
-    """
-    s = as_matrix(s, "s")
-    _require_square(s, "s")
-    if not is_symmetric(s):
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
-    return _sorted_eigh(s)
-
-
 def tolerance_eigen(s, tol=SQRT_EPS):
-    """Eigendecomposition of a symmetric matrix (see :func:`symmetric_eigen`)
+    """Eigendecomposition of a symmetric matrix, eigenvalues descending,
     that drops eigenvalues at or below `tol`.
 
-    With an active tolerance the retained spectrum must be strictly
-    positive; an eigenvalue below ``-tol`` raises
+    Columns of the returned vectors follow the deterministic sign
+    convention (largest-magnitude entry positive). With an active
+    tolerance the retained spectrum must be strictly positive; an
+    eigenvalue below ``-tol`` raises
     :class:`ComplexOrNegativeEigenvalueError`. Disabling the tolerance
     returns every eigenvalue, negatives included.
     """
-    out = symmetric_eigen(s)
+    out = _sorted_eigh(symmetric_matrix(s, "s"))
     if not tolerance_active(tol):
         return out
     tol = float(tol)
-    if out.values.size and out.values.min() < -tol:
+    if out.values.min() < -tol:
         raise ComplexOrNegativeEigenvalueError(
             "eigenvalues are not all positive within tolerance "
             f"(min={out.values.min():.6g}); disable the tolerance to proceed"
@@ -183,14 +179,10 @@ def tolerance_svd(x, tol=EPS):
 def psd_eigen(w, name="w"):
     """Eigenvalues (descending, clipped at 0) and eigenvectors of (w + w')/2,
     after checking that `w` is symmetric and PSD; errors name `name`."""
-    w = as_matrix(w, name)
-    _require_square(w, name)
-    if not is_symmetric(w):
-        raise NotSymmetricError(f"{name} must be symmetric")
+    w = symmetric_matrix(w, name)
     out = _sorted_eigh((w + w.T) / 2.0)
     lam = out.values
-    lam_max = lam[0] if lam.size else 0.0
-    if lam.size and lam.min() < -PSD_RTOL * max(lam_max, 0.0):
+    if lam.min() < -PSD_RTOL * max(lam[0], 0.0):
         raise NotPSDError(
             f"{name} is not positive semi-definite (min eigenvalue {lam.min():.6g})"
         )
@@ -208,21 +200,3 @@ def psd_root(lam, vec, inverse=False):
     scale = np.where(keep, 1.0 / root if inverse else root, 0.0)
     s = (vec * scale) @ vec.T
     return (s + s.T) / 2.0
-
-
-def sqrt_psd_matrix(w):
-    """Symmetric PSD square root: returns S with S @ S ~= w."""
-    return psd_root(*psd_eigen(w))
-
-
-def invsqrt_psd_matrix(w):
-    """Pseudo-inverse square root of a PSD matrix (see :func:`psd_root`)."""
-    return psd_root(*psd_eigen(w), inverse=True)
-
-
-def is_diagonal_matrix(w):
-    """True iff every off-diagonal entry is exactly zero (no epsilon)."""
-    w = np.asarray(w, dtype=np.float64)
-    _require_square(w, "w")
-    off = w - np.diag(np.diag(w))
-    return bool(np.count_nonzero(off) == 0)

@@ -80,26 +80,25 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
     n = data.shape[0]
     dof = n - 1
     centered = data - data.mean(axis=0)
-    if route == "eigen_cov":
+    # Only a given tolerance is passed on; the defaults are the routes'.
+    opts = {} if tol is _UNSET else {"tol": tol}
+    if route in ("eigen_cov", "eigen_cor"):
         cov = centered.T @ centered / dof
-        return geigen(cov, k=k, tol=kernel.SQRT_EPS if tol is _UNSET else tol)
-    if route == "eigen_cor":
-        cov = centered.T @ centered / dof
-        sd = np.sqrt(np.diag(cov))
-        if np.any(sd == 0):
-            raise ZeroVarianceColumnError("correlation PCA with a constant column")
-        cor = cov / np.outer(sd, sd)
-        return geigen(cor, k=k, tol=kernel.SQRT_EPS if tol is _UNSET else tol)
+        if route == "eigen_cor":
+            sd = np.sqrt(np.diag(cov))
+            if np.any(sd == 0):
+                raise ZeroVarianceColumnError("correlation PCA with a constant column")
+            cov = cov / np.outer(sd, sd)
+        return geigen(cov, k=k, **opts)
     row_constraints = np.full(n, 1.0 / dof)
-    svd_tol = kernel.EPS if tol is _UNSET else tol
     if route == "triplet_scaled":
         scaled = center_scale(data, center=True, scale=True)
-        return gsvd(scaled, lw=row_constraints, k=k, tol=svd_tol)
+        return gsvd(scaled, lw=row_constraints, k=k, **opts)
     col_sumsq = np.sum(centered**2, axis=0)
     if np.any(col_sumsq == 0):
         raise ZeroVarianceColumnError("metric-column PCA with a constant column")
     col_constraints = dof / col_sumsq
-    return gsvd(centered, lw=row_constraints, rw=col_constraints, k=k, tol=svd_tol)
+    return gsvd(centered, lw=row_constraints, rw=col_constraints, k=k, **opts)
 
 
 # ---------------------------------------------------------------------------

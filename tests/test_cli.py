@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gmdecomp import cli, kernel
-from gmdecomp.decomp import gsvd
+from gmdecomp.decomp import DecompositionResult, gsvd
 from gmdecomp.errors import ParseError, RaggedRowsError
 
 
@@ -125,6 +125,24 @@ def test_write_result_row_labels(tmp_path, rng):
     assert fi.row_labels == ["r1", "r2", "r3"]
     fj = cli.load_matrix_csv(tmp_path / "fj.csv", has_header=True, has_rownames=True)
     assert fj.row_labels == ["c1", "c2"]
+
+
+def test_write_result_bytes_are_pinned(tmp_path):
+    # floats as their shortest round-trip repr, labels quoted only where
+    # csv must, CRLF line ends; a vector has no header
+    values = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1 / 3, 1e22]
+    vec = np.array(values)
+    mat = np.array(values[:6]).reshape(3, 2)
+    result = DecompositionResult(method="gsvd", d=vec, d_full=vec, l=vec, l_full=vec,
+                                 u=mat, v=mat, p=mat, q=mat, fi=mat, fj=mat)
+    cli.write_result(result, tmp_path, x_row_labels=["a,b", 'q"x', " sp "])
+    assert (tmp_path / "d.csv").read_bytes() == (
+        b"-0.0\r\nnan\r\ninf\r\n-inf\r\n5e-324\r\n0.3333333333333333\r\n1e+22\r\n")
+    assert (tmp_path / "fi.csv").read_bytes() == (
+        b',comp_1,comp_2\r\n"a,b",-0.0,nan\r\n"q""x",inf,-inf\r\n'
+        b" sp ,5e-324,0.3333333333333333\r\n")
+    assert (tmp_path / "fj.csv").read_bytes() == (
+        b"comp_1,comp_2\r\n-0.0,nan\r\ninf,-inf\r\n5e-324,0.3333333333333333\r\n")
 
 
 def test_reruns_are_byte_identical(tmp_path, rng):

@@ -22,13 +22,14 @@ def dense_left_product(m, x):
 def test_none_becomes_identity():
     c = constraints.normalize_constraint(None, 4)
     assert c.kind == constraints.IDENTITY
-    assert np.array_equal(c.as_matrix(), np.eye(4))
+    assert c.weights is None and c.matrix is None
+    assert np.array_equal(constraints.apply_metric(c, np.eye(4)), np.eye(4))
 
 
 def test_vector_becomes_diagonal():
     c = constraints.normalize_constraint([1.0, 2.0, 3.0], 3)
     assert c.kind == constraints.DIAGONAL
-    assert np.array_equal(c.as_matrix(), np.diag([1.0, 2.0, 3.0]))
+    assert np.array_equal(c.weights, [1.0, 2.0, 3.0])
 
 
 def test_all_ones_collapses_to_identity():
@@ -46,7 +47,7 @@ def test_dense_spd_accepted(rng):
     m = random_spd(rng, 4)
     c = constraints.normalize_constraint(m, 4)
     assert c.kind == constraints.DENSE
-    assert np.allclose(c.as_matrix(), m)
+    assert np.allclose(c.matrix, m)
 
 
 def test_rejects_negative_weights_and_indefinite():

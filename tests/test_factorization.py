@@ -3,9 +3,10 @@
 A dense metric is eigendecomposed once, when it is canonicalized; its square
 root and pseudo-inverse square root derive from those eigenpairs. The
 savings are pinned as eigh call counts (never wall time), the outputs as
-bit-identical to the decomposition written out with the kernel's public
-root functions, and the paper's invariants by a bounded property test over
-identity, diagonal (with zero weights), dense and singular-PSD constraints.
+bit-identical to the decomposition written out with roots from
+``kernel.psd_root(*kernel.psd_eigen(m))``, and the paper's invariants by a
+bounded property test over identity, diagonal (with zero weights), dense and
+singular-PSD constraints.
 """
 
 import numpy as np
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gmdecomp import constraints, kernel, recipes
+from gmdecomp import kernel, recipes
 from gmdecomp.decomp import geigen, gplssvd, gsvd
-from gmdecomp.errors import NotPSDError, NotSymmetricError
+from gmdecomp.errors import NotSymmetricError
 
 from conftest import categorical_table, random_spd
 
@@ -80,7 +81,8 @@ def test_rrr_and_cca_factorize_each_gram_matrix_once(rng, eigh_calls, svd_calls)
 
 def _roots(m):
     m = (m + m.T) / 2.0
-    return m, kernel.sqrt_psd_matrix(m), kernel.invsqrt_psd_matrix(m)
+    lam, vec = kernel.psd_eigen(m)
+    return m, kernel.psd_root(lam, vec), kernel.psd_root(lam, vec, inverse=True)
 
 
 def test_dense_gsvd_matches_written_out_roots(rng):
@@ -132,32 +134,20 @@ def test_dense_gplssvd_matches_written_out_roots(rng):
 
 
 # ---------------------------------------------------------------------------
-# constraints built directly
-
-
-def test_directly_built_dense_constraint_factorizes_lazily(rng, eigh_calls):
-    m = random_spd(rng, 5)
-    c = constraints.Constraint(dim=5, kind=constraints.DENSE, matrix=m)
-    assert eigh_calls == []
-    x = rng.normal(size=(5, 3))
-    out = gsvd(x, lw=c)
-    assert eigh_calls == [(5, 5)]
-    assert np.array_equal(out.p, gsvd(x, lw=m).p)
-    assert np.array_equal(c.sqrt_matrix, kernel.sqrt_psd_matrix(m))
-    assert np.array_equal(c.invsqrt_matrix, kernel.invsqrt_psd_matrix(m))
-
-
-def test_directly_built_dense_constraint_is_validated():
-    bad = constraints.Constraint(
-        dim=2, kind=constraints.DENSE, matrix=np.array([[1.0, 2.0], [2.0, 1.0]])
-    )
-    with pytest.raises(NotPSDError, match="not positive semi-definite"):
-        gsvd(np.ones((2, 2)), lw=bad)
+# symmetry checks before any factorization
 
 
 def test_asymmetric_dense_constraint_names_its_slot():
     with pytest.raises(NotSymmetricError, match="rw must be symmetric"):
         gsvd(np.ones((2, 2)), rw=np.array([[1.0, 2.0], [0.5, 1.0]]))
+
+
+def test_asymmetric_geigen_input_is_named_before_any_factorization(rng, eigh_calls):
+    x = random_spd(rng, 4)
+    x[0, 3] += 1.0
+    with pytest.raises(NotSymmetricError, match="^x must be symmetric"):
+        geigen(x, w=random_spd(rng, 4))
+    assert eigh_calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gmdecomp import kernel
+from gmdecomp import constraints, kernel
 from gmdecomp.errors import (
     ComplexOrNegativeEigenvalueError,
+    DimensionMismatchError,
     EmptyMatrixError,
     NonSquareError,
     NotPSDError,
@@ -43,14 +44,14 @@ def inverse_iteration(a, lam, iters=50):
 
 
 def test_symmetric_eigen_identity():
-    out = kernel.symmetric_eigen(np.eye(3))
+    out = kernel.tolerance_eigen(np.eye(3), tol=None)
     assert np.allclose(out.values, [1, 1, 1])
     # columns of an orthonormal basis for each eigenspace
     assert np.allclose(out.vectors @ out.vectors.T, np.eye(3))
 
 
 def test_symmetric_eigen_2x2_closed_form():
-    out = kernel.symmetric_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    out = kernel.tolerance_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]), tol=None)
     assert np.allclose(out.values, [3.0, 1.0])
     expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     assert np.allclose(align_signs(out.vectors, expected), expected)
@@ -59,7 +60,7 @@ def test_symmetric_eigen_2x2_closed_form():
 def test_symmetric_eigen_against_charpoly_oracle(rng):
     a = rng.normal(size=(5, 5))
     s = (a + a.T) / 2
-    out = kernel.symmetric_eigen(s)
+    out = kernel.tolerance_eigen(s, tol=None)
     roots = np.sort(np.roots(charpoly_coefficients(s)).real)[::-1]
     assert np.allclose(out.values, roots, atol=1e-9)
     for j, lam in enumerate(out.values):
@@ -71,9 +72,28 @@ def test_symmetric_eigen_against_charpoly_oracle(rng):
 
 def test_symmetric_eigen_rejects_bad_input():
     with pytest.raises(NonSquareError):
-        kernel.symmetric_eigen(np.ones((2, 3)))
+        kernel.tolerance_eigen(np.ones((2, 3)), tol=None)
     with pytest.raises(NotSymmetricError):
-        kernel.symmetric_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        kernel.tolerance_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]), tol=None)
+
+
+def test_is_symmetric_matches_the_magnitude_formula(rng):
+    # reference: |s - s'| against SYMMETRY_RTOL * max|s|, entry by entry
+    def reference(s):
+        allowed = kernel.SYMMETRY_RTOL * max(np.abs(s).max(), 1e-300)
+        return bool(np.abs(s - s.T).max() <= allowed)
+
+    decisions = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-200, 200)
+        s = (a + a.T) / 2
+        s = s + rng.normal(size=(n, n)) * np.abs(s).max() * 10.0 ** rng.uniform(-12, -9)
+        if rng.random() < 0.2:
+            s = -np.abs(s)
+        assert kernel.is_symmetric(s) == reference(s)
+        decisions.add(reference(s))
+    assert decisions == {True, False}
 
 
 def test_tolerance_eigen_drops_below_threshold():
@@ -128,7 +148,7 @@ def test_tolerance_svd_rank_one(rng):
 def test_tolerance_svd_matches_gram_eigenvalues(rng):
     x = rng.normal(size=(7, 4))
     out = kernel.tolerance_svd(x, tol=None)
-    gram = kernel.symmetric_eigen(x.T @ x)
+    gram = kernel.tolerance_eigen(x.T @ x, tol=None)
     assert np.allclose(out.d**2, gram.values, atol=1e-9)
 
 
@@ -157,42 +177,52 @@ def test_tolerance_svd_empty_errors():
         kernel.tolerance_svd(np.zeros((0, 3)))
 
 
+def sqrt_psd(m):
+    return kernel.psd_root(*kernel.psd_eigen(m))
+
+
+def invsqrt_psd(m):
+    return kernel.psd_root(*kernel.psd_eigen(m), inverse=True)
+
+
 def test_sqrt_psd_matrix_examples(rng):
-    assert np.allclose(kernel.sqrt_psd_matrix(np.eye(3)), np.eye(3))
-    assert np.allclose(kernel.sqrt_psd_matrix(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+    assert np.allclose(sqrt_psd(np.eye(3)), np.eye(3))
+    assert np.allclose(sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
     a = rng.normal(size=(6, 4))
     gram = a.T @ a
-    s = kernel.sqrt_psd_matrix(gram)
+    s = sqrt_psd(gram)
     assert np.abs(s @ s - gram).max() < 1e-10
 
 
 def test_invsqrt_psd_matrix_examples(rng):
-    assert np.allclose(
-        kernel.invsqrt_psd_matrix(np.diag([4.0, 9.0])), np.diag([0.5, 1.0 / 3.0])
-    )
+    assert np.allclose(invsqrt_psd(np.diag([4.0, 9.0])), np.diag([0.5, 1.0 / 3.0]))
     # pseudo-inverse on the null direction
-    assert np.allclose(kernel.invsqrt_psd_matrix(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]))
+    assert np.allclose(invsqrt_psd(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]))
     a = rng.normal(size=(5, 5))
     spd = a.T @ a + 0.5 * np.eye(5)
-    r = kernel.invsqrt_psd_matrix(spd)
+    r = invsqrt_psd(spd)
     assert np.abs(r @ spd @ r - np.eye(5)).max() < 1e-9
 
 
 def test_sqrt_invsqrt_duality(rng):
     a = rng.normal(size=(4, 4))
     spd = a.T @ a + 0.5 * np.eye(4)
-    prod = kernel.sqrt_psd_matrix(spd) @ kernel.invsqrt_psd_matrix(spd)
+    prod = sqrt_psd(spd) @ invsqrt_psd(spd)
     assert np.abs(prod - np.eye(4)).max() < 1e-9
 
 
 def test_sqrt_psd_rejects_indefinite():
     with pytest.raises(NotPSDError):
-        kernel.sqrt_psd_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        sqrt_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_is_diagonal_matrix():
-    assert kernel.is_diagonal_matrix(np.diag([1.0, 2.0, 3.0]))
-    assert not kernel.is_diagonal_matrix(np.array([[1.0, 1e-300], [0.0, 1.0]]))
-    assert kernel.is_diagonal_matrix(np.eye(1))
-    with pytest.raises(NonSquareError):
-        kernel.is_diagonal_matrix(np.ones((2, 3)))
+    # only an exactly diagonal matrix takes the diagonal path
+    c = constraints.normalize_constraint(np.diag([1.0, 2.0, 3.0]), 3)
+    assert c.kind == constraints.DIAGONAL
+    assert np.array_equal(c.weights, [1.0, 2.0, 3.0])
+    tiny = np.array([[1.0, 1e-300], [1e-300, 1.0]])
+    assert constraints.normalize_constraint(tiny, 2).kind == constraints.DENSE
+    assert constraints.normalize_constraint(np.eye(1), 1).kind == constraints.IDENTITY
+    with pytest.raises(DimensionMismatchError):
+        constraints.normalize_constraint(np.ones((2, 3)), 2)

@@ -5,7 +5,9 @@ hierarchy are importable from ``gmdecomp``; the eigen/SVD primitives and the
 constraint metrics stay in ``gmdecomp.kernel`` and ``gmdecomp.constraints``.
 """
 
+import ast
 import types
+from pathlib import Path
 
 import gmdecomp
 from gmdecomp import constraints, kernel
@@ -34,5 +36,38 @@ def test_every_exported_name_resolves():
 def test_no_kernel_or_constraint_name_is_exported():
     internals = {n for mod in (kernel, constraints) for n in vars(mod) if not n.startswith("_")}
     assert not internals & set(gmdecomp.__all__)
-    for name in ("tolerance_eigen", "sqrt_psd_matrix", "Constraint", "apply_metric", "EPS"):
+    for name in ("tolerance_eigen", "psd_root", "Constraint", "apply_metric", "EPS"):
         assert not hasattr(gmdecomp, name), name
+
+
+def _references(tree, skip=None):
+    """Names a module's code uses, as a bare name, an attribute or an
+    import, outside its top-level definition named `skip`."""
+    names = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_kernel_and_constraint_helper_has_a_library_caller():
+    # a public helper that only tests reach is dead code in the library
+    src = Path(gmdecomp.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in src.glob("*.py")}
+    uncalled = []
+    for mod in ("kernel", "constraints"):
+        for top in trees[mod].body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            if not any(top.name in _references(tree, top.name if stem == mod else None)
+                       for stem, tree in trees.items()):
+                uncalled.append(f"{mod}.{top.name}")
+    assert uncalled == []
