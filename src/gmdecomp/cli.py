@@ -17,7 +17,9 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -85,15 +87,15 @@ def load_matrix_csv(path, has_header=False, has_rownames=False):
                 f"{path}: line {i + 1 + int(has_header)} has {len(row)} "
                 f"values, expected {width}"
             )
-        parsed = []
-        for j, cell in enumerate(row):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: cannot parse {cell!r} at row {i + 1}, column {j + 1}"
-                ) from None
-        data.append(parsed)
+        try:
+            data.append(list(map(float, row)))
+        except ValueError:  # find the cell float rejects, to name it
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(f"{path}: cannot parse {cell!r} at row {i + 1}, "
+                                     f"column {j + 1}") from None
     return LabeledMatrix(np.asarray(data, dtype=np.float64), row_labels, col_labels)
 
 
@@ -109,15 +111,25 @@ def load_constraint_csv(path):
 def _write_csv(path, value, row_labels=None):
     """Write a result field: a vector one value a line, a matrix under a
     comp_1..comp_k header, each row after its label when labels are given.
-    csv writes each float as its repr, the shortest decimal that round-trips."""
-    if value.ndim == 1:
-        rows = value[:, None].tolist()
-    else:
-        rows = [[f"comp_{j + 1}" for j in range(value.shape[1])]] + value.tolist()
-        if row_labels is not None:
-            rows = [[label] + row for label, row in zip([""] + list(row_labels), rows)]
+    The bytes are csv.writer's: CRLF line ends, csv quoting for the header
+    and labels, and each float as its repr, the shortest decimal that
+    round-trips; a repr never needs quoting, so numbers are joined directly.
+    Rows are streamed, never joined into one string."""
+    csv_line = csv.writer(SimpleNamespace(write=str)).writerow  # returns the line
+    heads = repeat("")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+        if value.ndim == 2:
+            header = [f"comp_{j + 1}" for j in range(value.shape[1])]
+            if row_labels is not None:
+                # "label," before the numbers; with none, the label is a
+                # one-field row, where csv writes an empty label as "".
+                tail = [""] if value.shape[1] else []
+                heads = (csv_line([label] + tail)[:-2] for label in row_labels)
+                header = [""] + header
+            fh.write(csv_line(header))
+        rows = value.tolist() if value.ndim == 2 else value[:, None].tolist()
+        fh.writelines(head + ",".join(map(repr, row)) + "\r\n"
+                      for head, row in zip(heads, rows))
 
 
 def _field_labels(result, x_row_labels, x_col_labels, y_row_labels, y_col_labels):
@@ -201,12 +213,13 @@ def _xml_text(label):
 def _scatter_svg(scores, labels=None):
     width, height, pad = 480, 480, 40
     xs, ys = scores[:, 0], scores[:, 1]
-    span_x = max(xs.max() - xs.min(), 1e-300)
-    span_y = max(ys.max() - ys.min(), 1e-300)
+    x0, y0 = xs.min(), ys.min()
+    span_x = max(xs.max() - x0, 1e-300)
+    span_y = max(ys.max() - y0, 1e-300)
     body = [f'<rect width="{width}" height="{height}" fill="white"/>\n']
     for i in range(scores.shape[0]):
-        px = pad + (xs[i] - xs.min()) / span_x * (width - 2 * pad)
-        py = height - pad - (ys[i] - ys.min()) / span_y * (height - 2 * pad)
+        px = pad + (xs[i] - x0) / span_x * (width - 2 * pad)
+        py = height - pad - (ys[i] - y0) / span_y * (height - 2 * pad)
         body.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="firebrick"/>\n')
         if labels is not None:
             body.append(

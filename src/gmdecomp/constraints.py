@@ -61,7 +61,9 @@ def normalize_constraint(raw, dim, name="constraint"):
     diagonal weights; a diagonal matrix is demoted to its diagonal, and an
     all-ones diagonal to identity. Anything else must be a symmetric PSD
     matrix of shape (dim, dim); it is eigendecomposed once here, which both
-    validates it and yields its roots. `name` names the slot in errors.
+    validates it and yields its roots. A `Constraint` is kept as it is,
+    except a dense one built without its eigenpairs, whose matrix is taken
+    as the raw input. `name` names the slot in errors.
     """
     dim = int(dim)
     if raw is None:
@@ -71,7 +73,9 @@ def normalize_constraint(raw, dim, name="constraint"):
             raise DimensionMismatchError(
                 f"{name}: constraint dim {raw.dim} does not match expected {dim}"
             )
-        return raw
+        if raw.kind != DENSE or raw.eigen is not None:
+            return raw
+        raw = raw.matrix
     arr = np.asarray(raw, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains NaN or Inf entries")

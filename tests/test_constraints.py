@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gmdecomp import constraints
+from gmdecomp.decomp import gsvd
 from gmdecomp.errors import DimensionMismatchError, NotPSDError
 
 from conftest import random_spd
@@ -57,6 +58,21 @@ def test_rejects_negative_weights_and_indefinite():
         constraints.normalize_constraint(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
     with pytest.raises(NotPSDError):
         constraints.normalize_constraint(np.array([[1.0, 2.0], [0.5, 1.0]]), 2)
+
+
+def test_hand_built_dense_constraint_is_canonicalized_like_its_matrix(rng):
+    # built without its eigenpairs, it goes the way its matrix would
+    spd = random_spd(rng, 3)
+    for m, x in ((2 * np.eye(2), np.ones((2, 2))), (spd, rng.normal(size=(3, 4)))):
+        hand = constraints.Constraint(len(m), constraints.DENSE, matrix=m)
+        got, want = gsvd(x, lw=hand).fields(), gsvd(x, lw=m).fields()
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def test_hand_built_indefinite_constraint_is_named():
+    hand = constraints.Constraint(2, constraints.DENSE, matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NotPSDError, match="^lw "):
+        gsvd(np.ones((2, 2)), lw=hand)
 
 
 def test_rejects_dimension_mismatch():
