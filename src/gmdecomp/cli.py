@@ -53,7 +53,7 @@ def load_categorical_csv(path, has_header=False, has_rownames=False):
     first row/column consumed as labels when flagged. Every loader reads
     its rows through this function."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -249,14 +249,16 @@ def emit_plots(result, outdir, fi_labels=None, fj_labels=None):
 
 
 def _parse_omegas(text):
-    """Parse --omega: comma-separated nonnegative ridge strengths."""
+    """Parse --omega: comma-separated nonnegative finite ridge strengths,
+    at least one."""
     try:
         omegas = [float(s) for s in text.split(",") if s.strip() != ""]
-        if all(omega >= 0 for omega in omegas):
+        if omegas and all(0 <= omega < np.inf for omega in omegas):
             return omegas
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"invalid value {text!r}; use nonnegative numbers")
+    raise argparse.ArgumentTypeError(
+        f"invalid value {text!r}; use one or more nonnegative finite numbers")
 
 
 def _tolerance(text):

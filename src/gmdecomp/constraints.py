@@ -1,20 +1,22 @@
 """Canonical form and application of PSD constraint (metric) matrices.
 
-A constraint is canonicalized once, at entry to a decomposition, into one of
-three forms: identity (applied as a no-op), diagonal (stored as a vector and
-applied by row/column scaling), or a dense symmetric PSD matrix. A diagonal
-matrix input collapses to its diagonal vector, and an all-ones diagonal
-collapses to identity, so the cheap paths are taken whenever possible.
+A constraint is its eigenpairs: nonnegative weights on an orthonormal basis.
+It is canonicalized once, at entry to a decomposition, into one of three
+forms: identity (no weights; applied as a no-op), diagonal (weights on the
+coordinate axes; applied by row/column scaling), or dense (a symmetric PSD
+matrix held as its eigenvalues and eigenvectors). A diagonal matrix input
+collapses to its diagonal vector, and an all-ones diagonal collapses to
+identity, so the cheap paths are taken whenever possible.
 
 A dense constraint is factorized once: the one eigendecomposition that
-validates it as PSD is kept on the constraint, and its square root and
-pseudo-inverse square root are derived from those eigenpairs on first use
-and cached for the life of the constraint. The pseudo-inverse of a Gram
-matrix is built as a constraint from that matrix's own eigenpairs.
+validates it as PSD is all the constraint keeps. The metric, its square root
+and its pseudo-inverse square root are applied as B w^a B' for a = 1, 1/2 and
+-1/2, and one cutoff decides which weights the roots treat as zero, for
+diagonal and dense metrics alike. The pseudo-inverse of a Gram matrix is a
+constraint holding that matrix's own eigenpairs with the weights inverted.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,28 +32,22 @@ DENSE = "dense"
 class Constraint:
     """A canonicalized PSD metric of a given dimension.
 
-    `weights` is set for the diagonal form, `matrix` for the dense form;
-    both are None for identity. `name` is the slot it fills, for errors.
-    `eigen` holds a dense metric's validated eigenpairs, from which its
-    roots derive.
+    `weights` are the diagonal weights, or a dense metric's eigenvalues;
+    `basis` holds a dense metric's orthonormal eigenvectors as columns and
+    is None for a diagonal metric; both are None for identity. `name` is the
+    slot it fills, for errors.
     """
 
     dim: int
-    kind: str
     weights: np.ndarray = None
-    matrix: np.ndarray = None
+    basis: np.ndarray = None
     name: str = "constraint"
-    eigen: tuple = field(default=None, repr=False, compare=False)
 
-    @cached_property
-    def sqrt_matrix(self):
-        """Square root of the dense metric, derived from its eigenpairs."""
-        return kernel.psd_root(*self.eigen)
-
-    @cached_property
-    def invsqrt_matrix(self):
-        """Pseudo-inverse square root of the dense metric, from its eigenpairs."""
-        return kernel.psd_root(*self.eigen, inverse=True)
+    @property
+    def kind(self):
+        if self.weights is None:
+            return IDENTITY
+        return DIAGONAL if self.basis is None else DENSE
 
 
 def normalize_constraint(raw, dim, name="constraint"):
@@ -61,21 +57,18 @@ def normalize_constraint(raw, dim, name="constraint"):
     diagonal weights; a diagonal matrix is demoted to its diagonal, and an
     all-ones diagonal to identity. Anything else must be a symmetric PSD
     matrix of shape (dim, dim); it is eigendecomposed once here, which both
-    validates it and yields its roots. A `Constraint` is kept as it is,
-    except a dense one built without its eigenpairs, whose matrix is taken
-    as the raw input. `name` names the slot in errors.
+    validates it and gives the eigenpairs the constraint keeps. A
+    `Constraint` is kept as it is. `name` names the slot in errors.
     """
     dim = int(dim)
     if raw is None:
-        return Constraint(dim=dim, kind=IDENTITY)
+        return Constraint(dim)
     if isinstance(raw, Constraint):
         if raw.dim != dim:
             raise DimensionMismatchError(
                 f"{name}: constraint dim {raw.dim} does not match expected {dim}"
             )
-        if raw.kind != DENSE or raw.eigen is not None:
-            return raw
-        raw = raw.matrix
+        return raw
     arr = np.asarray(raw, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains NaN or Inf entries")
@@ -93,60 +86,63 @@ def normalize_constraint(raw, dim, name="constraint"):
         )
     if np.array_equal(arr, np.diag(np.diag(arr))):
         return _from_weights(np.diag(arr).copy(), dim, name)
-    # Dense path: one eigendecomposition validates it as symmetric PSD and
-    # yields its roots; the stored matrix is symmetrized exactly.
-    eigen = kernel.psd_eigen(arr, name)
-    return Constraint(dim, DENSE, matrix=(arr + arr.T) / 2.0, name=name, eigen=eigen)
+    return Constraint(dim, *kernel.psd_eigen(arr, name), name)
 
 
 def pinv_constraint(gram, name="constraint"):
     """Dense constraint holding the pseudo-inverse of the PSD Gram matrix
-    `gram`, built from one eigendecomposition of it (Björck & Golub 1973):
-    eigenvalues at or below sqrt(eps) times the largest count as zero."""
+    `gram`: its eigenpairs from one eigendecomposition (Björck & Golub 1973),
+    with eigenvalues at or below sqrt(eps) times the largest counted as zero
+    and the others inverted."""
     lam, vec = kernel.psd_eigen(gram, name)
     keep = lam > kernel.SQRT_EPS * lam[0]
     inv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
-    m = (vec * inv) @ vec.T
-    return Constraint(inv.shape[0], DENSE, matrix=(m + m.T) / 2.0, name=name, eigen=(inv, vec))
+    return Constraint(inv.shape[0], inv, vec, name)
 
 
 def _from_weights(weights, dim, name):
     if weights.size and weights.min() < 0:
         raise NotPSDError(f"{name} has a negative weight ({weights.min():.6g})")
     if np.all(weights == 1.0):
-        return Constraint(dim=dim, kind=IDENTITY)
-    return Constraint(dim=dim, kind=DIAGONAL, weights=weights, name=name)
+        return Constraint(dim)
+    return Constraint(dim, weights, name=name)
 
 
-def _apply(c, x, side, diag_transform, dense_attr):
+def _power(weights, a):
+    """weights**a for a in {1, 1/2, -1/2}. The roots count a weight at or
+    below max * n * eps as zero, so both roots vanish on the same directions
+    and the inverse root is a pseudo-inverse."""
+    if a == 1:
+        return weights
+    keep = weights > weights.max(initial=0.0) * weights.shape[0] * kernel.EPS
+    root = np.sqrt(np.where(keep, weights, 1.0))
+    return np.where(keep, root if a > 0 else 1.0 / root, 0.0)
+
+
+def _apply(c, x, side, a):
     x = np.asarray(x, dtype=np.float64)
     if c.dim != (x.shape[0] if side == "left" else x.shape[1]):
         raise DimensionMismatchError(
             f"{c.name} dim {c.dim} does not conform to matrix {x.shape} on {side}"
         )
-    if c.kind == IDENTITY:
+    if c.weights is None:
         return x
-    if c.kind == DIAGONAL:
-        w = diag_transform(c.weights)
-        return w[:, None] * x if side == "left" else x * w[None, :]
-    m = getattr(c, dense_attr)
-    return m @ x if side == "left" else x @ m
+    s, b = _power(c.weights, a), c.basis
+    if side == "left":
+        return s[:, None] * x if b is None else b @ (s[:, None] * (b.T @ x))
+    return x * s[None, :] if b is None else ((x @ b) * s[None, :]) @ b.T
 
 
 def apply_metric(c, x, side="left"):
     """Compute c @ x (side='left') or x @ c (side='right')."""
-    return _apply(c, x, side, lambda w: w, "matrix")
+    return _apply(c, x, side, 1)
 
 
 def apply_sqrt_metric(c, x, side="left"):
     """Apply the PSD square root of the metric."""
-    return _apply(c, x, side, np.sqrt, "sqrt_matrix")
+    return _apply(c, x, side, 0.5)
 
 
 def apply_invsqrt_metric(c, x, side="left"):
-    """Apply the pseudo-inverse square root of the metric (0 weights map to 0)."""
-
-    def diag_inv(w):
-        return np.where(w > 0, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
-
-    return _apply(c, x, side, diag_inv, "invsqrt_matrix")
+    """Apply the pseudo-inverse square root of the metric (null weights map to 0)."""
+    return _apply(c, x, side, -0.5)

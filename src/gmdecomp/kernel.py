@@ -6,8 +6,8 @@ threshold. The threshold can be disabled (``tol=None``, NaN, infinity, or any
 negative value), in which case the full spectrum is returned, including
 negative eigenvalues.
 
-Also provides the validated PSD eigenpairs and the square roots derived from
-them, which turn constraint metrics into half and inverse-half forms.
+Also provides the validated PSD eigenpairs that a dense constraint metric
+keeps, and from which :mod:`gmdecomp.constraints` applies it and its roots.
 """
 
 from dataclasses import dataclass
@@ -136,9 +136,10 @@ def tolerance_eigen(s, tol=SQRT_EPS):
     tolerance the retained spectrum must be strictly positive; an
     eigenvalue below ``-tol`` raises
     :class:`ComplexOrNegativeEigenvalueError`. Disabling the tolerance
-    returns every eigenvalue, negatives included.
+    returns every eigenvalue, negatives included. Only finiteness is
+    checked here; symmetry is the caller's (``geigen`` checks its `x`).
     """
-    out = _sorted_eigh(symmetric_matrix(s, "s"))
+    out = _sorted_eigh(as_matrix(s, "s"))
     if not tolerance_active(tol):
         return out
     tol = float(tol)
@@ -188,15 +189,3 @@ def psd_eigen(w, name="w"):
         )
     return np.clip(lam, 0.0, None), out.vectors
 
-
-def psd_root(lam, vec, inverse=False):
-    """Symmetric square root from eigenpairs (as from :func:`psd_eigen`, in
-    any order), or with `inverse` the pseudo-inverse root. Eigenvalues at or
-    below a relative cutoff map to zero in both, so the two roots agree on
-    the singular directions."""
-    lam_max = lam.max(initial=0.0)
-    keep = lam > lam_max * lam.shape[0] * EPS
-    root = np.sqrt(np.where(keep, lam, 1.0))
-    scale = np.where(keep, 1.0 / root if inverse else root, 0.0)
-    s = (vec * scale) @ vec.T
-    return (s + s.T) / 2.0

@@ -302,8 +302,8 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     else:
         indicator = kernel.as_matrix(disjunctive, "disjunctive")
     omega = float(omega)
-    if not omega >= 0:
-        raise InvalidArgumentError(f"omega must be nonnegative, got {omega!r}")
+    if not 0 <= omega < np.inf:
+        raise InvalidArgumentError(f"omega must be nonnegative and finite, got {omega!r}")
     centered = indicator - indicator.mean(axis=0)
     sv = kernel.tolerance_svd(centered, tol=None)
     keep = sv.d**2 > kernel.SQRT_EPS * sv.d[0] ** 2

@@ -273,7 +273,8 @@ def test_exit_code_bad_omega_is_usage_error(tmp_path, capsys):
     cat = [["a", "x"], ["b", "y"], ["a", "y"], ["b", "x"], ["a", "x"], ["b", "y"]]
     catp = write_csv(tmp_path / "cat.csv", cat)
     out = tmp_path / "rmca"
-    for omega in ("--omega=-1", "--omega=abc", "--omega=0,-1"):
+    for omega in ("--omega=-1", "--omega=abc", "--omega=0,-1", "--omega=", "--omega=,",
+                  "--omega=inf", "--omega=0,nan"):
         assert cli.main(["rmca", "--x", catp, omega, "--out", str(out)]) == 2
         assert "--omega" in capsys.readouterr().err
     assert not out.exists()

@@ -162,10 +162,18 @@ def test_loader_matches_the_per_cell_reference(tmp_path, text, has_header, has_r
 @pytest.mark.parametrize("text, message", [
     ("1,2\n3,x\n4\n", "cannot parse 'x' at row 2, column 2"),
     ("1,2\n3\n4,x\n", "line 2 has 1 values, expected 2"),
-    ("\ufeff1,2\n", r"cannot parse '\ufeff1' at row 1, column 1"),
 ])
 def test_loader_names_the_first_fault(tmp_path, text, message):
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode("utf-8"))
     with pytest.raises(GmdError, match=re.escape(message)):
         cli.load_matrix_csv(path)
+
+
+def test_loader_skips_a_byte_order_mark(tmp_path):
+    # spreadsheet tools save CSV as UTF-8 with a leading BOM
+    path = tmp_path / "m.csv"
+    path.write_bytes("\ufeff1,2\n".encode("utf-8"))
+    assert cli.load_matrix_csv(path).values.tolist() == [[1.0, 2.0]]
+    path.write_bytes("\ufeffa,b\n1,2\n".encode("utf-8"))
+    assert cli.load_matrix_csv(path, has_header=True).col_labels == ["a", "b"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmdecomp import constraints
+from gmdecomp import constraints, kernel
 from gmdecomp.decomp import gsvd
 from gmdecomp.errors import DimensionMismatchError, NotPSDError
 
@@ -23,7 +23,7 @@ def dense_left_product(m, x):
 def test_none_becomes_identity():
     c = constraints.normalize_constraint(None, 4)
     assert c.kind == constraints.IDENTITY
-    assert c.weights is None and c.matrix is None
+    assert c.weights is None and c.basis is None
     assert np.array_equal(constraints.apply_metric(c, np.eye(4)), np.eye(4))
 
 
@@ -48,7 +48,7 @@ def test_dense_spd_accepted(rng):
     m = random_spd(rng, 4)
     c = constraints.normalize_constraint(m, 4)
     assert c.kind == constraints.DENSE
-    assert np.allclose(c.matrix, m)
+    assert np.allclose(constraints.apply_metric(c, np.eye(4)), m)
 
 
 def test_rejects_negative_weights_and_indefinite():
@@ -60,19 +60,15 @@ def test_rejects_negative_weights_and_indefinite():
         constraints.normalize_constraint(np.array([[1.0, 2.0], [0.5, 1.0]]), 2)
 
 
-def test_hand_built_dense_constraint_is_canonicalized_like_its_matrix(rng):
-    # built without its eigenpairs, it goes the way its matrix would
-    spd = random_spd(rng, 3)
-    for m, x in ((2 * np.eye(2), np.ones((2, 2))), (spd, rng.normal(size=(3, 4)))):
-        hand = constraints.Constraint(len(m), constraints.DENSE, matrix=m)
+def test_constraint_built_from_eigenpairs_matches_its_matrix(rng):
+    # a Constraint is kept as given: weights on an orthonormal basis
+    a = rng.normal(size=(3, 1))
+    for m in (random_spd(rng, 3), a @ a.T):
+        hand = constraints.Constraint(3, *kernel.psd_eigen(m), "lw")
+        assert hand.kind == constraints.DENSE
+        x = rng.normal(size=(3, 4))
         got, want = gsvd(x, lw=hand).fields(), gsvd(x, lw=m).fields()
         assert all(np.array_equal(got[k], want[k]) for k in want)
-
-
-def test_hand_built_indefinite_constraint_is_named():
-    hand = constraints.Constraint(2, constraints.DENSE, matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(NotPSDError, match="^lw "):
-        gsvd(np.ones((2, 2)), lw=hand)
 
 
 def test_rejects_dimension_mismatch():

@@ -1,24 +1,24 @@
 """One factorization per dense constraint.
 
-A dense metric is eigendecomposed once, when it is canonicalized; its square
-root and pseudo-inverse square root derive from those eigenpairs. The
-savings are pinned as eigh call counts (never wall time), the outputs as
-bit-identical to the decomposition written out with roots from
-``kernel.psd_root(*kernel.psd_eigen(m))``, and the paper's invariants by a
-bounded property test over identity, diagonal (with zero weights), dense and
-singular-PSD constraints.
-"""
+A dense metric is eigendecomposed once, when it is canonicalized, and the
+constraint keeps only those eigenpairs: the metric and its roots are applied
+as B (w^a (B' x)). The savings are pinned as eigh call counts (never wall
+time); the outputs as bit-identical to that route written out by hand, and
+within 1e-10 (up to sign) of the route through symmetric root matrices; one
+pseudo-inverse rule for diagonal and dense weights by a property test; and
+the paper's invariants by a bounded property test over identity, diagonal
+(with zero weights), dense and singular-PSD constraints."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gmdecomp import kernel, recipes
+from gmdecomp import constraints, kernel, recipes
 from gmdecomp.decomp import geigen, gplssvd, gsvd
 from gmdecomp.errors import NotSymmetricError
 
-from conftest import categorical_table, random_spd
+from conftest import align_signs, categorical_table, random_spd
 
 
 def test_dense_gsvd_makes_two_eigh_calls(rng, eigh_calls):
@@ -79,22 +79,34 @@ def test_rrr_and_cca_factorize_each_gram_matrix_once(rng, eigh_calls, svd_calls)
 # bit-identity with the decomposition written out by hand
 
 
-def _roots(m):
-    m = (m + m.T) / 2.0
+def _eigen_form(m):
+    """Basis, weights and root weights of a dense metric: sqrt and the
+    pseudo-inverse sqrt, both zero at or below max * n * eps."""
     lam, vec = kernel.psd_eigen(m)
-    return m, kernel.psd_root(lam, vec), kernel.psd_root(lam, vec, inverse=True)
+    keep = lam > lam.max() * lam.shape[0] * kernel.EPS
+    root = np.sqrt(np.where(keep, lam, 1.0))
+    return vec, lam, np.where(keep, root, 0.0), np.where(keep, 1.0 / root, 0.0)
+
+
+def _left(b, s, x):
+    return b @ (s[:, None] * (b.T @ x))
+
+
+def _right(x, b, s):
+    return ((x @ b) * s[None, :]) @ b.T
 
 
 def test_dense_gsvd_matches_written_out_roots(rng):
     x = rng.normal(size=(12, 7))
-    lw, lw_s, lw_i = _roots(random_spd(rng, 12))
-    rw, rw_s, rw_i = _roots(random_spd(rng, 7))
-    sv = kernel.tolerance_svd(lw_s @ (x @ rw_s), tol=kernel.EPS)
-    p = lw_i @ sv.u
-    q = rw_i @ sv.v
+    lw, rw = random_spd(rng, 12), random_spd(rng, 7)
+    lb, lw_w, lw_s, lw_i = _eigen_form(lw)
+    rb, rw_w, rw_s, rw_i = _eigen_form(rw)
+    sv = kernel.tolerance_svd(_left(lb, lw_s, _right(x, rb, rw_s)), tol=kernel.EPS)
+    p = _left(lb, lw_i, sv.u)
+    q = _left(rb, rw_i, sv.v)
     expected = dict(
         d=sv.d, u=sv.u, v=sv.v, p=p, q=q,
-        fi=(lw @ p) * sv.d[None, :], fj=(rw @ q) * sv.d[None, :],
+        fi=_left(lb, lw_w, p) * sv.d[None, :], fj=_left(rb, rw_w, q) * sv.d[None, :],
     )
     out = gsvd(x, lw=lw, rw=rw)
     for name, value in expected.items():
@@ -103,34 +115,126 @@ def test_dense_gsvd_matches_written_out_roots(rng):
 
 def test_dense_geigen_matches_written_out_roots(rng):
     x = random_spd(rng, 8)
-    w, w_s, w_i = _roots(random_spd(rng, 8))
-    eig = kernel.tolerance_eigen(w_s @ (x @ w_s), tol=kernel.SQRT_EPS)
+    w = random_spd(rng, 8)
+    b, w_w, w_s, w_i = _eigen_form(w)
+    eig = kernel.tolerance_eigen(_left(b, w_s, _right(x, b, w_s)), tol=kernel.SQRT_EPS)
     d = np.sqrt(np.clip(eig.values, 0.0, None))
-    q = w_i @ eig.vectors
+    q = _left(b, w_i, eig.vectors)
     out = geigen(x, w=w)
     assert np.array_equal(out.l, eig.values)
     assert np.array_equal(out.d, d)
     assert np.array_equal(out.v, eig.vectors)
     assert np.array_equal(out.q, q)
-    assert np.array_equal(out.fj, (w @ q) * d[None, :])
+    assert np.array_equal(out.fj, _left(b, w_w, q) * d[None, :])
 
 
 def test_dense_gplssvd_matches_written_out_roots(rng):
     x = rng.normal(size=(15, 4))
     y = rng.normal(size=(15, 6))
-    xrw, xrw_s, xrw_i = _roots(random_spd(rng, 4))
-    yrw, yrw_s, yrw_i = _roots(random_spd(rng, 6))
-    sv = kernel.tolerance_svd(xrw_s @ ((x.T @ y) @ yrw_s), tol=kernel.EPS)
-    p = xrw_i @ sv.u
-    q = yrw_i @ sv.v
+    xrw, yrw = random_spd(rng, 4), random_spd(rng, 6)
+    xb, xrw_w, xrw_s, xrw_i = _eigen_form(xrw)
+    yb, yrw_w, yrw_s, yrw_i = _eigen_form(yrw)
+    sv = kernel.tolerance_svd(_left(xb, xrw_s, _right(x.T @ y, yb, yrw_s)), tol=kernel.EPS)
+    p = _left(xb, xrw_i, sv.u)
+    q = _left(yb, yrw_i, sv.v)
     expected = dict(
         d=sv.d, u=sv.u, v=sv.v, p=p, q=q,
-        fi=(xrw @ p) * sv.d[None, :], fj=(yrw @ q) * sv.d[None, :],
-        lx=x @ (xrw @ p), ly=y @ (yrw @ q),
+        fi=_left(xb, xrw_w, p) * sv.d[None, :], fj=_left(yb, yrw_w, q) * sv.d[None, :],
+        lx=x @ _left(xb, xrw_w, p), ly=y @ _left(yb, yrw_w, q),
     )
     out = gplssvd(x, y, xrw=xrw, yrw=yrw)
     for name, value in expected.items():
         assert np.array_equal(getattr(out, name), value), name
+
+
+# ---------------------------------------------------------------------------
+# the root-matrix route as a reference: each dense metric applied through
+# its symmetric square root and pseudo-inverse square root matrices
+
+
+def _psd_root(lam, vec, inverse=False):
+    lam_max = lam.max(initial=0.0)
+    keep = lam > lam_max * lam.shape[0] * kernel.EPS
+    root = np.sqrt(np.where(keep, lam, 1.0))
+    scale = np.where(keep, 1.0 / root if inverse else root, 0.0)
+    s = (vec * scale) @ vec.T
+    return (s + s.T) / 2.0
+
+
+def _root_matrix_apply(c, x, side, a, eigen_apply=constraints._apply):
+    if c.kind != constraints.DENSE:
+        return eigen_apply(c, x, side, a)
+    if a == 1:
+        m = (c.basis * c.weights) @ c.basis.T
+        m = (m + m.T) / 2.0
+    else:
+        m = _psd_root(c.weights, c.basis, inverse=a < 0)
+    x = np.asarray(x, dtype=np.float64)
+    return m @ x if side == "left" else x @ m
+
+
+def _dense_cases():
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(30, 5)), rng.normal(size=(30, 4))
+    a = rng.normal(size=(6, 2))
+    lw, rw, yrw = random_spd(rng, 30), random_spd(rng, 5), random_spd(rng, 4)
+    w, s = random_spd(rng, 5), random_spd(rng, 5)
+    tab = recipes.disjunctive_coding(categorical_table(rng, 80, (3, 4, 5)))
+    return {
+        "gsvd": lambda: gsvd(x, lw=lw, rw=rw),
+        "gsvd_singular": lambda: gsvd(x[:6], lw=a @ a.T, rw=rw),
+        "geigen": lambda: geigen(s, w=w),
+        "gplssvd": lambda: gplssvd(x, y, xlw=lw, xrw=rw, yrw=yrw),
+        "rrr": lambda: recipes.rrr(x, y),
+        "cca": lambda: recipes.cca(x, y),
+        "rmca_1": lambda: recipes.rmca(tab, 1.0),
+        "rmca_25": lambda: recipes.rmca(tab, 25.0),
+    }
+
+
+DENSE_CASES = _dense_cases()
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_eigen_form_matches_the_root_matrix_route(case, monkeypatch):
+    got = DENSE_CASES[case]()
+    monkeypatch.setattr(constraints, "_apply", _root_matrix_apply)
+    ref = DENSE_CASES[case]()
+    assert got.n_total_components == ref.n_total_components
+    # the singular values are distinct, so each component is defined up to sign
+    assert np.all(np.diff(ref.d_full) < -1e-6 * ref.d_full[0])
+    for name, want in ref.fields().items():
+        have = getattr(got, name)
+        if have.ndim == 2:
+            have = align_signs(have, want)
+        assert np.abs(have - want).max() <= 1e-10 * np.abs(want).max(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    m=st.integers(2, 6),
+    n_zero=st.integers(0, 2),
+    below_cutoff=st.booleans(),
+)
+def test_weights_on_the_coordinate_basis_match_the_diagonal_metric(
+        seed, n, m, n_zero, below_cutoff):
+    # one pseudo-inverse rule: a weight at or below max * n * eps counts as
+    # zero whether the basis is the coordinate axes or a dense eigenbasis
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, m))
+    w = rng.uniform(0.2, 2.0, n)
+    w[:n_zero] = 0.0
+    if below_cutoff:
+        w[-1] = w.max() * kernel.EPS
+    diag = gsvd(x, lw=w)
+    dense = gsvd(x, lw=constraints.Constraint(n, w, np.eye(n), "lw"))
+    assert diag.n_total_components == dense.n_total_components
+    for name, want in diag.fields().items():
+        have = getattr(dense, name)
+        scale = max(np.abs(want).max(initial=0.0), 1.0)
+        assert np.abs(have - want).max(initial=0.0) <= 1e-12 * scale, name
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +362,15 @@ def test_gplssvd_invariants_property(seed, n, mx, my, kinds):
     if out.n_retained > 1:
         kk = int(rng.integers(1, out.n_retained))
         _check_prefix(out, gplssvd(x, y, xlw=xlw, xrw=xrw, ylw=ylw, yrw=yrw, k=kk), kk)
+
+
+def test_geigen_checks_each_matrix_for_symmetry_once(rng, monkeypatch):
+    # x at entry, a dense w in psd_eigen; never the metric-weighted matrix
+    checked = []
+    real = kernel.is_symmetric
+    monkeypatch.setattr(kernel, "is_symmetric", lambda s: checked.append(s.shape) or real(s))
+    geigen(random_spd(rng, 6), w=rng.uniform(0.5, 2.0, 6))
+    assert checked == [(6, 6)]
+    checked.clear()
+    geigen(random_spd(rng, 6), w=random_spd(rng, 6))
+    assert checked == [(6, 6), (6, 6)]

@@ -1,5 +1,7 @@
 """Bad inputs raise typed errors that name the slot at fault."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,9 +66,11 @@ def test_bad_arguments_raise_invalid_argument_error(rng):
     with pytest.raises(InvalidArgumentError, match="unknown PCA route"):
         recipes.pca(rng.normal(size=(10, 3)), route="nope")
     table = recipes.disjunctive_coding(mca_fixture())
-    for omega in (-1.0, float("nan")):
-        with pytest.raises(InvalidArgumentError, match="omega must be nonnegative"):
-            recipes.rmca(table, omega)
+    for omega in (-1.0, float("nan"), float("inf")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # named before any arithmetic warns
+            with pytest.raises(InvalidArgumentError, match="omega must be nonnegative"):
+                recipes.rmca(table, omega)
     assert issubclass(InvalidArgumentError, GmdError)
     assert issubclass(InvalidArgumentError, ValueError)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gmdecomp import constraints, kernel
+from gmdecomp.decomp import geigen
 from gmdecomp.errors import (
     ComplexOrNegativeEigenvalueError,
     DimensionMismatchError,
@@ -71,10 +72,11 @@ def test_symmetric_eigen_against_charpoly_oracle(rng):
 
 
 def test_symmetric_eigen_rejects_bad_input():
-    with pytest.raises(NonSquareError):
-        kernel.tolerance_eigen(np.ones((2, 3)), tol=None)
-    with pytest.raises(NotSymmetricError):
-        kernel.tolerance_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]), tol=None)
+    # geigen checks its x at entry; tolerance_eigen does not check again
+    with pytest.raises(NonSquareError, match="^x must be square"):
+        geigen(np.ones((2, 3)), tol=None)
+    with pytest.raises(NotSymmetricError, match="^x must be symmetric"):
+        geigen(np.array([[1.0, 2.0], [0.0, 1.0]]), tol=None)
 
 
 def test_is_symmetric_matches_the_magnitude_formula(rng):
@@ -126,8 +128,8 @@ def test_tolerance_eigen_errors_on_negative_spectrum_with_active_tol():
 
 
 def test_tolerance_eigen_asymmetric_unsupported():
-    with pytest.raises(NotSymmetricError):
-        kernel.tolerance_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(NotSymmetricError, match="^x must be symmetric"):
+        geigen(np.array([[1.0, 2.0], [0.0, 1.0]]), w=[1.0, 2.0])
 
 
 def test_tolerance_svd_diagonal():
@@ -178,11 +180,13 @@ def test_tolerance_svd_empty_errors():
 
 
 def sqrt_psd(m):
-    return kernel.psd_root(*kernel.psd_eigen(m))
+    c = constraints.normalize_constraint(m, len(m))
+    return constraints.apply_sqrt_metric(c, np.eye(len(m)))
 
 
 def invsqrt_psd(m):
-    return kernel.psd_root(*kernel.psd_eigen(m), inverse=True)
+    c = constraints.normalize_constraint(m, len(m))
+    return constraints.apply_invsqrt_metric(c, np.eye(len(m)))
 
 
 def test_sqrt_psd_matrix_examples(rng):

@@ -40,19 +40,20 @@ def test_pseudo_inverse_moore_penrose(rng):
     a = rng.normal(size=(6, 4)) @ rng.normal(size=(4, 5))
     gram = a.T @ a  # 5 x 5 of rank 4
     c = constraints.pinv_constraint(gram, "xrw")
-    g = c.matrix
+    g = constraints.apply_metric(c, np.eye(5))
     assert c.kind == constraints.DENSE
     assert np.allclose(gram @ g @ gram, gram, atol=1e-9)
     assert np.allclose(g @ gram @ g, g, atol=1e-9)
     assert np.allclose((gram @ g).T, gram @ g, atol=1e-9)
     assert np.allclose((g @ gram).T, g @ gram, atol=1e-9)
     # its eigenpairs are the inverted ones of the Gram matrix and rebuild it
-    lam, vec = c.eigen
+    lam, vec = c.weights, c.basis
     assert np.count_nonzero(lam) == 4
     assert np.allclose((vec * lam) @ vec.T, g, atol=1e-12)
     # exact inverse for invertible input
     b = rng.normal(size=(4, 4)) + 4 * np.eye(4)
-    assert np.allclose(constraints.pinv_constraint(b.T @ b).matrix, np.linalg.inv(b.T @ b), atol=1e-9)
+    inv = constraints.apply_metric(constraints.pinv_constraint(b.T @ b), np.eye(4))
+    assert np.allclose(inv, np.linalg.inv(b.T @ b), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
