@@ -336,7 +336,7 @@ def build_parser():
         p.add_argument("--k", type=int, default=0)
         if cmd.tol:
             p.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
-                           help="threshold value or 'off' (default: the method's)")
+                           help="nonnegative threshold or 'off' (default: the method's)")
         p.add_argument("--header", action="store_true",
                        help="data files start with a row of column labels")
         p.add_argument("--rownames", action="store_true",

@@ -3,17 +3,18 @@
 A constraint is its eigenpairs: nonnegative weights on an orthonormal basis.
 It is canonicalized once, at entry to a decomposition, into one of three
 forms: identity (no weights; applied as a no-op), diagonal (weights on the
-coordinate axes; applied by row/column scaling), or dense (a symmetric PSD
+coordinate axes; applied by row scaling), or dense (a symmetric PSD
 matrix held as its eigenvalues and eigenvectors). A diagonal matrix input
 collapses to its diagonal vector, and an all-ones diagonal collapses to
 identity, so the cheap paths are taken whenever possible.
 
 A dense constraint is factorized once: the one eigendecomposition that
-validates it as PSD is all the constraint keeps. The metric, its square root
-and its pseudo-inverse square root are applied as B w^a B' for a = 1, 1/2 and
--1/2, and one cutoff decides which weights the roots treat as zero, for
-diagonal and dense metrics alike. The pseudo-inverse of a Gram matrix is a
-constraint holding that matrix's own eigenpairs with the weights inverted.
+validates it as PSD is all the constraint keeps. Its square root and
+pseudo-inverse square root are applied on the left only, as B w^a B' for
+a = 1/2 and -1/2, and one cutoff decides which weights both roots treat as
+zero, for diagonal and dense metrics alike. The pseudo-inverse of a Gram
+matrix is a constraint holding that matrix's own eigenpairs with the
+weights inverted.
 """
 
 from dataclasses import dataclass
@@ -32,16 +33,33 @@ DENSE = "dense"
 class Constraint:
     """A canonicalized PSD metric of a given dimension.
 
-    `weights` are the diagonal weights, or a dense metric's eigenvalues;
-    `basis` holds a dense metric's orthonormal eigenvectors as columns and
-    is None for a diagonal metric; both are None for identity. `name` is the
-    slot it fills, for errors.
+    `weights` are the diagonal weights, or a dense metric's eigenvalues,
+    checked to be finite, nonnegative and of shape (dim,); `basis` holds a
+    dense metric's eigenvectors as columns, of shape (dim, dim), and is None
+    for a diagonal metric (that it is orthonormal is the caller's contract);
+    both are None for identity. `name` is the slot it fills, for errors.
     """
 
     dim: int
     weights: np.ndarray = None
     basis: np.ndarray = None
     name: str = "constraint"
+
+    def __post_init__(self):
+        if self.weights is None:
+            return
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (self.dim,):
+            raise DimensionMismatchError(
+                f"{self.name}: weights of shape {w.shape} != expected ({self.dim},)")
+        if not np.all(np.isfinite(w)):
+            raise NonFiniteError(f"{self.name} contains NaN or Inf entries")
+        if np.any(w < 0):
+            raise NotPSDError(f"{self.name} has a negative weight ({w.min():.6g})")
+        if self.basis is not None and np.shape(self.basis) != (self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"{self.name}: basis of shape {np.shape(self.basis)} != expected "
+                f"({self.dim}, {self.dim})")
 
     @property
     def kind(self):
@@ -70,13 +88,7 @@ def normalize_constraint(raw, dim, name="constraint"):
             )
         return raw
     arr = np.asarray(raw, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains NaN or Inf entries")
     if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"{name}: constraint vector length {arr.shape[0]} != expected {dim}"
-            )
         return _from_weights(arr, dim, name)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name}: constraint must be a vector or a matrix")
@@ -101,48 +113,32 @@ def pinv_constraint(gram, name="constraint"):
 
 
 def _from_weights(weights, dim, name):
-    if weights.size and weights.min() < 0:
-        raise NotPSDError(f"{name} has a negative weight ({weights.min():.6g})")
-    if np.all(weights == 1.0):
-        return Constraint(dim)
-    return Constraint(dim, weights, name=name)
+    c = Constraint(dim, weights, name=name)
+    return Constraint(dim) if np.all(weights == 1.0) else c
 
 
-def _power(weights, a):
-    """weights**a for a in {1, 1/2, -1/2}. The roots count a weight at or
-    below max * n * eps as zero, so both roots vanish on the same directions
-    and the inverse root is a pseudo-inverse."""
-    if a == 1:
-        return weights
-    keep = weights > weights.max(initial=0.0) * weights.shape[0] * kernel.EPS
-    root = np.sqrt(np.where(keep, weights, 1.0))
-    return np.where(keep, root if a > 0 else 1.0 / root, 0.0)
-
-
-def _apply(c, x, side, a):
+def _apply(c, x, a):
+    """B w^a B' x for a = 1/2 or -1/2. A weight at or below max * n * eps
+    counts as zero, so both roots vanish on the same directions and the
+    inverse root is a pseudo-inverse."""
     x = np.asarray(x, dtype=np.float64)
-    if c.dim != (x.shape[0] if side == "left" else x.shape[1]):
+    if c.dim != x.shape[0]:
         raise DimensionMismatchError(
-            f"{c.name} dim {c.dim} does not conform to matrix {x.shape} on {side}"
-        )
+            f"{c.name} dim {c.dim} does not conform to the rows of matrix {x.shape}")
     if c.weights is None:
         return x
-    s, b = _power(c.weights, a), c.basis
-    if side == "left":
-        return s[:, None] * x if b is None else b @ (s[:, None] * (b.T @ x))
-    return x * s[None, :] if b is None else ((x @ b) * s[None, :]) @ b.T
+    w, b = c.weights, c.basis
+    keep = w > w.max(initial=0.0) * w.shape[0] * kernel.EPS
+    root = np.sqrt(np.where(keep, w, 1.0))
+    s = np.where(keep, root if a > 0 else 1.0 / root, 0.0)
+    return s[:, None] * x if b is None else b @ (s[:, None] * (b.T @ x))
 
 
-def apply_metric(c, x, side="left"):
-    """Compute c @ x (side='left') or x @ c (side='right')."""
-    return _apply(c, x, side, 1)
+def apply_sqrt_metric(c, x):
+    """The metric's PSD square root times x."""
+    return _apply(c, x, 0.5)
 
 
-def apply_sqrt_metric(c, x, side="left"):
-    """Apply the PSD square root of the metric."""
-    return _apply(c, x, side, 0.5)
-
-
-def apply_invsqrt_metric(c, x, side="left"):
-    """Apply the pseudo-inverse square root of the metric (null weights map to 0)."""
-    return _apply(c, x, side, -0.5)
+def apply_invsqrt_metric(c, x):
+    """The metric's pseudo-inverse square root times x (null weights map to 0)."""
+    return _apply(c, x, -0.5)

@@ -3,6 +3,10 @@
 geigen and gsvd canonicalize their constraint inputs, form the
 metric-weighted matrix, decompose it with the tolerance-aware kernel, and
 map the standard vectors back to generalized vectors and component scores.
+Each metric is applied only through its two roots, on the left: a
+right-hand root is applied to the transpose, and since the metric times its
+pseudo-inverse root is its root, the scores fi = lw P diag(d) are
+lw^(1/2) U diag(d).
 gplssvd is the gsvd of the two tables' row-weighted cross-product under
 their column metrics, plus the latent variable scores. All three return the
 same :class:`DecompositionResult` record with the fields appropriate to the
@@ -21,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .constraints import (
-    apply_invsqrt_metric,
-    apply_metric,
-    apply_sqrt_metric,
-    normalize_constraint,
-)
+from .constraints import apply_invsqrt_metric, apply_sqrt_metric, normalize_constraint
 from .errors import DimensionMismatchError
 
 GEIGEN = "geigen"
@@ -113,19 +112,19 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
     k : int
         Number of components to return; 0 means all retained.
     tol : float or None
-        Eigenvalues at or below this are dropped; None (or NaN/inf/negative)
-        disables the tolerance and keeps negative eigenvalues.
+        Eigenvalues at or below this nonnegative finite threshold are
+        dropped; None disables the tolerance and keeps negative eigenvalues.
     """
     x = kernel.symmetric_matrix(x, "x")
     c = normalize_constraint(w, x.shape[0], "w")
-    xt = apply_sqrt_metric(c, apply_sqrt_metric(c, x, "right"), "left")
+    xt = apply_sqrt_metric(c, apply_sqrt_metric(c, x.T).T)
     eig = kernel.tolerance_eigen(xt, tol=tol)
 
     l_full = eig.values
     d_full = np.sqrt(np.clip(l_full, 0.0, None))
     v = eig.vectors
-    q = apply_invsqrt_metric(c, v, "left")
-    fj = apply_metric(c, q, "left") * d_full[None, :]
+    q = apply_invsqrt_metric(c, v)
+    fj = apply_sqrt_metric(c, v) * d_full[None, :]
 
     return _assemble(GEIGEN, k, tol, d_full, l_full, v=v, q=q, fj=fj)
 
@@ -140,15 +139,15 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     x = kernel.as_matrix(x, "x")
     lwc = normalize_constraint(lw, x.shape[0], "lw")
     rwc = normalize_constraint(rw, x.shape[1], "rw")
-    xt = apply_sqrt_metric(lwc, apply_sqrt_metric(rwc, x, "right"), "left")
+    xt = apply_sqrt_metric(lwc, apply_sqrt_metric(rwc, x.T).T)
     sv = kernel.tolerance_svd(xt, tol=tol)
 
     d_full = sv.d
     l_full = d_full**2
-    p = apply_invsqrt_metric(lwc, sv.u, "left")
-    q = apply_invsqrt_metric(rwc, sv.v, "left")
-    fi = apply_metric(lwc, p, "left") * d_full[None, :]
-    fj = apply_metric(rwc, q, "left") * d_full[None, :]
+    p = apply_invsqrt_metric(lwc, sv.u)
+    q = apply_invsqrt_metric(rwc, sv.v)
+    fi = apply_sqrt_metric(lwc, sv.u) * d_full[None, :]
+    fj = apply_sqrt_metric(rwc, sv.v) * d_full[None, :]
 
     return _assemble(GSVD, k, tol, d_full, l_full, u=sv.u, v=sv.v, p=p, q=q, fi=fi, fj=fj)
 
@@ -175,8 +174,8 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
     xl = apply_sqrt_metric(xlwc, x)
     yl = apply_sqrt_metric(ylwc, y)
     r = gsvd(xl.T @ yl, lw=xrwc, rw=yrwc, tol=tol)
-    lx = xl @ apply_metric(xrwc, r.p)
-    ly = yl @ apply_metric(yrwc, r.q)
+    lx = xl @ apply_sqrt_metric(xrwc, r.u)
+    ly = yl @ apply_sqrt_metric(yrwc, r.v)
 
     return _assemble(
         GPLSSVD, k, tol, r.d_full, r.l_full,

@@ -2,12 +2,12 @@
 
 The two workhorses here, :func:`tolerance_eigen` and :func:`tolerance_svd`,
 wrap a standard dense solver and drop any eigen/singular value at or below a
-threshold. The threshold can be disabled (``tol=None``, NaN, infinity, or any
-negative value), in which case the full spectrum is returned, including
-negative eigenvalues.
+threshold, a nonnegative finite number. ``tol=None`` disables it, in which
+case the full spectrum is returned, including negative eigenvalues; any
+other value raises :class:`InvalidArgumentError` naming ``tol``.
 
 Also provides the validated PSD eigenpairs that a dense constraint metric
-keeps, and from which :mod:`gmdecomp.constraints` applies it and its roots.
+keeps, and from which :mod:`gmdecomp.constraints` applies its two roots.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     ComplexOrNegativeEigenvalueError,
     EmptyMatrixError,
+    InvalidArgumentError,
     NoConvergenceError,
     NonFiniteError,
     NonSquareError,
@@ -50,18 +51,17 @@ class SvdOutput:
     v: np.ndarray
 
 
-def tolerance_active(tol):
-    """True when `tol` is a usable nonnegative threshold.
-
-    ``None``, NaN, +/-inf, and negative values all disable the tolerance,
-    so the full spectrum is kept.
-    """
+def _threshold(tol):
+    """`tol` as a float, or None when the tolerance is off (``tol=None``);
+    anything but None or a nonnegative finite number raises."""
     if tol is None:
-        return False
-    tol = float(tol)
-    if np.isnan(tol) or np.isinf(tol) or tol < 0:
-        return False
-    return True
+        return None
+    try:
+        if 0 <= float(tol) < np.inf:
+            return float(tol)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidArgumentError(f"tol must be a nonnegative finite number or None, got {tol!r}")
 
 
 def as_matrix(a, name):
@@ -139,10 +139,10 @@ def tolerance_eigen(s, tol=SQRT_EPS):
     returns every eigenvalue, negatives included. Only finiteness is
     checked here; symmetry is the caller's (``geigen`` checks its `x`).
     """
+    tol = _threshold(tol)
     out = _sorted_eigh(as_matrix(s, "s"))
-    if not tolerance_active(tol):
+    if tol is None:
         return out
-    tol = float(tol)
     if out.values.min() < -tol:
         raise ComplexOrNegativeEigenvalueError(
             "eigenvalues are not all positive within tolerance "
@@ -159,6 +159,7 @@ def tolerance_svd(x, tol=EPS):
     entry positive; the matching left vector is flipped jointly so the
     reconstruction is preserved.
     """
+    tol = _threshold(tol)
     x = as_matrix(x, "x")
     try:
         u, d, vt = np.linalg.svd(x, full_matrices=False)
@@ -167,12 +168,11 @@ def tolerance_svd(x, tol=EPS):
     v = vt.T
     signs = canonical_signs(v)
     u = u * signs
-    if tolerance_active(tol):
+    if tol is not None:
         # Both the singular values and their squares (the eigenvalues) must
         # clear the threshold; collinear data leaves near-null singular
         # values whose squares are far below any sensible cutoff.
-        t = float(tol)
-        keep = (d > t) & (d * d > t)
+        keep = (d > tol) & (d * d > tol)
         u, d, v = u[:, keep], d[keep], v[:, keep]
     return SvdOutput(u=u, d=d, v=v)
 

@@ -269,6 +269,19 @@ def test_tol_flag_through_main(tmp_path, rng):
     assert not (tmp_path / "bad").exists() and not (tmp_path / "wmds").exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_that_is_not_a_threshold_exits_2_writing_nothing(tmp_path, rng, capsys, tol):
+    xp = write_matrix(tmp_path / "x.csv", rng.uniform(1.0, 2.0, size=(6, 3)))
+    sp = write_matrix(tmp_path / "s.csv", np.eye(3) * 2.0)
+    cat = write_csv(tmp_path / "cat.csv", [["a", "x"], ["b", "y"], ["a", "y"], ["b", "x"]])
+    for argv in (["gsvd", "--x", xp], ["geigen", "--x", sp], ["ca", "--x", xp],
+                 ["rmca", "--x", cat, "--omega", "0,1"]):
+        out = tmp_path / argv[0]
+        assert cli.main(argv + ["--tol", tol, "--out", str(out)]) == 2, argv
+        assert "tol must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_exit_code_bad_omega_is_usage_error(tmp_path, capsys):
     cat = [["a", "x"], ["b", "y"], ["a", "y"], ["b", "x"], ["a", "x"], ["b", "y"]]
     catp = write_csv(tmp_path / "cat.csv", cat)

@@ -3,7 +3,7 @@ import pytest
 
 from gmdecomp import constraints, kernel
 from gmdecomp.decomp import gsvd
-from gmdecomp.errors import DimensionMismatchError, NotPSDError
+from gmdecomp.errors import DimensionMismatchError, NonFiniteError, NotPSDError
 
 from conftest import random_spd
 
@@ -24,7 +24,7 @@ def test_none_becomes_identity():
     c = constraints.normalize_constraint(None, 4)
     assert c.kind == constraints.IDENTITY
     assert c.weights is None and c.basis is None
-    assert np.array_equal(constraints.apply_metric(c, np.eye(4)), np.eye(4))
+    assert np.array_equal(constraints.apply_sqrt_metric(c, np.eye(4)), np.eye(4))
 
 
 def test_vector_becomes_diagonal():
@@ -48,7 +48,7 @@ def test_dense_spd_accepted(rng):
     m = random_spd(rng, 4)
     c = constraints.normalize_constraint(m, 4)
     assert c.kind == constraints.DENSE
-    assert np.allclose(constraints.apply_metric(c, np.eye(4)), m)
+    assert np.allclose((c.basis * c.weights) @ c.basis.T, m)
 
 
 def test_rejects_negative_weights_and_indefinite():
@@ -81,27 +81,25 @@ def test_rejects_dimension_mismatch():
 def test_identity_application_returns_input_unchanged(rng):
     x = rng.normal(size=(4, 3))
     c = constraints.normalize_constraint(None, 4)
-    assert constraints.apply_metric(c, x, "left") is x
+    assert constraints.apply_sqrt_metric(c, x) is x
+    assert constraints.apply_invsqrt_metric(c, x) is x
 
 
 def test_diagonal_application_matches_matrix_product(rng):
     x = rng.normal(size=(4, 3))
     w = np.array([1.0, 4.0, 9.0, 16.0])
     c = constraints.normalize_constraint(w, 4)
-    assert np.allclose(constraints.apply_metric(c, x, "left"), np.diag(w) @ x)
+    assert np.allclose(constraints.apply_sqrt_metric(c, x), np.diag(np.sqrt(w)) @ x)
     assert np.allclose(
-        constraints.apply_sqrt_metric(c, x, "left"), np.diag(np.sqrt(w)) @ x
+        constraints.apply_invsqrt_metric(c, x), np.diag(1 / np.sqrt(w)) @ x
     )
-    assert np.allclose(
-        constraints.apply_invsqrt_metric(c, x, "left"), np.diag(1 / np.sqrt(w)) @ x
-    )
-    cr = constraints.normalize_constraint(w[:3], 3)
-    assert np.allclose(constraints.apply_metric(cr, x, "right"), x @ np.diag(w[:3]))
+    root = constraints.apply_sqrt_metric(c, np.eye(4))
+    assert np.allclose(root @ root @ x, np.diag(w) @ x)
 
 
 def test_diagonal_invsqrt_zero_weight_maps_to_zero():
     c = constraints.normalize_constraint([4.0, 0.0], 2)
-    out = constraints.apply_invsqrt_metric(c, np.eye(2), "left")
+    out = constraints.apply_invsqrt_metric(c, np.eye(2))
     assert np.allclose(out, np.diag([0.5, 0.0]))
 
 
@@ -109,17 +107,34 @@ def test_dense_application_matches_loop_oracle(rng):
     m = random_spd(rng, 4)
     x = rng.normal(size=(4, 3))
     c = constraints.normalize_constraint(m, 4)
-    assert np.allclose(constraints.apply_metric(c, x, "left"), dense_left_product(m, x))
+    # the root applied twice is the metric
+    twice = constraints.apply_sqrt_metric(c, constraints.apply_sqrt_metric(c, x))
+    assert np.allclose(twice, dense_left_product(m, x))
     # sqrt and invsqrt round-trip through the metric
-    half = constraints.apply_sqrt_metric(c, np.eye(4), "left")
+    half = constraints.apply_sqrt_metric(c, np.eye(4))
     assert np.allclose(half @ half, m, atol=1e-10)
-    invhalf = constraints.apply_invsqrt_metric(c, np.eye(4), "left")
+    invhalf = constraints.apply_invsqrt_metric(c, np.eye(4))
     assert np.allclose(invhalf @ m @ invhalf, np.eye(4), atol=1e-9)
 
 
 def test_application_checks_conformability(rng):
     c = constraints.normalize_constraint(np.ones(4) * 2.0, 4)
+    # applied on the left only: the rows must conform, whatever the columns
     with pytest.raises(DimensionMismatchError):
-        constraints.apply_metric(c, rng.normal(size=(3, 2)), "left")
+        constraints.apply_sqrt_metric(c, rng.normal(size=(3, 2)))
     with pytest.raises(DimensionMismatchError):
-        constraints.apply_metric(c, rng.normal(size=(2, 3)), "right")
+        constraints.apply_invsqrt_metric(c, rng.normal(size=(2, 4)))
+
+
+@pytest.mark.parametrize("weights, basis, error, message", [
+    ([-1.0, 1.0], None, NotPSDError, "lw has a negative weight"),
+    ([np.nan, 1.0], None, NonFiniteError, "lw contains NaN or Inf"),
+    ([1.0, np.inf], np.eye(2), NonFiniteError, "lw contains NaN or Inf"),
+    ([1.0, 2.0, 3.0], None, DimensionMismatchError, r"lw: weights of shape \(3,\)"),
+    ([1.0, 2.0], np.eye(3), DimensionMismatchError, r"lw: basis of shape \(3, 3\)"),
+    ([1.0, 2.0], np.eye(2)[:, :1], DimensionMismatchError, "lw: basis of shape"),
+], ids=["negative", "nan", "inf-dense", "weights-shape", "basis-shape", "thin-basis"])
+def test_hand_built_constraint_is_checked_like_any_input(weights, basis, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        constraints.Constraint(2, np.array(weights), basis, "lw")
+

@@ -1,13 +1,14 @@
 """One factorization per dense constraint.
 
 A dense metric is eigendecomposed once, when it is canonicalized, and the
-constraint keeps only those eigenpairs: the metric and its roots are applied
-as B (w^a (B' x)). The savings are pinned as eigh call counts (never wall
+constraint keeps only those eigenpairs: its roots are applied on the left as
+B (w^a (B' x)). The savings are pinned as eigh call counts (never wall
 time); the outputs as bit-identical to that route written out by hand, and
 within 1e-10 (up to sign) of the route through symmetric root matrices; one
 pseudo-inverse rule for diagonal and dense weights by a property test; and
-the paper's invariants by a bounded property test over identity, diagonal
-(with zero weights), dense and singular-PSD constraints."""
+the paper's invariants, with the scores as the metric times the generalized
+vectors, by a bounded property test over identity, diagonal (with zero
+weights), dense and singular-PSD constraints."""
 
 import numpy as np
 import pytest
@@ -80,33 +81,27 @@ def test_rrr_and_cca_factorize_each_gram_matrix_once(rng, eigh_calls, svd_calls)
 
 
 def _eigen_form(m):
-    """Basis, weights and root weights of a dense metric: sqrt and the
-    pseudo-inverse sqrt, both zero at or below max * n * eps."""
+    """Basis and root weights of a dense metric: sqrt and the pseudo-inverse
+    sqrt, both zero at or below max * n * eps."""
     lam, vec = kernel.psd_eigen(m)
     keep = lam > lam.max() * lam.shape[0] * kernel.EPS
     root = np.sqrt(np.where(keep, lam, 1.0))
-    return vec, lam, np.where(keep, root, 0.0), np.where(keep, 1.0 / root, 0.0)
+    return vec, np.where(keep, root, 0.0), np.where(keep, 1.0 / root, 0.0)
 
 
 def _left(b, s, x):
     return b @ (s[:, None] * (b.T @ x))
 
 
-def _right(x, b, s):
-    return ((x @ b) * s[None, :]) @ b.T
-
-
 def test_dense_gsvd_matches_written_out_roots(rng):
     x = rng.normal(size=(12, 7))
     lw, rw = random_spd(rng, 12), random_spd(rng, 7)
-    lb, lw_w, lw_s, lw_i = _eigen_form(lw)
-    rb, rw_w, rw_s, rw_i = _eigen_form(rw)
-    sv = kernel.tolerance_svd(_left(lb, lw_s, _right(x, rb, rw_s)), tol=kernel.EPS)
-    p = _left(lb, lw_i, sv.u)
-    q = _left(rb, rw_i, sv.v)
+    lb, lw_s, lw_i = _eigen_form(lw)
+    rb, rw_s, rw_i = _eigen_form(rw)
+    sv = kernel.tolerance_svd(_left(lb, lw_s, _left(rb, rw_s, x.T).T), tol=kernel.EPS)
     expected = dict(
-        d=sv.d, u=sv.u, v=sv.v, p=p, q=q,
-        fi=_left(lb, lw_w, p) * sv.d[None, :], fj=_left(rb, rw_w, q) * sv.d[None, :],
+        d=sv.d, u=sv.u, v=sv.v, p=_left(lb, lw_i, sv.u), q=_left(rb, rw_i, sv.v),
+        fi=_left(lb, lw_s, sv.u) * sv.d[None, :], fj=_left(rb, rw_s, sv.v) * sv.d[None, :],
     )
     out = gsvd(x, lw=lw, rw=rw)
     for name, value in expected.items():
@@ -116,31 +111,29 @@ def test_dense_gsvd_matches_written_out_roots(rng):
 def test_dense_geigen_matches_written_out_roots(rng):
     x = random_spd(rng, 8)
     w = random_spd(rng, 8)
-    b, w_w, w_s, w_i = _eigen_form(w)
-    eig = kernel.tolerance_eigen(_left(b, w_s, _right(x, b, w_s)), tol=kernel.SQRT_EPS)
+    b, w_s, w_i = _eigen_form(w)
+    eig = kernel.tolerance_eigen(_left(b, w_s, _left(b, w_s, x.T).T), tol=kernel.SQRT_EPS)
     d = np.sqrt(np.clip(eig.values, 0.0, None))
-    q = _left(b, w_i, eig.vectors)
     out = geigen(x, w=w)
     assert np.array_equal(out.l, eig.values)
     assert np.array_equal(out.d, d)
     assert np.array_equal(out.v, eig.vectors)
-    assert np.array_equal(out.q, q)
-    assert np.array_equal(out.fj, _left(b, w_w, q) * d[None, :])
+    assert np.array_equal(out.q, _left(b, w_i, eig.vectors))
+    assert np.array_equal(out.fj, _left(b, w_s, eig.vectors) * d[None, :])
 
 
 def test_dense_gplssvd_matches_written_out_roots(rng):
     x = rng.normal(size=(15, 4))
     y = rng.normal(size=(15, 6))
     xrw, yrw = random_spd(rng, 4), random_spd(rng, 6)
-    xb, xrw_w, xrw_s, xrw_i = _eigen_form(xrw)
-    yb, yrw_w, yrw_s, yrw_i = _eigen_form(yrw)
-    sv = kernel.tolerance_svd(_left(xb, xrw_s, _right(x.T @ y, yb, yrw_s)), tol=kernel.EPS)
-    p = _left(xb, xrw_i, sv.u)
-    q = _left(yb, yrw_i, sv.v)
+    xb, xrw_s, xrw_i = _eigen_form(xrw)
+    yb, yrw_s, yrw_i = _eigen_form(yrw)
+    sv = kernel.tolerance_svd(
+        _left(xb, xrw_s, _left(yb, yrw_s, (x.T @ y).T).T), tol=kernel.EPS)
+    fi, fj = _left(xb, xrw_s, sv.u), _left(yb, yrw_s, sv.v)
     expected = dict(
-        d=sv.d, u=sv.u, v=sv.v, p=p, q=q,
-        fi=_left(xb, xrw_w, p) * sv.d[None, :], fj=_left(yb, yrw_w, q) * sv.d[None, :],
-        lx=x @ _left(xb, xrw_w, p), ly=y @ _left(yb, yrw_w, q),
+        d=sv.d, u=sv.u, v=sv.v, p=_left(xb, xrw_i, sv.u), q=_left(yb, yrw_i, sv.v),
+        fi=fi * sv.d[None, :], fj=fj * sv.d[None, :], lx=x @ fi, ly=y @ fj,
     )
     out = gplssvd(x, y, xrw=xrw, yrw=yrw)
     for name, value in expected.items():
@@ -161,16 +154,10 @@ def _psd_root(lam, vec, inverse=False):
     return (s + s.T) / 2.0
 
 
-def _root_matrix_apply(c, x, side, a, eigen_apply=constraints._apply):
+def _root_matrix_apply(c, x, a, eigen_apply=constraints._apply):
     if c.kind != constraints.DENSE:
-        return eigen_apply(c, x, side, a)
-    if a == 1:
-        m = (c.basis * c.weights) @ c.basis.T
-        m = (m + m.T) / 2.0
-    else:
-        m = _psd_root(c.weights, c.basis, inverse=a < 0)
-    x = np.asarray(x, dtype=np.float64)
-    return m @ x if side == "left" else x @ m
+        return eigen_apply(c, x, a)
+    return _psd_root(c.weights, c.basis, inverse=a < 0) @ np.asarray(x, dtype=np.float64)
 
 
 def _dense_cases():
@@ -227,7 +214,9 @@ def test_weights_on_the_coordinate_basis_match_the_diagonal_metric(
     w = rng.uniform(0.2, 2.0, n)
     w[:n_zero] = 0.0
     if below_cutoff:
-        w[-1] = w.max() * kernel.EPS
+        # scaled by the largest of the other weights, which stays the maximum,
+        # so the weight is below the cutoff whichever weight was largest before
+        w[-1] = w[:-1].max() * kernel.EPS
     diag = gsvd(x, lw=w)
     dense = gsvd(x, lw=constraints.Constraint(n, w, np.eye(n), "lw"))
     assert diag.n_total_components == dense.n_total_components
@@ -280,6 +269,12 @@ def _check_orthonormal(vectors, metric):
     assert np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0) < 1e-8
 
 
+def _check_scores(scores, metric, vectors, d):
+    # the scores are the metric times the generalized vectors, scaled by d
+    want = metric @ vectors * d[None, :]
+    assert np.abs(scores - want).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(want).max(initial=0.0))
+
+
 def _check_prefix(full, run, kk):
     for name, value in run.fields().items():
         expected = getattr(full, name)
@@ -304,6 +299,8 @@ def test_gsvd_invariants_property(seed, n, m, lkind, rkind):
     out = gsvd(x, lw=lw, rw=rw)
     _check_orthonormal(out.p, lw_m)
     _check_orthonormal(out.q, rw_m)
+    _check_scores(out.fi, lw_m, out.p, out.d)
+    _check_scores(out.fj, rw_m, out.q, out.d)
     # Metric reconstruction: lw P D Q' rw = lw x rw (plain reconstruction
     # when both metrics are nonsingular).
     recon = lw_m @ (out.p * out.d[None, :]) @ out.q.T @ rw_m
@@ -322,6 +319,7 @@ def test_geigen_invariants_property(seed, n, kind):
     w, w_m = _make_constraint(kind, rng, n)
     out = geigen(x, w=w)
     _check_orthonormal(out.q, w_m)
+    _check_scores(out.fj, w_m, out.q, out.d)
     recon = w_m @ (out.q * out.l[None, :]) @ out.q.T @ w_m
     target = w_m @ x @ w_m
     assert np.abs(recon - target).max() < 1e-8 * max(1.0, np.abs(target).max())
@@ -350,12 +348,17 @@ def test_singular_dense_metric_keeps_p_orthonormal():
 def test_gplssvd_invariants_property(seed, n, mx, my, kinds):
     rng = np.random.default_rng(seed)
     x, y = rng.normal(size=(n, mx)), rng.normal(size=(n, my))
-    (xlw, _), (xrw, xrw_m), (ylw, _), (yrw, yrw_m) = (
+    (xlw, xlw_m), (xrw, xrw_m), (ylw, _), (yrw, yrw_m) = (
         _make_constraint(kind, rng, dim) for kind, dim in zip(kinds, (n, mx, n, my))
     )
     out = gplssvd(x, y, xlw=xlw, xrw=xrw, ylw=ylw, yrw=yrw)
     _check_orthonormal(out.p, xrw_m)
     _check_orthonormal(out.q, yrw_m)
+    _check_scores(out.fi, xrw_m, out.p, out.d)
+    _check_scores(out.fj, yrw_m, out.q, out.d)
+    # lx = xl xrw P with xl = xlw^(1/2) x
+    xl = _psd_root(*kernel.psd_eigen(xlw_m)) @ x
+    _check_scores(out.lx, xl @ xrw_m, out.p, np.ones_like(out.d))
     # The latent variables' cross-products are the singular values.
     cross = np.einsum("ij,ij->j", out.lx, out.ly)
     assert np.allclose(cross, out.d, rtol=0.0, atol=1e-8 * max(1.0, out.d.max(initial=0.0)))

@@ -7,6 +7,7 @@ from gmdecomp.errors import (
     ComplexOrNegativeEigenvalueError,
     DimensionMismatchError,
     EmptyMatrixError,
+    InvalidArgumentError,
     NonSquareError,
     NotPSDError,
     NotSymmetricError,
@@ -107,9 +108,14 @@ def test_tolerance_eigen_drops_below_threshold():
 def test_tolerance_eigen_disabled_keeps_negative_values():
     # double-centered -0.5*D^2 matrices from non-Euclidean input go negative
     s = np.diag([2.0, 1.0, -0.5])
-    for tol in (None, np.nan, np.inf, -1.0):
-        out = kernel.tolerance_eigen(s, tol=tol)
-        assert np.allclose(out.values, [2.0, 1.0, -0.5])
+    out = kernel.tolerance_eigen(s, tol=None)
+    assert np.allclose(out.values, [2.0, 1.0, -0.5])
+    # None is the only spelling of "off"
+    for tol in (np.nan, np.inf, -np.inf, -1.0, "abc"):
+        with pytest.raises(InvalidArgumentError, match="^tol must be"):
+            kernel.tolerance_eigen(s, tol=tol)
+        with pytest.raises(InvalidArgumentError, match="^tol must be"):
+            kernel.tolerance_svd(s, tol=tol)
 
 
 def test_tolerance_eigen_correlation_trace(rng):

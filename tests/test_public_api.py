@@ -36,7 +36,7 @@ def test_every_exported_name_resolves():
 def test_no_kernel_or_constraint_name_is_exported():
     internals = {n for mod in (kernel, constraints) for n in vars(mod) if not n.startswith("_")}
     assert not internals & set(gmdecomp.__all__)
-    for name in ("tolerance_eigen", "psd_eigen", "Constraint", "apply_metric", "EPS"):
+    for name in ("tolerance_eigen", "psd_eigen", "Constraint", "apply_sqrt_metric", "EPS"):
         assert not hasattr(gmdecomp, name), name
 
 

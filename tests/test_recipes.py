@@ -40,7 +40,8 @@ def test_pseudo_inverse_moore_penrose(rng):
     a = rng.normal(size=(6, 4)) @ rng.normal(size=(4, 5))
     gram = a.T @ a  # 5 x 5 of rank 4
     c = constraints.pinv_constraint(gram, "xrw")
-    g = constraints.apply_metric(c, np.eye(5))
+    half = constraints.apply_sqrt_metric(c, np.eye(5))
+    g = half @ half
     assert c.kind == constraints.DENSE
     assert np.allclose(gram @ g @ gram, gram, atol=1e-9)
     assert np.allclose(g @ gram @ g, g, atol=1e-9)
@@ -52,7 +53,8 @@ def test_pseudo_inverse_moore_penrose(rng):
     assert np.allclose((vec * lam) @ vec.T, g, atol=1e-12)
     # exact inverse for invertible input
     b = rng.normal(size=(4, 4)) + 4 * np.eye(4)
-    inv = constraints.apply_metric(constraints.pinv_constraint(b.T @ b), np.eye(4))
+    half = constraints.apply_sqrt_metric(constraints.pinv_constraint(b.T @ b), np.eye(4))
+    inv = half @ half
     assert np.allclose(inv, np.linalg.inv(b.T @ b), atol=1e-9)
 
 
