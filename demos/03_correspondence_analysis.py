@@ -20,7 +20,7 @@ levels = [("low", "mid", "high"), ("yes", "no"), ("a", "b", "c", "d")]
 table = [[rng.choice(lv) for lv in levels] for _ in range(40)]
 tab = disjunctive_coding(table, variable_names=["income", "member", "region"])
 print("indicator columns:", tab.level_labels)
-res = mca(table, variable_names=["income", "member", "region"])
+res = mca(tab)
 print("indicator columns:", tab.indicator.shape[1],
       "| variables:", len(tab.variable_spans),
       "| retained components:", res.n_retained)

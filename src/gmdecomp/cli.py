@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import recipes
-from .decomp import DecompositionResult, geigen, gplssvd, gsvd
+from .decomp import GPLSSVD, DecompositionResult, geigen, gplssvd, gsvd
 from .errors import (
     GmdError,
     InvalidArgumentError,
@@ -132,28 +132,26 @@ def _write_csv(path, value, row_labels=None):
                       for head, row in zip(heads, rows))
 
 
-def _field_labels(result, x_row_labels, x_col_labels, y_row_labels, y_col_labels):
+def _field_labels(result, xm, ym):
     """Row labels of each matrix field: the rows and columns of x for one
     table; the columns of x and of y, and the shared rows, for two."""
-    if result.method == "gplssvd":
-        first, second = x_col_labels, y_col_labels
+    if result.method == GPLSSVD:
+        first, second = xm.col_labels, ym.col_labels
     else:
-        first, second = x_row_labels, x_col_labels
+        first, second = xm.row_labels, xm.col_labels
     return dict(u=first, p=first, fi=first, v=second, q=second, fj=second,
-                lx=x_row_labels, ly=y_row_labels)
+                lx=xm.row_labels, ly=ym.row_labels)
 
 
-def write_result(result, outdir, x_row_labels=None, x_col_labels=None,
-                 y_row_labels=None, y_col_labels=None,
-                 command_line=None, n_rows=None, n_cols=None):
+def write_result(result, outdir, labels=None, command_line=None, n_rows=None, n_cols=None):
     """Write one CSV per populated result field and a summary.json.
 
-    The summary records the tolerance the decomposition used; a disabled
-    tolerance is written as "off".
+    `labels` maps a field name to the row labels of its CSV. The summary
+    records the tolerance the decomposition used; "off" when disabled.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    labels = _field_labels(result, x_row_labels, x_col_labels, y_row_labels, y_col_labels)
+    labels = labels or {}
     for name, value in result.fields().items():
         _write_csv(outdir / f"{name}.csv", value, labels.get(name))
     summary = {
@@ -229,18 +227,19 @@ def _scatter_svg(scores, labels=None):
     return _svg_document(width, height, "".join(body))
 
 
-def emit_plots(result, outdir, fi_labels=None, fj_labels=None):
-    """Write scree.svg and, when >= 2 components, score scatter plots."""
+def emit_plots(result, outdir, labels=None):
+    """Write scree.svg and, when >= 2 components, score scatter plots labelled by `labels`."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "scree.svg").write_text(_scree_svg(list(result.l_full)), encoding="utf-8")
     if result.n_retained < 2:
         return
-    for name, labels in (("fi", fi_labels), ("fj", fj_labels)):
+    labels = labels or {}
+    for name in ("fi", "fj"):
         scores = getattr(result, name)
         if scores is not None:
             (outdir / f"scores_{name}.svg").write_text(
-                _scatter_svg(scores[:, :2], labels), encoding="utf-8"
+                _scatter_svg(scores[:, :2], labels.get(name)), encoding="utf-8"
             )
 
 
@@ -371,15 +370,18 @@ def _run(cmd, args, command_line):
     if "tol" in args:
         kw["tol"] = args.tol
     out = cmd.call(x, y, k=args.k, **kw)
-    labels = dict(x_row_labels=xm.row_labels, x_col_labels=xm.col_labels,
-                  y_row_labels=ym.row_labels, y_col_labels=ym.col_labels)
-    for sub, result in [("", out)] if isinstance(out, DecompositionResult) else out:
+    # Check every result before writing any file, so a failed run writes nothing.
+    results = [("", out)] if isinstance(out, DecompositionResult) else list(out)
+    for sub, result in results:
+        for name, value in result.fields().items():
+            if not np.all(np.isfinite(value)):
+                raise NumericalError(f"{Path(sub) / name}: the result holds NaN or Inf values")
+    for sub, result in results:
         outdir = Path(args.out) / sub
-        write_result(result, outdir, command_line=command_line,
-                     n_rows=xm.values.shape[0], n_cols=xm.values.shape[1], **labels)
+        labels = _field_labels(result, xm, ym)
+        write_result(result, outdir, labels, command_line, *xm.values.shape)
         if args.plot:
-            fields = _field_labels(result, **labels)
-            emit_plots(result, outdir, fi_labels=fields["fi"], fj_labels=fields["fj"])
+            emit_plots(result, outdir, labels)
 
 
 _EXIT_CODES = (

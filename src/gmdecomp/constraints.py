@@ -35,9 +35,10 @@ class Constraint:
 
     `weights` are the diagonal weights, or a dense metric's eigenvalues,
     checked to be finite, nonnegative and of shape (dim,); `basis` holds a
-    dense metric's eigenvectors as columns, of shape (dim, dim), and is None
-    for a diagonal metric (that it is orthonormal is the caller's contract);
-    both are None for identity. `name` is the slot it fills, for errors.
+    dense metric's eigenvectors as columns, finite and of shape (dim, dim),
+    and is None for a diagonal metric (that it is orthonormal is the
+    caller's contract); both are None for identity. Both are kept as the
+    float64 arrays that were checked. `name` is the slot it fills, for errors.
     """
 
     dim: int
@@ -56,10 +57,16 @@ class Constraint:
             raise NonFiniteError(f"{self.name} contains NaN or Inf entries")
         if np.any(w < 0):
             raise NotPSDError(f"{self.name} has a negative weight ({w.min():.6g})")
-        if self.basis is not None and np.shape(self.basis) != (self.dim, self.dim):
+        object.__setattr__(self, "weights", w)
+        if self.basis is None:
+            return
+        b = np.asarray(self.basis, dtype=np.float64)
+        if b.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
-                f"{self.name}: basis of shape {np.shape(self.basis)} != expected "
-                f"({self.dim}, {self.dim})")
+                f"{self.name}: basis of shape {b.shape} != expected ({self.dim}, {self.dim})")
+        if not np.all(np.isfinite(b)):
+            raise NonFiniteError(f"{self.name}: basis contains NaN or Inf entries")
+        object.__setattr__(self, "basis", b)
 
     @property
     def kind(self):

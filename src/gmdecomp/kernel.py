@@ -6,8 +6,9 @@ threshold, a nonnegative finite number. ``tol=None`` disables it, in which
 case the full spectrum is returned, including negative eigenvalues; any
 other value raises :class:`InvalidArgumentError` naming ``tol``.
 
-Also provides the validated PSD eigenpairs that a dense constraint metric
-keeps, and from which :mod:`gmdecomp.constraints` applies its two roots.
+:func:`psd_eigen`, the validated PSD eigenpairs a dense constraint metric
+keeps, is :func:`tolerance_eigen` with the tolerance off plus the PSD check,
+so ``eigh`` and ``svd`` each have one call site, in the two workhorses.
 """
 
 from dataclasses import dataclass
@@ -113,20 +114,6 @@ def canonical_signs(vectors):
     return signs
 
 
-def _sorted_eigh(s):
-    # eigh of an already checked symmetric matrix: eigenvalues descending,
-    # vectors under the deterministic sign convention.
-    try:
-        values, vectors = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vectors = vectors[:, order]
-    canonical_signs(vectors)
-    return EigenOutput(values=values, vectors=vectors)
-
-
 def tolerance_eigen(s, tol=SQRT_EPS):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending,
     that drops eigenvalues at or below `tol`.
@@ -140,16 +127,22 @@ def tolerance_eigen(s, tol=SQRT_EPS):
     checked here; symmetry is the caller's (``geigen`` checks its `x`).
     """
     tol = _threshold(tol)
-    out = _sorted_eigh(as_matrix(s, "s"))
+    try:
+        values, vectors = np.linalg.eigh(as_matrix(s, "s"))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(str(exc)) from exc
+    order = np.argsort(values)[::-1]
+    values, vectors = values[order], vectors[:, order]
+    canonical_signs(vectors)
     if tol is None:
-        return out
-    if out.values.min() < -tol:
+        return EigenOutput(values=values, vectors=vectors)
+    if values.min() < -tol:
         raise ComplexOrNegativeEigenvalueError(
             "eigenvalues are not all positive within tolerance "
-            f"(min={out.values.min():.6g}); disable the tolerance to proceed"
+            f"(min={values.min():.6g}); disable the tolerance to proceed"
         )
-    keep = out.values > tol
-    return EigenOutput(values=out.values[keep], vectors=out.vectors[:, keep])
+    keep = values > tol
+    return EigenOutput(values=values[keep], vectors=vectors[:, keep])
 
 
 def tolerance_svd(x, tol=EPS):
@@ -181,7 +174,10 @@ def psd_eigen(w, name="w"):
     """Eigenvalues (descending, clipped at 0) and eigenvectors of (w + w')/2,
     after checking that `w` is symmetric and PSD; errors name `name`."""
     w = symmetric_matrix(w, name)
-    out = _sorted_eigh((w + w.T) / 2.0)
+    try:
+        out = tolerance_eigen((w + w.T) / 2.0, tol=None)
+    except NonFiniteError:  # w + w' overflowed
+        raise NonFiniteError(f"{name} has entries too large to factorize") from None
     lam = out.values
     if lam.min() < -PSD_RTOL * max(lam[0], 0.0):
         raise NotPSDError(

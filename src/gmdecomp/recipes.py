@@ -273,18 +273,16 @@ def disjunctive_coding(table, variable_names=None):
     )
 
 
-def _coded(table, variable_names):
-    if isinstance(table, DisjunctiveTable):
-        return table
-    return disjunctive_coding(table, variable_names=variable_names)
+def _coded(table):
+    return table if isinstance(table, DisjunctiveTable) else disjunctive_coding(table)
 
 
-def mca(categorical, k=0, tol=kernel.EPS, variable_names=None):
+def mca(categorical, k=0, tol=kernel.EPS):
     """Multiple correspondence analysis: CA of the complete disjunctive
-    table (a DisjunctiveTable, or coded here). The coding is rank deficient
-    (one null dimension per variable beyond the first), so the tolerance
-    discards those dimensions."""
-    return ca(_coded(categorical, variable_names).indicator, k=k, tol=tol)
+    table (a DisjunctiveTable from :func:`disjunctive_coding`, or coded
+    here). The coding is rank deficient (one null dimension per variable
+    beyond the first), so the tolerance discards those dimensions."""
+    return ca(_coded(categorical).indicator, k=k, tol=tol)
 
 
 def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
@@ -373,17 +371,17 @@ def rrr_coefficients(result):
     return result.p * result.d[None, :]
 
 
-def plsca(cat_x, cat_y, k=0, tol=kernel.EPS, x_variable_names=None, y_variable_names=None):
+def plsca(cat_x, cat_y, k=0, tol=kernel.EPS):
     """Partial least squares correspondence analysis for two categorical
     tables sharing their rows.
 
-    Both tables are disjunctively coded (unless already DisjunctiveTables)
-    and CA-preprocessed independently; the deviation matrices go through
-    gplssvd with reciprocal row/column probability constraints on all four
-    slots.
+    Both tables are disjunctively coded (unless already DisjunctiveTables,
+    from :func:`disjunctive_coding`) and CA-preprocessed independently; the
+    deviation matrices go through gplssvd with reciprocal row/column
+    probability constraints on all four slots.
     """
-    tab_x = _coded(cat_x, x_variable_names)
-    tab_y = _coded(cat_y, y_variable_names)
+    tab_x = _coded(cat_x)
+    tab_y = _coded(cat_y)
     if tab_x.indicator.shape[0] != tab_y.indicator.shape[0]:
         raise DimensionMismatchError("categorical tables must share rows")
     prof_x = ca_preprocess(tab_x.indicator)

@@ -119,8 +119,7 @@ def test_write_result_round_trip_exact(tmp_path, rng):
 
 def test_write_result_row_labels(tmp_path, rng):
     result = gsvd(rng.normal(size=(3, 2)))
-    cli.write_result(result, tmp_path, x_row_labels=["r1", "r2", "r3"],
-                     x_col_labels=["c1", "c2"])
+    cli.write_result(result, tmp_path, {"fi": ["r1", "r2", "r3"], "fj": ["c1", "c2"]})
     fi = cli.load_matrix_csv(tmp_path / "fi.csv", has_header=True, has_rownames=True)
     assert fi.row_labels == ["r1", "r2", "r3"]
     fj = cli.load_matrix_csv(tmp_path / "fj.csv", has_header=True, has_rownames=True)
@@ -135,7 +134,7 @@ def test_write_result_bytes_are_pinned(tmp_path):
     mat = np.array(values[:6]).reshape(3, 2)
     result = DecompositionResult(method="gsvd", d=vec, d_full=vec, l=vec, l_full=vec,
                                  u=mat, v=mat, p=mat, q=mat, fi=mat, fj=mat)
-    cli.write_result(result, tmp_path, x_row_labels=["a,b", 'q"x', " sp "])
+    cli.write_result(result, tmp_path, {"fi": ["a,b", 'q"x', " sp "]})
     assert (tmp_path / "d.csv").read_bytes() == (
         b"-0.0\r\nnan\r\ninf\r\n-inf\r\n5e-324\r\n0.3333333333333333\r\n1e+22\r\n")
     assert (tmp_path / "fi.csv").read_bytes() == (
@@ -244,6 +243,18 @@ def test_exit_code_numerical(tmp_path, capsys):
     xp = write_matrix(tmp_path / "x.csv", np.diag([2.0, -1.0]))
     assert cli.main(["geigen", "--x", xp, "--out", str(tmp_path / "o")]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_result_exits_4_writing_nothing(tmp_path, capsys):
+    # d = 1e305 overflows in d^2 (l) and in lw^(1/2) u d (fi)
+    xp = write_csv(tmp_path / "x.csv", [["1e300", "0"], ["0", "1"]])
+    lw = write_csv(tmp_path / "lw.csv", [["1e10"], ["1"]])
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        code = cli.main(["gsvd", "--x", xp, "--lw", lw, "--out", str(out)])
+    assert code == 4
+    assert "NaN or Inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_asymmetric_geigen_input(tmp_path, capsys):

@@ -133,8 +133,21 @@ def test_application_checks_conformability(rng):
     ([1.0, 2.0, 3.0], None, DimensionMismatchError, r"lw: weights of shape \(3,\)"),
     ([1.0, 2.0], np.eye(3), DimensionMismatchError, r"lw: basis of shape \(3, 3\)"),
     ([1.0, 2.0], np.eye(2)[:, :1], DimensionMismatchError, "lw: basis of shape"),
-], ids=["negative", "nan", "inf-dense", "weights-shape", "basis-shape", "thin-basis"])
+    ([1.0, 2.0], np.array([[np.nan, 0.0], [0.0, 1.0]]), NonFiniteError,
+     "lw: basis contains NaN or Inf"),
+], ids=["negative", "nan", "inf-dense", "weights-shape", "basis-shape", "thin-basis",
+        "nan-basis"])
 def test_hand_built_constraint_is_checked_like_any_input(weights, basis, error, message):
     with pytest.raises(error, match=f"^{message}"):
         constraints.Constraint(2, np.array(weights), basis, "lw")
 
+
+
+@pytest.mark.parametrize("basis", [None, [[0.6, -0.8], [0.8, 0.6]]], ids=["diagonal", "dense"])
+def test_hand_built_constraint_given_as_lists_matches_arrays(rng, basis):
+    x = rng.normal(size=(2, 3))
+    as_lists = constraints.Constraint(2, [1.0, 2.0], basis, "lw")
+    as_arrays = constraints.Constraint(
+        2, np.array([1.0, 2.0]), None if basis is None else np.array(basis), "lw")
+    got, want = gsvd(x, lw=as_lists).fields(), gsvd(x, lw=as_arrays).fields()
+    assert all(np.array_equal(got[k], want[k]) for k in want)

@@ -42,6 +42,13 @@ def test_nan_in_dense_metric_names_its_slot(rng, no_eigh):
         gsvd(rng.normal(size=(4, 3)), lw=w)
 
 
+def test_dense_metric_that_overflows_names_its_slot(rng):
+    # finite, symmetric and PSD, but w + w' overflows
+    w = np.full((2, 2), 1e308)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"^lw "):
+        gsvd(rng.normal(size=(2, 3)), lw=w)
+
+
 def test_inf_in_each_gplssvd_constraint_names_its_slot(rng, no_eigh):
     x, y = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     for slot, dim in (("xlw", 4), ("xrw", 3), ("ylw", 4), ("yrw", 2)):

@@ -71,3 +71,18 @@ def test_every_kernel_and_constraint_helper_has_a_library_caller():
                        for stem, tree in trees.items()):
                 uncalled.append(f"{mod}.{top.name}")
     assert uncalled == []
+
+
+def test_each_lapack_routine_has_one_call_site():
+    # every eigh and svd goes through the tolerance routine that owns it
+    sites = {"eigh": [], "svd": []}
+    for path in sorted(Path(gmdecomp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in sites:
+                    sites[name].append(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert sites == {"eigh": ["kernel.tolerance_eigen"], "svd": ["kernel.tolerance_svd"]}
