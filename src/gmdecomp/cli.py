@@ -248,16 +248,19 @@ def emit_plots(result, outdir, labels=None):
 
 
 def _parse_omegas(text):
-    """Parse --omega: comma-separated nonnegative finite ridge strengths,
-    at least one."""
+    """Parse --omega: comma-separated nonnegative finite ridge strengths, at
+    least one, no two of which name the same omega_<value:g> directory."""
     try:
         omegas = [float(s) for s in text.split(",") if s.strip() != ""]
-        if omegas and all(0 <= omega < np.inf for omega in omegas):
-            return omegas
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"invalid value {text!r}; use one or more nonnegative finite numbers")
+        omegas = []
+    if not omegas or not all(0 <= omega < np.inf for omega in omegas):
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}; use one or more nonnegative finite numbers")
+    if len({f"{omega:g}" for omega in omegas}) < len(omegas):
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}; two values name the same omega_<value> directory")
+    return omegas
 
 
 def _tolerance(text):

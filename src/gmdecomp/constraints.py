@@ -6,7 +6,8 @@ forms: identity (no weights; applied as a no-op), diagonal (weights on the
 coordinate axes; applied by row scaling), or dense (a symmetric PSD
 matrix held as its eigenvalues and eigenvectors). A diagonal matrix input
 collapses to its diagonal vector, and an all-ones diagonal collapses to
-identity, so the cheap paths are taken whenever possible.
+identity, so the cheap paths are taken whenever possible. Raw inputs and
+a hand-built constraint's arrays are converted by :func:`kernel.as_array`.
 
 A dense constraint is factorized once: the one eigendecomposition that
 validates it as PSD is all the constraint keeps. Its square root and
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import DimensionMismatchError, NonFiniteError, NotPSDError
+from .errors import DimensionMismatchError, NotPSDError
 
 IDENTITY = "identity"
 DIAGONAL = "diagonal"
@@ -37,8 +38,9 @@ class Constraint:
     checked to be finite, nonnegative and of shape (dim,); `basis` holds a
     dense metric's eigenvectors as columns, finite and of shape (dim, dim),
     and is None for a diagonal metric (that it is orthonormal is the
-    caller's contract); both are None for identity. Both are kept as the
-    float64 arrays that were checked. `name` is the slot it fills, for errors.
+    caller's contract); both are None for identity, and a basis needs
+    weights. Both are kept as the float64 arrays that were checked. `name`
+    is the slot it fills, for errors.
     """
 
     dim: int
@@ -48,24 +50,22 @@ class Constraint:
 
     def __post_init__(self):
         if self.weights is None:
+            if self.basis is not None:
+                raise DimensionMismatchError(f"{self.name}: a basis was given without weights")
             return
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = kernel.as_array(self.weights, self.name)
         if w.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"{self.name}: weights of shape {w.shape} != expected ({self.dim},)")
-        if not np.all(np.isfinite(w)):
-            raise NonFiniteError(f"{self.name} contains NaN or Inf entries")
         if np.any(w < 0):
             raise NotPSDError(f"{self.name} has a negative weight ({w.min():.6g})")
         object.__setattr__(self, "weights", w)
         if self.basis is None:
             return
-        b = np.asarray(self.basis, dtype=np.float64)
+        b = kernel.as_array(self.basis, f"{self.name}: basis")
         if b.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"{self.name}: basis of shape {b.shape} != expected ({self.dim}, {self.dim})")
-        if not np.all(np.isfinite(b)):
-            raise NonFiniteError(f"{self.name}: basis contains NaN or Inf entries")
         object.__setattr__(self, "basis", b)
 
     @property
@@ -94,11 +94,9 @@ def normalize_constraint(raw, dim, name="constraint"):
                 f"{name}: constraint dim {raw.dim} does not match expected {dim}"
             )
         return raw
-    arr = np.asarray(raw, dtype=np.float64)
+    arr = kernel.as_array(raw, name)
     if arr.ndim == 1:
         return _from_weights(arr, dim, name)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"{name}: constraint must be a vector or a matrix")
     if arr.shape != (dim, dim):
         raise DimensionMismatchError(
             f"{name}: constraint matrix shape {arr.shape} != expected ({dim}, {dim})"
@@ -128,7 +126,6 @@ def _apply(c, x, a):
     """B w^a B' x for a = 1/2 or -1/2. A weight at or below max * n * eps
     counts as zero, so both roots vanish on the same directions and the
     inverse root is a pseudo-inverse."""
-    x = np.asarray(x, dtype=np.float64)
     if c.dim != x.shape[0]:
         raise DimensionMismatchError(
             f"{c.name} dim {c.dim} does not conform to the rows of matrix {x.shape}")

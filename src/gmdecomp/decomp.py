@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernel
 from .constraints import apply_invsqrt_metric, apply_sqrt_metric, normalize_constraint
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NumericalError
 
 GEIGEN = "geigen"
 GSVD = "gsvd"
@@ -173,7 +173,10 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
 
     xl = apply_sqrt_metric(xlwc, x)
     yl = apply_sqrt_metric(ylwc, y)
-    r = gsvd(xl.T @ yl, lw=xrwc, rw=yrwc, tol=tol)
+    cross = xl.T @ yl
+    if not np.all(np.isfinite(cross)):
+        raise NumericalError("the cross-product xl' yl overflowed: it holds NaN or Inf entries")
+    r = gsvd(cross, lw=xrwc, rw=yrwc, tol=tol)
     lx = xl @ apply_sqrt_metric(xrwc, r.u)
     ly = yl @ apply_sqrt_metric(yrwc, r.v)
 

@@ -1,10 +1,15 @@
-"""Dense eigen/SVD primitives with tolerance-based component retention.
+"""Input conversion and dense eigen/SVD primitives with tolerance-based
+component retention.
 
-The two workhorses here, :func:`tolerance_eigen` and :func:`tolerance_svd`,
+:func:`as_array` is the one conversion of caller input: every array a caller
+passes becomes a finite float64 array there, and errors name its slot.
+
+The two workhorses, :func:`tolerance_eigen` and :func:`tolerance_svd`,
 wrap a standard dense solver and drop any eigen/singular value at or below a
 threshold, a nonnegative finite number. ``tol=None`` disables it, in which
 case the full spectrum is returned, including negative eigenvalues; any
-other value raises :class:`InvalidArgumentError` naming ``tol``.
+other value raises :class:`InvalidArgumentError` naming ``tol``. A NaN or
+Inf in the matrix they are given is an overflow, a :class:`NumericalError`.
 
 :func:`psd_eigen`, the validated PSD eigenpairs a dense constraint metric
 keeps, is :func:`tolerance_eigen` with the tolerance off plus the PSD check,
@@ -24,6 +29,8 @@ from .errors import (
     NonSquareError,
     NotPSDError,
     NotSymmetricError,
+    NumericalError,
+    ParseError,
 )
 
 # Default retention thresholds (eigen uses sqrt(eps), svd uses eps).
@@ -65,14 +72,22 @@ def _threshold(tol):
     raise InvalidArgumentError(f"tol must be a nonnegative finite number or None, got {tol!r}")
 
 
-def as_matrix(a, name):
-    """`a` as a float64 array, checked to be a non-empty, finite 2-d matrix;
-    errors name the slot `name`."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise EmptyMatrixError(f"{name} must be a non-empty 2-d matrix, got shape {a.shape}")
+def as_array(a, name):
+    """`a`, a caller's input, as a finite float64 array; errors name the slot `name`."""
+    try:
+        a = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{name} cannot be read as an array of numbers ({exc})") from None
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{name} contains NaN or Inf entries")
+    return a
+
+
+def as_matrix(a, name):
+    """:func:`as_array`, checked to be a non-empty 2-d matrix."""
+    a = as_array(a, name)
+    if a.ndim != 2 or a.size == 0:
+        raise EmptyMatrixError(f"{name} must be a non-empty 2-d matrix, got shape {a.shape}")
     return a
 
 
@@ -105,13 +120,21 @@ def canonical_signs(vectors):
     Ties break toward the lowest row index (argmax on |column|). Returns the
     per-column sign multipliers applied.
     """
-    if vectors.shape[1] == 0:
-        return np.ones(0)
     idx = np.argmax(np.abs(vectors), axis=0)
     picked = vectors[idx, np.arange(vectors.shape[1])]
     signs = np.where(picked < 0, -1.0, 1.0)
     vectors *= signs
     return signs
+
+
+def _factorizable(s):
+    """`s`, formed by the library from checked input, checked for LAPACK: a
+    NaN or Inf in it is an overflow, and LAPACK may not return on one."""
+    if not np.all(np.isfinite(s)):
+        raise NumericalError("the matrix to factorize overflowed: it holds NaN or Inf entries")
+    if s.ndim != 2 or s.size == 0:
+        raise EmptyMatrixError(f"the matrix to factorize must be non-empty 2-d, got {s.shape}")
+    return s
 
 
 def tolerance_eigen(s, tol=SQRT_EPS):
@@ -128,7 +151,7 @@ def tolerance_eigen(s, tol=SQRT_EPS):
     """
     tol = _threshold(tol)
     try:
-        values, vectors = np.linalg.eigh(as_matrix(s, "s"))
+        values, vectors = np.linalg.eigh(_factorizable(s))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     order = np.argsort(values)[::-1]
@@ -153,9 +176,8 @@ def tolerance_svd(x, tol=EPS):
     reconstruction is preserved.
     """
     tol = _threshold(tol)
-    x = as_matrix(x, "x")
     try:
-        u, d, vt = np.linalg.svd(x, full_matrices=False)
+        u, d, vt = np.linalg.svd(_factorizable(x), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     v = vt.T
@@ -174,10 +196,10 @@ def psd_eigen(w, name="w"):
     """Eigenvalues (descending, clipped at 0) and eigenvectors of (w + w')/2,
     after checking that `w` is symmetric and PSD; errors name `name`."""
     w = symmetric_matrix(w, name)
-    try:
-        out = tolerance_eigen((w + w.T) / 2.0, tol=None)
-    except NonFiniteError:  # w + w' overflowed
-        raise NonFiniteError(f"{name} has entries too large to factorize") from None
+    s = (w + w.T) / 2.0
+    if not np.all(np.isfinite(s)):  # w + w' overflowed
+        raise NonFiniteError(f"{name} has entries too large to factorize")
+    out = tolerance_eigen(s, tol=None)
     lam = out.values
     if lam.min() < -PSD_RTOL * max(lam[0], 0.0):
         raise NotPSDError(

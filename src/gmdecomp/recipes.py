@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .constraints import pinv_constraint
+from .constraints import Constraint, pinv_constraint
 from .decomp import GSVD, _assemble, geigen, gplssvd, gsvd
 from .errors import (
     DimensionMismatchError,
@@ -22,7 +22,6 @@ from .errors import (
     EmptyMatrixError,
     InvalidArgumentError,
     NegativeCountError,
-    NonFiniteError,
     NonPositiveWeightError,
     NotADistanceMatrixError,
     SingleLevelVariableError,
@@ -40,7 +39,7 @@ _UNSET = object()
 
 def center_scale(data, center=True, scale=True):
     """Column-wise center and/or scale (unit variance, ddof=1)."""
-    data = np.asarray(data, dtype=np.float64)
+    data = kernel.as_array(data, "data")
     out = data - data.mean(axis=0) if center else data.copy()
     if scale:
         if data.shape[0] < 2:
@@ -80,23 +79,22 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
     n = data.shape[0]
     dof = n - 1
     centered = data - data.mean(axis=0)
+    col_sumsq = np.sum(centered**2, axis=0)
+    # Every route but the covariance one scales a column by its variance.
+    if route != "eigen_cov" and np.any(col_sumsq == 0):
+        raise ZeroVarianceColumnError(f"column {np.argmin(col_sumsq)} has zero variance")
     # Only a given tolerance is passed on; the defaults are the routes'.
     opts = {} if tol is _UNSET else {"tol": tol}
     if route in ("eigen_cov", "eigen_cor"):
         cov = centered.T @ centered / dof
         if route == "eigen_cor":
             sd = np.sqrt(np.diag(cov))
-            if np.any(sd == 0):
-                raise ZeroVarianceColumnError("correlation PCA with a constant column")
             cov = cov / np.outer(sd, sd)
         return geigen(cov, k=k, **opts)
     row_constraints = np.full(n, 1.0 / dof)
     if route == "triplet_scaled":
         scaled = center_scale(data, center=True, scale=True)
         return gsvd(scaled, lw=row_constraints, k=k, **opts)
-    col_sumsq = np.sum(centered**2, axis=0)
-    if np.any(col_sumsq == 0):
-        raise ZeroVarianceColumnError("metric-column PCA with a constant column")
     col_constraints = dof / col_sumsq
     return gsvd(centered, lw=row_constraints, rw=col_constraints, k=k, **opts)
 
@@ -148,14 +146,10 @@ def weighted_mds(dist, row_weights, k=0):
     and the trailing eigenvalues are negative.
     """
     dist = _check_distance_matrix(dist)
-    w = np.asarray(row_weights, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteError("row_weights contains NaN or Inf entries")
-    if w.ndim != 1 or w.shape[0] != dist.shape[0]:
-        raise DimensionMismatchError("row_weights must be a vector of length n")
-    if np.any(w <= 0):
+    w = Constraint(dist.shape[0], row_weights, name="row_weights")
+    if np.any(w.weights == 0):
         raise NonPositiveWeightError("row weights must be strictly positive")
-    return geigen(double_centered_gram(dist, w), w=w, k=k, tol=None)
+    return geigen(double_centered_gram(dist, w.weights), w=w, k=k, tol=None)
 
 
 def mds_score_sets(result):

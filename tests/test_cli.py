@@ -257,6 +257,18 @@ def test_non_finite_result_exits_4_writing_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflow_in_a_formed_matrix_exits_4_writing_nothing(tmp_path, capsys):
+    # w^(1/2) x w^(1/2) overflows at 1e10 * 1e300, although both inputs are finite
+    xp = write_matrix(tmp_path / "x.csv", np.diag([1e300, 1.0]))
+    wp = write_csv(tmp_path / "w.csv", [["1e10"], ["1"]])
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        code = cli.main(["geigen", "--x", xp, "--w", wp, "--out", str(out)])
+    assert code == 4
+    assert "the matrix to factorize overflowed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_asymmetric_geigen_input(tmp_path, capsys):
     xp = write_matrix(tmp_path / "x.csv", [[1.0, 2.0], [0.0, 1.0]])
     assert cli.main(["geigen", "--x", xp, "--out", str(tmp_path / "o")]) == 3
@@ -298,7 +310,7 @@ def test_exit_code_bad_omega_is_usage_error(tmp_path, capsys):
     catp = write_csv(tmp_path / "cat.csv", cat)
     out = tmp_path / "rmca"
     for omega in ("--omega=-1", "--omega=abc", "--omega=0,-1", "--omega=", "--omega=,",
-                  "--omega=inf", "--omega=0,nan"):
+                  "--omega=inf", "--omega=0,nan", "--omega=0,0", "--omega=1e-7,1.00000001e-7"):
         assert cli.main(["rmca", "--x", catp, omega, "--out", str(out)]) == 2
         assert "--omega" in capsys.readouterr().err
     assert not out.exists()

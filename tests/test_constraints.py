@@ -78,6 +78,14 @@ def test_rejects_dimension_mismatch():
         constraints.normalize_constraint(np.eye(3), 4)
 
 
+@pytest.mark.parametrize("raw", [
+    constraints.Constraint(3, np.ones(3), name="lw"), np.float64(2.0), np.ones((2, 2, 2)),
+], ids=["constraint-dim", "0-d", "3-d"])
+def test_rejects_constraint_of_the_wrong_shape_naming_its_slot(raw):
+    with pytest.raises(DimensionMismatchError, match="^rw: "):
+        constraints.normalize_constraint(raw, 2, "rw")
+
+
 def test_identity_application_returns_input_unchanged(rng):
     x = rng.normal(size=(4, 3))
     c = constraints.normalize_constraint(None, 4)
@@ -151,3 +159,9 @@ def test_hand_built_constraint_given_as_lists_matches_arrays(rng, basis):
         2, np.array([1.0, 2.0]), None if basis is None else np.array(basis), "lw")
     got, want = gsvd(x, lw=as_lists).fields(), gsvd(x, lw=as_arrays).fields()
     assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def test_hand_built_basis_without_weights_is_rejected():
+    # it used to be an identity constraint, the basis silently ignored
+    with pytest.raises(DimensionMismatchError, match="^lw: a basis was given without weights"):
+        gsvd(np.eye(2), lw=constraints.Constraint(2, None, np.eye(2), "lw"))

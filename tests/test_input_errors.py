@@ -14,6 +14,7 @@ from gmdecomp.errors import (
     InvalidArgumentError,
     NonFiniteError,
     NotSymmetricError,
+    NumericalError,
     ValidationError,
 )
 
@@ -47,6 +48,18 @@ def test_dense_metric_that_overflows_names_its_slot(rng):
     w = np.full((2, 2), 1e308)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"^lw "):
         gsvd(rng.normal(size=(2, 3)), lw=w)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: geigen(np.diag([1e300, 1.0]), w=[1e10, 1.0]), "the matrix to factorize overflowed"),
+    (lambda: gsvd(np.diag([1e300, 1.0]), lw=[1e20, 1.0]), "the matrix to factorize overflowed"),
+    (lambda: gplssvd(np.full((3, 2), 1e200), np.full((3, 2), 1e200)),
+     "the cross-product xl' yl overflowed"),
+], ids=["geigen", "gsvd", "gplssvd"])
+def test_overflow_in_a_formed_matrix_is_numerical(call, message):
+    # every input is finite: the overflow is in the matrix the library forms
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"^{message}"):
+        call()
 
 
 def test_inf_in_each_gplssvd_constraint_names_its_slot(rng, no_eigh):

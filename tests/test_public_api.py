@@ -2,15 +2,21 @@
 
 The three decompositions, their result record, the recipes and the error
 hierarchy are importable from ``gmdecomp``; the eigen/SVD primitives and the
-constraint metrics stay in ``gmdecomp.kernel`` and ``gmdecomp.constraints``.
+constraint metrics stay in ``gmdecomp.kernel`` and ``gmdecomp.constraints``, and
+every array a caller passes is converted by ``kernel.as_array`` alone.
 """
 
 import ast
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import gmdecomp
-from gmdecomp import constraints, kernel
+from gmdecomp import constraints, kernel, recipes
+from gmdecomp.decomp import geigen, gplssvd, gsvd
+from gmdecomp.errors import GmdError
 
 DECOMPOSITIONS = {"geigen", "gsvd", "gplssvd", "DecompositionResult"}
 RECIPES = {
@@ -86,3 +92,40 @@ def test_each_lapack_routine_has_one_call_site():
                 if name in sites:
                     sites[name].append(f"{path.stem}.{getattr(top, 'name', '')}")
     assert sites == {"eigh": ["kernel.tolerance_eigen"], "svd": ["kernel.tolerance_svd"]}
+
+
+def test_caller_input_is_converted_in_one_place():
+    # every array a caller passes goes through kernel.as_array; the CSV
+    # loader only converts the floats it parsed itself
+    sites = []
+    for path in sorted(Path(gmdecomp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "asarray":
+                    sites.append(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert sites == ["cli.load_matrix_csv", "kernel.as_array"]
+
+
+_DIST = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("slot, call", [
+    ("x", lambda: gsvd([[1, "x"]])),
+    ("lw", lambda: gsvd(np.eye(2), lw=[1, "a"])),
+    ("lw", lambda: gsvd(np.eye(2), lw=[[1, 2], [3]])),
+    ("w", lambda: geigen(np.eye(2), w=[["a", 0], [0, 1]])),
+    ("y", lambda: gplssvd(np.eye(2), [[1, 2], [3]])),
+    ("row_weights", lambda: recipes.weighted_mds(_DIST, ["a", "b"])),
+    ("disjunctive", lambda: recipes.rmca([["a", "b"], ["c", "d"]], 1.0)),
+    ("data", lambda: recipes.pca([["a", "b"], ["c", "d"]])),
+    ("counts", lambda: recipes.ca([[1, "b"], [2, 3]])),
+    ("dist", lambda: recipes.mds([[0, "a"], ["a", 0]])),
+    ("data", lambda: recipes.center_scale([[1.0, 2.0], [3.0]])),
+    ("lw", lambda: constraints.Constraint(2, ["a", "b"], name="lw")),
+    ("lw: basis", lambda: constraints.Constraint(2, [1, 2], [["a", 0], [0, 1]], "lw")),
+], ids=["gsvd-x", "gsvd-lw", "gsvd-lw-ragged", "geigen-w", "gplssvd-y-ragged", "wmds-weights",
+        "rmca", "pca", "ca", "mds", "center_scale-ragged", "constraint", "constraint-basis"])
+def test_non_numeric_input_is_a_typed_error_naming_its_slot(slot, call):
+    with pytest.raises(GmdError, match=f"^{slot} cannot be read as an array of numbers"):
+        call()

@@ -100,6 +100,18 @@ def test_pca_rejects_bad_input(rng):
         recipes.pca(rng.normal(size=(1, 3)))
 
 
+@pytest.mark.parametrize("route", recipes.PCA_ROUTES)
+def test_pca_constant_column_fails_every_route_that_scales(rng, route):
+    # 2.0 is exactly representable, so the column centres to exactly zero
+    data = rng.normal(size=(10, 3))
+    data[:, 1] = 2.0
+    if route == "eigen_cov":
+        assert recipes.pca(data, route=route).l_full.shape == (2,)
+    else:
+        with pytest.raises(ZeroVarianceColumnError, match="^column 1 has zero variance"):
+            recipes.pca(data, route=route)
+
+
 # ---------------------------------------------------------------------------
 # multidimensional scaling
 
@@ -246,6 +258,11 @@ def test_disjunctive_coding_rejects_degenerate():
         recipes.disjunctive_coding([["a", "x"], ["b"]])
     with pytest.raises(SingleLevelVariableError):
         recipes.disjunctive_coding([])
+
+
+def test_disjunctive_coding_rejects_a_name_count_that_differs():
+    with pytest.raises(DimensionMismatchError, match="^1 names for 2 variables"):
+        recipes.disjunctive_coding([["a", "x"], ["b", "y"]], variable_names=["u"])
 
 
 def test_mca_rank_drops_one_dimension_per_variable():
