@@ -81,7 +81,10 @@ def _resolve_k(k, n_total):
 def _assemble(method, k, tol, d_full, l_full, **columns):
     """Pack a result: per-component outputs, computed on the full retained
     set, are sliced to the first k columns so a k-run is a bit-identical
-    prefix of the full run."""
+    prefix of the full run. A NaN or Inf in any output raises NumericalError."""
+    for name, m in dict(d_full=d_full, l_full=l_full, **columns).items():
+        if not np.isfinite(m).all():
+            raise NumericalError(f"{method}: the result field {name} holds NaN or Inf values")
     n_total = d_full.shape[0]
     kk = _resolve_k(k, n_total)
     return DecompositionResult(

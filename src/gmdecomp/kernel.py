@@ -75,6 +75,8 @@ def _threshold(tol):
 def as_array(a, name):
     """`a`, a caller's input, as a finite float64 array; errors name the slot `name`."""
     try:
+        if np.iscomplexobj(a):  # a cast to float64 would drop the imaginary part
+            raise TypeError("it holds complex values")
         a = np.asarray(a, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{name} cannot be read as an array of numbers ({exc})") from None

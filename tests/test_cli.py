@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -160,6 +162,79 @@ def test_reruns_are_byte_identical(tmp_path, rng):
         if name == "summary.json":
             continue  # records the command line, which names the out dir
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# CSV files shared among writer processes
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls this process makes."""
+    calls, real_fork = [], os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_two_writer_processes_write_the_bytes_of_one(tmp_path, monkeypatch, forks):
+    rng = np.random.default_rng(14)
+
+    def labeled(name, values):
+        rows = [[f"r{i}"] + [repr(v) for v in row] for i, row in enumerate(values.tolist())]
+        return write_csv(tmp_path / name, [[""] + [f"c{j}" for j in range(50)]] + rows)
+
+    ca = labeled("ca.csv", rng.poisson(5.0, size=(300, 50)) + 1)
+    gs = labeled("gsvd.csv", rng.normal(size=(300, 50)))
+    levels = write_csv(tmp_path / "levels.csv", rng.choice(list("abcde"), size=(300, 10)))
+    runs = [["ca", "--x", ca, "--header", "--rownames"],
+            ["gsvd", "--x", gs, "--header", "--rownames"],
+            ["rmca", "--x", levels, "--omega", "0,1"]]
+    out = tmp_path / "out"
+    written = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        forks.clear()
+        for i, argv in enumerate(runs):
+            assert cli.main(argv + ["--out", str(out / str(i))]) == 0
+        # each of the four results holds over 20 000 cells: one fork per result
+        assert len(forks) == (cpus - 1) * 4
+        written[cpus] = _files(out)
+        shutil.rmtree(out)
+    assert len(written[1]) == 4 * 11  # ten CSV files and a summary.json per result
+    assert written[2] == written[1]
+
+
+def test_a_file_that_cannot_be_replaced_exits_3_and_leaves_no_process(
+        tmp_path, monkeypatch, capsys, forks):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    x = write_matrix(tmp_path / "x.csv", np.random.default_rng(3).normal(size=(150, 40)))
+    names = list(gsvd(np.eye(2)).fields())
+    for name in names:  # some in this process's share, the others in the child's
+        out = tmp_path / name
+        (out / f"{name}.csv").mkdir(parents=True)
+        assert cli.main(["gsvd", "--x", x, "--out", str(out)]) == 3
+        assert str(out / f"{name}.csv") in capsys.readouterr().err
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+        assert not (out / "summary.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == len(names)
+
+
+def test_a_run_below_the_cell_floor_forks_nothing(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    x = write_matrix(tmp_path / "x.csv", np.random.default_rng(5).normal(size=(20, 5)))
+    assert cli.main(["gsvd", "--x", x, "--out", str(tmp_path / "o")]) == 0
+    assert forks == []
 
 
 # ---------------------------------------------------------------------------

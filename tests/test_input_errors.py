@@ -82,6 +82,14 @@ def test_non_finite_data_names_its_slot(rng, no_eigh):
         gplssvd(rng.normal(size=(4, 3)), x)
 
 
+def test_non_finite_result_is_numerical():
+    # x and the matrix the solver gets are finite; d = 1e305 overflows in
+    # d^2 (l) and in lw^(1/2) u d (fi)
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match=r"^gsvd: the result field l_full holds NaN or Inf"):
+        gsvd([[1e300, 0], [0, 1]], lw=[1e10, 1])
+
+
 def test_bad_arguments_raise_invalid_argument_error(rng):
     with pytest.raises(InvalidArgumentError, match="unknown PCA route"):
         recipes.pca(rng.normal(size=(10, 3)), route="nope")

@@ -124,8 +124,12 @@ _DIST = np.array([[0.0, 1.0], [1.0, 0.0]])
     ("data", lambda: recipes.center_scale([[1.0, 2.0], [3.0]])),
     ("lw", lambda: constraints.Constraint(2, ["a", "b"], name="lw")),
     ("lw: basis", lambda: constraints.Constraint(2, [1, 2], [["a", 0], [0, 1]], "lw")),
+    ("x", lambda: gsvd(np.array([[1 + 1j, 2.0], [0, 1j]]))),
+    ("lw", lambda: gsvd(np.eye(2), lw=np.array([1 + 1j, 1]))),
+    ("lw", lambda: constraints.Constraint(2, np.array([1j, 1]), name="lw")),
 ], ids=["gsvd-x", "gsvd-lw", "gsvd-lw-ragged", "geigen-w", "gplssvd-y-ragged", "wmds-weights",
-        "rmca", "pca", "ca", "mds", "center_scale-ragged", "constraint", "constraint-basis"])
+        "rmca", "pca", "ca", "mds", "center_scale-ragged", "constraint", "constraint-basis",
+        "gsvd-x-complex", "gsvd-lw-complex", "constraint-complex"])
 def test_non_numeric_input_is_a_typed_error_naming_its_slot(slot, call):
     with pytest.raises(GmdError, match=f"^{slot} cannot be read as an array of numbers"):
         call()
