@@ -39,7 +39,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-# Cells per writer process: 10 000 take about 16 ms of repr; a fork took 4-13 ms.
+# Cells per writer process, of 2 at most: 10 000 take about 16 ms of repr; a fork took 4-13 ms.
 _CELLS_PER_PROCESS = 10_000
 
 
@@ -152,46 +152,54 @@ def _cpu_count():
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _write_whole(files):
-    """Write each (path, write, *args) as `write(tmp, *args)`, renamed to `path` once whole."""
-    for path, write, *args in files:
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            write(tmp, *args)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+def _write_whole(path, write, *args):
+    """Write `path` as `write(tmp, *args)`, renamed to `path` once whole."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp, *args)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_all(files):
+    for path, value, labels in files:
+        _write_whole(path, _write_csv, value, labels)
 
 
 def _write_csvs(files):
-    """Write (path, write, value, labels) files, dealt longest first to the share with the
-    fewest cells: one share here, each other in a forked child whose error is raised here."""
-    files = sorted(files, key=lambda f: -f[2].size)
-    n = min(_cpu_count(), len(files), sum(f[2].size for f in files) // _CELLS_PER_PROCESS)
-    shares = [[] for _ in range(max(n, 1) if hasattr(os, "fork") else 1)]
-    for f in files:
-        min(shares, key=lambda share: sum(g[2].size for g in share)).append(f)
-    (read, write), pids = os.pipe(), []
+    """Write (path, value, labels) CSV files. With 2 CPUs and 2 shares' worth of cells, they
+    are dealt longest first to the share with fewer cells, and a forked child writes the larger
+    share while this process writes the other; the child's error is raised here."""
+    def cells(share):
+        return sum(value.size for _, value, _ in share)
+
+    shares = [[], []]
+    for f in sorted(files, key=lambda f: -f[1].size):
+        min(shares, key=cells).append(f)
+    small, large = sorted(shares, key=cells)
+    if not (hasattr(os, "fork") and _cpu_count() > 1 and cells(files) >= 2 * _CELLS_PER_PROCESS):
+        return _write_all(files)
+    (read, write), pid = os.pipe(), None
     try:
-        for share in shares[1:]:
-            pids.append(os.fork())
-            if pids[-1] == 0:
-                try:  # a child only formats and writes, and ends in os._exit
-                    _write_whole(share)
-                    os._exit(0)
-                except BaseException as exc:
-                    os.write(write, f"{exc}\n".encode(errors="replace"))
-                finally:
-                    os._exit(1)
-        _write_whole(shares[0])
+        pid = os.fork()
+        if pid == 0:
+            try:  # the child only formats and writes, and ends in os._exit
+                _write_all(large)
+                os._exit(0)
+            except BaseException as exc:
+                os.write(write, str(exc).encode(errors="replace"))
+            finally:
+                os._exit(1)
+        _write_all(small)
     finally:
         os.close(write)
         with open(read, "rb") as fh:
-            message = fh.read().decode(errors="replace").partition("\n")[0]
-        failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
-    if failed:
-        raise OSError(message or f"writer process {failed[0]} failed")
+            message = fh.read().decode(errors="replace")
+        status = pid and os.waitpid(pid, 0)[1]
+    if status:
+        raise OSError(message or f"writer process {pid} failed")
 
 
 def write_result(result, outdir, labels=None, command_line=None, n_rows=None, n_cols=None):
@@ -199,17 +207,17 @@ def write_result(result, outdir, labels=None, command_line=None, n_rows=None, n_
 
     `labels` maps a field name to the row labels of its CSV. The summary
     records the tolerance the decomposition used; "off" when disabled.
-    Each file appears whole; up to one process per CPU writes the CSV files.
+    Each file appears whole; with 2 CPUs, 2 processes write a large result.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csvs([(outdir / f"{name}.csv", _write_csv, value, (labels or {}).get(name))
+    _write_csvs([(outdir / f"{name}.csv", value, (labels or {}).get(name))
                  for name, value in result.fields().items()])
     summary = dict(method=result.method, n_rows=n_rows, n_cols=n_cols, command_line=command_line,
                    n_total_components=result.n_total_components, n_retained=result.n_retained,
                    tol="off" if result.tol is None else float(result.tol))
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    _write_whole([(outdir / "summary.json", Path.write_text, text, "utf-8")])
+    _write_whole(outdir / "summary.json", Path.write_text, text, "utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +347,11 @@ _TWO_TABLE = dict(needs_y=True, flags=(
 
 def _rmca_sweep(x, y, omega, **kw):
     for value in omega:
-        yield f"omega_{value:g}" if len(omega) > 1 else "", recipes.rmca(x, value, **kw)
+        try:
+            result = recipes.rmca(x, value, **kw)
+        except NumericalError as exc:
+            raise NumericalError(f"--omega {value:g}: {exc}") from None
+        yield f"omega_{value:g}" if len(omega) > 1 else "", result
 
 
 # Calls name recipes and decompositions through module attributes at call

@@ -142,17 +142,18 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     x = kernel.as_matrix(x, "x")
     lwc = normalize_constraint(lw, x.shape[0], "lw")
     rwc = normalize_constraint(rw, x.shape[1], "rw")
+    d_full, columns = _gsvd_columns(x, lwc, rwc, tol)
+    return _assemble(GSVD, k, tol, d_full, d_full**2, **columns)
+
+
+def _gsvd_columns(x, lwc, rwc, tol):
+    """gsvd's d_full and column fields, unchecked, under canonical constraints."""
     xt = apply_sqrt_metric(lwc, apply_sqrt_metric(rwc, x.T).T)
     sv = kernel.tolerance_svd(xt, tol=tol)
-
-    d_full = sv.d
-    l_full = d_full**2
-    p = apply_invsqrt_metric(lwc, sv.u)
-    q = apply_invsqrt_metric(rwc, sv.v)
-    fi = apply_sqrt_metric(lwc, sv.u) * d_full[None, :]
-    fj = apply_sqrt_metric(rwc, sv.v) * d_full[None, :]
-
-    return _assemble(GSVD, k, tol, d_full, l_full, u=sv.u, v=sv.v, p=p, q=q, fi=fi, fj=fj)
+    d = sv.d[None, :]
+    return sv.d, dict(u=sv.u, v=sv.v,
+                      p=apply_invsqrt_metric(lwc, sv.u), q=apply_invsqrt_metric(rwc, sv.v),
+                      fi=apply_sqrt_metric(lwc, sv.u) * d, fj=apply_sqrt_metric(rwc, sv.v) * d)
 
 
 def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
@@ -179,11 +180,7 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
     cross = xl.T @ yl
     if not np.all(np.isfinite(cross)):
         raise NumericalError("the cross-product xl' yl overflowed: it holds NaN or Inf entries")
-    r = gsvd(cross, lw=xrwc, rw=yrwc, tol=tol)
-    lx = xl @ apply_sqrt_metric(xrwc, r.u)
-    ly = yl @ apply_sqrt_metric(yrwc, r.v)
-
-    return _assemble(
-        GPLSSVD, k, tol, r.d_full, r.l_full,
-        u=r.u, v=r.v, p=r.p, q=r.q, fi=r.fi, fj=r.fj, lx=lx, ly=ly,
-    )
+    d_full, columns = _gsvd_columns(cross, xrwc, yrwc, tol)
+    lx = xl @ apply_sqrt_metric(xrwc, columns["u"])
+    ly = yl @ apply_sqrt_metric(yrwc, columns["v"])
+    return _assemble(GPLSSVD, k, tol, d_full, d_full**2, **columns, lx=lx, ly=ly)

@@ -8,7 +8,7 @@ import pytest
 
 from gmdecomp import cli, kernel
 from gmdecomp.decomp import DecompositionResult, gsvd
-from gmdecomp.errors import ParseError, RaggedRowsError
+from gmdecomp.errors import NumericalError, ParseError, RaggedRowsError
 
 
 def write_csv(path, rows):
@@ -200,17 +200,18 @@ def test_two_writer_processes_write_the_bytes_of_one(tmp_path, monkeypatch, fork
             ["rmca", "--x", levels, "--omega", "0,1"]]
     out = tmp_path / "out"
     written = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 4):
         monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         forks.clear()
         for i, argv in enumerate(runs):
             assert cli.main(argv + ["--out", str(out / str(i))]) == 0
-        # each of the four results holds over 20 000 cells: one fork per result
-        assert len(forks) == (cpus - 1) * 4
+        # each of the four results holds over 20 000 cells: one fork per result,
+        # however many CPUs there are
+        assert len(forks) == (cpus > 1) * 4
         written[cpus] = _files(out)
         shutil.rmtree(out)
     assert len(written[1]) == 4 * 11  # ten CSV files and a summary.json per result
-    assert written[2] == written[1]
+    assert written[2] == written[1] and written[4] == written[1]
 
 
 def test_a_file_that_cannot_be_replaced_exits_3_and_leaves_no_process(
@@ -329,6 +330,22 @@ def test_non_finite_result_exits_4_writing_nothing(tmp_path, capsys):
         code = cli.main(["gsvd", "--x", xp, "--lw", lw, "--out", str(out)])
     assert code == 4
     assert "NaN or Inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_rmca_result_names_its_omega(tmp_path, capsys, monkeypatch):
+    real_rmca = cli.recipes.rmca
+
+    def rmca(x, omega, **kw):
+        if omega == 1:
+            raise NumericalError("gsvd: the result field l_full holds NaN or Inf values")
+        return real_rmca(x, omega, **kw)
+
+    monkeypatch.setattr(cli.recipes, "rmca", rmca)
+    cat = write_csv(tmp_path / "cat.csv", [["a", "x"], ["b", "y"], ["a", "y"], ["b", "x"]])
+    out = tmp_path / "o"
+    assert cli.main(["rmca", "--x", cat, "--omega", "0,1,5", "--out", str(out)]) == 4
+    assert "--omega 1: gsvd: the result field l_full holds NaN or Inf" in capsys.readouterr().err
     assert not out.exists()
 
 

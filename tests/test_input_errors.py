@@ -88,6 +88,10 @@ def test_non_finite_result_is_numerical():
     with np.errstate(over="ignore"), pytest.raises(
             NumericalError, match=r"^gsvd: the result field l_full holds NaN or Inf"):
         gsvd([[1e300, 0], [0, 1]], lw=[1e10, 1])
+    # d = 1e308 overflows in d^2; blamed on gplssvd, not on the gsvd inside it
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match=r"^gplssvd: the result field l_full holds NaN or Inf"):
+        gplssvd([[1e154, 0], [0, 1]], [[1e154, 0], [0, 1]])
 
 
 def test_bad_arguments_raise_invalid_argument_error(rng):
