@@ -26,6 +26,7 @@ import numpy as np
 
 from . import recipes
 from .decomp import GPLSSVD, DecompositionResult, geigen, gplssvd, gsvd
+from .decomp import cpu_count as _cpu_count
 from .errors import (
     GmdError,
     InvalidArgumentError,
@@ -145,11 +146,6 @@ def _field_labels(result, xm, ym):
         first, second = xm.row_labels, xm.col_labels
     return dict(u=first, p=first, fi=first, v=second, q=second, fj=second,
                 lx=xm.row_labels, ly=ym.row_labels)
-
-
-def _cpu_count():
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _write_whole(path, write, *args):

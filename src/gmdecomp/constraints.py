@@ -68,6 +68,13 @@ class Constraint:
                 f"{self.name}: basis of shape {b.shape} != expected ({self.dim}, {self.dim})")
         object.__setattr__(self, "basis", b)
 
+    @classmethod
+    def from_eigen(cls, weights, basis, name):
+        """A dense constraint of eigenpairs that :func:`kernel.psd_eigen` checked, unchecked."""
+        c = object.__new__(cls)
+        c.__dict__.update(dim=weights.shape[0], weights=weights, basis=basis, name=name)
+        return c
+
     @property
     def kind(self):
         if self.weights is None:
@@ -75,15 +82,14 @@ class Constraint:
         return DIAGONAL if self.basis is None else DENSE
 
 
-def normalize_constraint(raw, dim, name="constraint"):
-    """Canonicalize a raw constraint input (None, vector, or matrix).
+def check_constraint(raw, dim, name="constraint"):
+    """Canonicalize a raw constraint input (None, vector, or matrix), factorizing nothing.
 
     Missing constraints are mathematically identity matrices. Vectors are
     diagonal weights; a diagonal matrix is demoted to its diagonal, and an
-    all-ones diagonal to identity. Anything else must be a symmetric PSD
-    matrix of shape (dim, dim); it is eigendecomposed once here, which both
-    validates it and gives the eigenpairs the constraint keeps. A
-    `Constraint` is kept as it is. `name` names the slot in errors.
+    all-ones diagonal to identity; a `Constraint` is kept as it is. Anything
+    else must be a symmetric matrix of shape (dim, dim), returned converted
+    and checked for :func:`factorize`. `name` names the slot in errors.
     """
     dim = int(dim)
     if raw is None:
@@ -103,7 +109,20 @@ def normalize_constraint(raw, dim, name="constraint"):
         )
     if np.array_equal(arr, np.diag(np.diag(arr))):
         return _from_weights(np.diag(arr).copy(), dim, name)
-    return Constraint(dim, *kernel.psd_eigen(arr, name), name)
+    return kernel.check_symmetric(arr, name)
+
+
+def factorize(checked, name="constraint"):
+    """A :func:`check_constraint` result as a `Constraint`: a dense matrix is
+    eigendecomposed once, which checks it is PSD and gives its eigenpairs."""
+    if isinstance(checked, Constraint):
+        return checked
+    return Constraint.from_eigen(*kernel.psd_eigen(checked, name), name)
+
+
+def normalize_constraint(raw, dim, name="constraint"):
+    """:func:`check_constraint` and :func:`factorize` in one step."""
+    return factorize(check_constraint(raw, dim, name), name)
 
 
 def pinv_constraint(gram, name="constraint"):
@@ -113,8 +132,7 @@ def pinv_constraint(gram, name="constraint"):
     and the others inverted."""
     lam, vec = kernel.psd_eigen(gram, name)
     keep = lam > kernel.SQRT_EPS * lam[0]
-    inv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
-    return Constraint(inv.shape[0], inv, vec, name)
+    return Constraint.from_eigen(np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0), vec, name)
 
 
 def _from_weights(weights, dim, name):
@@ -122,27 +140,29 @@ def _from_weights(weights, dim, name):
     return Constraint(dim) if np.all(weights == 1.0) else c
 
 
-def _apply(c, x, a):
-    """B w^a B' x for a = 1/2 or -1/2. A weight at or below max * n * eps
-    counts as zero, so both roots vanish on the same directions and the
-    inverse root is a pseudo-inverse."""
+def _apply(c, x, powers):
+    """B w^a B' x for each a in `powers`, 1/2 or -1/2, with B' x formed once.
+    A weight at or below max * n * eps counts as zero, so both roots vanish
+    on the same directions and the inverse root is a pseudo-inverse."""
     if c.dim != x.shape[0]:
         raise DimensionMismatchError(
             f"{c.name} dim {c.dim} does not conform to the rows of matrix {x.shape}")
     if c.weights is None:
-        return x
+        return [x for _ in powers]
     w, b = c.weights, c.basis
     keep = w > w.max(initial=0.0) * w.shape[0] * kernel.EPS
     root = np.sqrt(np.where(keep, w, 1.0))
-    s = np.where(keep, root if a > 0 else 1.0 / root, 0.0)
-    return s[:, None] * x if b is None else b @ (s[:, None] * (b.T @ x))
+    bx = x if b is None else b.T @ x
+    out = [np.where(keep, root if a > 0 else 1.0 / root, 0.0)[:, None] * bx for a in powers]
+    return out if b is None else [b @ o for o in out]
 
 
 def apply_sqrt_metric(c, x):
     """The metric's PSD square root times x."""
-    return _apply(c, x, 0.5)
+    return _apply(c, x, (0.5,))[0]
 
 
-def apply_invsqrt_metric(c, x):
-    """The metric's pseudo-inverse square root times x (null weights map to 0)."""
-    return _apply(c, x, -0.5)
+def apply_roots(c, x):
+    """The metric's pseudo-inverse square root (null weights map to 0) and
+    its square root, each times x, sharing one product with the basis."""
+    return _apply(c, x, (-0.5, 0.5))

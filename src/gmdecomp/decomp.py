@@ -17,20 +17,75 @@ Rank truncation: ``k=0`` (the default) returns every retained component;
 ``d_full``/``l_full`` always keep the whole above-tolerance spectrum. All
 outputs are computed on the full retained set and then sliced, so a k-run
 is bit-identical to the leading columns of a full run.
+
+A second thread does one side, a metric (gplssvd: a table), while the caller
+does the other, before the SVD and after it, when 2 CPUs are available, the
+process's settings give BLAS one thread (OPENBLAS_NUM_THREADS for OpenBLAS,
+then OMP_NUM_THREADS) and both sides' work reaches a measured floor. The
+results are the same bits. The thread is joined before the call returns;
+if both sides fail, the row (x) side's error is raised.
 """
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .constraints import apply_invsqrt_metric, apply_sqrt_metric, normalize_constraint
+from .constraints import (DENSE, apply_roots, apply_sqrt_metric, check_constraint, factorize,
+                          normalize_constraint)
 from .errors import DimensionMismatchError, NumericalError
 
 GEIGEN = "geigen"
 GSVD = "gsvd"
 GPLSSVD = "gplssvd"
+
+# The lighter side's work, in multiply-adds, from which it gets a thread of its own: below it,
+# starting and joining one cost more than the overlap saved (2 vCPUs, BLAS on one thread).
+_OVERLAP_FLOOR = 5_000_000
+_OPENBLAS = "openblas" in str(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies"))
+
+
+def cpu_count():
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _work(c, cols):
+    """Multiply-adds a side spends on `c`, a matrix to factorize (an eigh of d x d took as long
+    as about 20 d^3 of them) or a `Constraint`, applied to `cols` columns."""
+    if isinstance(c, np.ndarray):
+        return c.shape[0] ** 2 * (20 * c.shape[0] + cols)
+    return c.dim**2 * cols if c.kind == DENSE else 0
+
+
+def _side_by_side(first, second, work):
+    """(first(), second()), on two threads as the module says when `work`, the lighter side's,
+    reaches the floor. On more BLAS threads, their spinning made the overlap slower."""
+    env = os.environ
+    threads = (_OPENBLAS and env.get("OPENBLAS_NUM_THREADS")) or env.get("OMP_NUM_THREADS", "")
+    if work < _OVERLAP_FLOOR or cpu_count() < 2 or threads.strip() != "1":
+        return first(), second()
+    out = []
+
+    def run():
+        try:
+            out.append(second())
+        except BaseException as exc:  # raised in the calling thread below
+            out.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        a = first()
+    finally:
+        thread.join()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return a, out[0]
 
 
 @dataclass
@@ -118,7 +173,7 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
         Eigenvalues at or below this nonnegative finite threshold are
         dropped; None disables the tolerance and keeps negative eigenvalues.
     """
-    x = kernel.symmetric_matrix(x, "x")
+    x = kernel.check_symmetric(kernel.as_matrix(x, "x"), "x")
     c = normalize_constraint(w, x.shape[0], "w")
     xt = apply_sqrt_metric(c, apply_sqrt_metric(c, x.T).T)
     eig = kernel.tolerance_eigen(xt, tol=tol)
@@ -126,8 +181,7 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
     l_full = eig.values
     d_full = np.sqrt(np.clip(l_full, 0.0, None))
     v = eig.vectors
-    q = apply_invsqrt_metric(c, v)
-    fj = apply_sqrt_metric(c, v) * d_full[None, :]
+    q, fj, _ = _map_back(c, v, d_full, None)
 
     return _assemble(GEIGEN, k, tol, d_full, l_full, v=v, q=q, fj=fj)
 
@@ -140,20 +194,31 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     fj = rw Q diag(d).
     """
     x = kernel.as_matrix(x, "x")
-    lwc = normalize_constraint(lw, x.shape[0], "lw")
-    rwc = normalize_constraint(rw, x.shape[1], "rw")
-    d_full, columns = _gsvd_columns(x, lwc, rwc, tol)
+    lw, rw = check_constraint(lw, x.shape[0], "lw"), check_constraint(rw, x.shape[1], "rw")
+    lwc, (rwc, xr) = _side_by_side(
+        lambda: factorize(lw, "lw"), lambda: (c := factorize(rw, "rw"), apply_sqrt_metric(c, x.T)),
+        min(_work(lw, 0), _work(rw, 2 * x.shape[0])))
+    d_full, columns = _gsvd_columns(xr, lwc, rwc, tol)
     return _assemble(GSVD, k, tol, d_full, d_full**2, **columns)
 
 
-def _gsvd_columns(x, lwc, rwc, tol):
-    """gsvd's d_full and column fields, unchecked, under canonical constraints."""
-    xt = apply_sqrt_metric(lwc, apply_sqrt_metric(rwc, x.T).T)
-    sv = kernel.tolerance_svd(xt, tol=tol)
-    d = sv.d[None, :]
-    return sv.d, dict(u=sv.u, v=sv.v,
-                      p=apply_invsqrt_metric(lwc, sv.u), q=apply_invsqrt_metric(rwc, sv.v),
-                      fi=apply_sqrt_metric(lwc, sv.u) * d, fj=apply_sqrt_metric(rwc, sv.v) * d)
+def _gsvd_columns(xr, lwc, rwc, tol, xl=None, yl=None):
+    """The unchecked d_full and column fields of the gsvd of x under lwc and rwc, from
+    xr = rwc^(1/2) x'; given gplssvd's row-weighted tables xl and yl, also lx and ly."""
+    sv = kernel.tolerance_svd(apply_sqrt_metric(lwc, xr.T), tol=tol)
+    r = sv.d.shape[0]
+    work = [_work(c, 3 * r) + (0 if t is None else t.size * r) for c, t in ((lwc, xl), (rwc, yl))]
+    (p, fi, lx), (q, fj, ly) = _side_by_side(
+        lambda: _map_back(lwc, sv.u, sv.d, xl), lambda: _map_back(rwc, sv.v, sv.d, yl), min(work))
+    latent = {} if xl is None else dict(lx=lx, ly=ly)
+    return sv.d, dict(u=sv.u, v=sv.v, p=p, q=q, fi=fi, fj=fj, **latent)
+
+
+def _map_back(c, vectors, d, table):
+    """A side's generalized vectors c^(-1/2) vectors, scores c^(1/2) vectors
+    diag(d) and, given a table, latent variable scores table c^(1/2) vectors."""
+    inv, root = apply_roots(c, vectors)
+    return inv, root * d[None, :], None if table is None else table @ root
 
 
 def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
@@ -170,17 +235,14 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
         raise DimensionMismatchError(
             f"x and y must share rows: {x.shape[0]} vs {y.shape[0]}"
         )
-    xlwc = normalize_constraint(xlw, x.shape[0], "xlw")
-    xrwc = normalize_constraint(xrw, x.shape[1], "xrw")
-    ylwc = normalize_constraint(ylw, y.shape[0], "ylw")
-    yrwc = normalize_constraint(yrw, y.shape[1], "yrw")
-
-    xl = apply_sqrt_metric(xlwc, x)
-    yl = apply_sqrt_metric(ylwc, y)
+    xlw, xrw = check_constraint(xlw, x.shape[0], "xlw"), check_constraint(xrw, x.shape[1], "xrw")
+    ylw, yrw = check_constraint(ylw, y.shape[0], "ylw"), check_constraint(yrw, y.shape[1], "yrw")
+    (xl, xrwc), (yl, yrwc) = _side_by_side(
+        lambda: (apply_sqrt_metric(factorize(xlw, "xlw"), x), factorize(xrw, "xrw")),
+        lambda: (apply_sqrt_metric(factorize(ylw, "ylw"), y), factorize(yrw, "yrw")),
+        min(_work(xlw, 2 * x.shape[1]) + _work(xrw, 0), _work(ylw, 2 * y.shape[1]) + _work(yrw, 0)))
     cross = xl.T @ yl
     if not np.all(np.isfinite(cross)):
         raise NumericalError("the cross-product xl' yl overflowed: it holds NaN or Inf entries")
-    d_full, columns = _gsvd_columns(cross, xrwc, yrwc, tol)
-    lx = xl @ apply_sqrt_metric(xrwc, columns["u"])
-    ly = yl @ apply_sqrt_metric(yrwc, columns["v"])
-    return _assemble(GPLSSVD, k, tol, d_full, d_full**2, **columns, lx=lx, ly=ly)
+    d_full, columns = _gsvd_columns(apply_sqrt_metric(yrwc, cross.T), xrwc, yrwc, tol, xl, yl)
+    return _assemble(GPLSSVD, k, tol, d_full, d_full**2, **columns)

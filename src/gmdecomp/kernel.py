@@ -93,10 +93,9 @@ def as_matrix(a, name):
     return a
 
 
-def symmetric_matrix(a, name):
-    """`a` checked by :func:`as_matrix` and to be square and symmetric
-    within tolerance; errors name the slot `name`."""
-    a = as_matrix(a, name)
+def check_symmetric(a, name):
+    """`a`, a converted 2-d array, checked to be square and symmetric within
+    tolerance; errors name the slot `name`."""
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"{name} must be square, got shape {a.shape}")
     if not is_symmetric(a):
@@ -196,8 +195,9 @@ def tolerance_svd(x, tol=EPS):
 
 def psd_eigen(w, name="w"):
     """Eigenvalues (descending, clipped at 0) and eigenvectors of (w + w')/2,
-    after checking that `w` is symmetric and PSD; errors name `name`."""
-    w = symmetric_matrix(w, name)
+    after checking that it is PSD; errors name `name`. `w` is a float64
+    matrix that is finite and symmetric: converted and checked caller input
+    (see :func:`check_symmetric`) or a Gram matrix the library formed."""
     s = (w + w.T) / 2.0
     if not np.all(np.isfinite(s)):  # w + w' overflowed
         raise NonFiniteError(f"{name} has entries too large to factorize")

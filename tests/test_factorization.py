@@ -154,10 +154,11 @@ def _psd_root(lam, vec, inverse=False):
     return (s + s.T) / 2.0
 
 
-def _root_matrix_apply(c, x, a, eigen_apply=constraints._apply):
+def _root_matrix_apply(c, x, powers, eigen_apply=constraints._apply):
     if c.kind != constraints.DENSE:
-        return eigen_apply(c, x, a)
-    return _psd_root(c.weights, c.basis, inverse=a < 0) @ np.asarray(x, dtype=np.float64)
+        return eigen_apply(c, x, powers)
+    return [_psd_root(c.weights, c.basis, inverse=a < 0) @ np.asarray(x, dtype=np.float64)
+            for a in powers]
 
 
 def _dense_cases():

@@ -43,6 +43,25 @@ def test_nan_in_dense_metric_names_its_slot(rng, no_eigh):
         gsvd(rng.normal(size=(4, 3)), lw=w)
 
 
+@pytest.mark.parametrize("call, slot", [
+    (lambda x, w: gsvd(x, lw=w, rw=[1.0, np.nan, 1.0]), "rw"),
+    (lambda x, w: gplssvd(x, x, xlw=w, yrw=[1.0, np.inf, 1.0]), "yrw"),
+], ids=["gsvd", "gplssvd"])
+def test_a_bad_slot_is_named_before_any_slot_is_factorized(rng, eigh_calls, call, slot):
+    with pytest.raises(NonFiniteError, match=f"^{slot} contains NaN"):
+        call(rng.normal(size=(6, 3)), random_spd(rng, 6))
+    assert eigh_calls == []
+
+
+def test_a_dense_metric_is_checked_for_finiteness_once(rng, monkeypatch):
+    lw = random_spd(rng, 6)
+    seen = []
+    real = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a, *args, **kw: seen.append(a is lw) or real(a))
+    gsvd(rng.normal(size=(6, 3)), lw=lw)
+    assert sum(seen) == 1
+
+
 def test_dense_metric_that_overflows_names_its_slot(rng):
     # finite, symmetric and PSD, but w + w' overflows
     w = np.full((2, 2), 1e308)

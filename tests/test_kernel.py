@@ -192,7 +192,7 @@ def sqrt_psd(m):
 
 def invsqrt_psd(m):
     c = constraints.normalize_constraint(m, len(m))
-    return constraints.apply_invsqrt_metric(c, np.eye(len(m)))
+    return constraints.apply_roots(c, np.eye(len(m)))[0]
 
 
 def test_sqrt_psd_matrix_examples(rng):

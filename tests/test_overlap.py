@@ -1,0 +1,155 @@
+"""gsvd and gplssvd on two threads: the same bits, the same errors, no thread left.
+
+A dense gsvd factorizes and maps back its row and column metrics (a gplssvd
+its x and y tables) on two threads only when 2 CPUs are available, the
+process's settings give BLAS one thread and both sides' work reaches
+``decomp._OVERLAP_FLOOR``. The sizes here are above that floor, except where
+a test says otherwise. Bits are compared in a child process started with
+BLAS on one thread, as the overlap requires: this process's BLAS may run
+more, and its threads split sums differently."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gmdecomp import decomp, recipes
+from gmdecomp.decomp import gplssvd, gsvd
+from gmdecomp.errors import GmdError, NotPSDError
+
+from conftest import mca_fixture, random_spd
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_SAME_BITS = """
+import threading
+import numpy as np
+from gmdecomp import decomp, recipes
+
+rng = np.random.default_rng(7)
+x, y = rng.normal(size=(150, 120)), rng.normal(size=(150, 110))
+spd = [a @ a.T / len(a) + 0.5 * np.eye(len(a)) for a in
+       (rng.normal(size=(n, n)) for n in (150, 120, 120, 110))]
+calls = {
+    "gsvd": lambda: decomp.gsvd(x, lw=spd[0], rw=spd[1]),
+    "gplssvd": lambda: decomp.gplssvd(x, y, xrw=spd[2], yrw=spd[3]),
+    "cca": lambda: recipes.cca(x, y),
+}
+starts = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: starts.append(self) or start(self)
+before = threading.active_count()
+runs = {}
+for cpus in (2, 1):
+    decomp.cpu_count = lambda: cpus
+    for name, call in calls.items():
+        starts.clear()
+        runs[cpus, name] = call().fields()
+        assert threading.active_count() == before, name
+        # before the SVD and after it; cca's metrics come factorized
+        assert len(starts) == (cpus > 1) * (1 if name == "cca" else 2), (cpus, name, starts)
+for name in calls:
+    two, one = runs[2, name], runs[1, name]
+    assert two.keys() == one.keys()
+    for field in two:
+        assert np.array_equal(two[field], one[field]), (name, field)
+"""
+
+
+def test_two_threads_give_the_same_bits_as_one_cpu():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", _SAME_BITS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Threads started during the test, with the overlap's conditions met."""
+    monkeypatch.setattr(decomp, "cpu_count", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self) or start(self))
+    return starts
+
+
+def test_no_thread_outlives_a_call(rng, thread_starts):
+    x = rng.normal(size=(150, 120))
+    lw, rw = random_spd(rng, 150), random_spd(rng, 120)
+    before = threading.active_count()
+    gsvd(x, lw=lw, rw=rw)
+    assert len(thread_starts) == 2
+    assert threading.active_count() == before
+    # rw fails on the second thread, lw on the calling one
+    for bad, slot in (({"rw": -rw}, "rw"), ({"lw": -lw}, "lw")):
+        with pytest.raises(NotPSDError, match=f"^{slot} is not positive semi-definite"):
+            gsvd(x, **{"lw": lw, "rw": rw, **bad})
+        assert threading.active_count() == before
+    assert len(thread_starts) == 4
+
+
+@pytest.mark.parametrize("bad, slot", [
+    (dict(lw=True, rw=True), "lw"),
+    (dict(xrw=True, yrw=True), "xrw"),
+    (dict(xlw=True, xrw=True, ylw=True, yrw=True), "xlw"),
+    (dict(ylw=True, xrw=True), "xrw"),
+], ids=["gsvd", "gplssvd-columns", "gplssvd-all", "gplssvd-x-then-y"])
+def test_when_both_sides_fail_the_row_side_is_named(rng, monkeypatch, thread_starts, bad, slot):
+    x, y = rng.normal(size=(150, 120)), rng.normal(size=(150, 110))
+    dims = dict(lw=150, rw=120, xlw=150, xrw=120, ylw=150, yrw=110)
+    metrics = {s: (-1.0 if s in bad else 1.0) * random_spd(rng, dims[s]) for s in dims}
+    if "lw" in bad:
+        def call():
+            return gsvd(x, lw=metrics["lw"], rw=metrics["rw"])
+    else:
+        def call():
+            return gplssvd(x, y, **{s: metrics[s] for s in ("xlw", "xrw", "ylw", "yrw")})
+    errors = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(decomp, "cpu_count", lambda: cpus)
+        with pytest.raises(GmdError) as caught:
+            call()
+        errors.append((type(caught.value), str(caught.value)))
+    assert len(thread_starts) == 1
+    assert errors[0] == errors[1]
+    assert errors[0][0] is NotPSDError and errors[0][1].startswith(f"{slot} is not")
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+    ({"OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 0),
+    ({"OMP_NUM_THREADS": "2"}, 0),
+    ({}, 0),
+], ids=["openblas-1", "omp-1", "openblas-2", "omp-2", "unset"])
+def test_a_thread_starts_only_when_blas_runs_one(rng, monkeypatch, thread_starts, env, threads):
+    monkeypatch.setattr(decomp, "_OPENBLAS", True)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    gsvd(rng.normal(size=(150, 120)), lw=random_spd(rng, 150), rw=random_spd(rng, 120))
+    assert len(thread_starts) == threads
+
+
+def test_no_thread_starts_below_the_floor_or_with_one_dense_side(rng, thread_starts):
+    # both sides dense but small; one side dense and large, the other cheap
+    gsvd(rng.normal(size=(40, 30)), lw=random_spd(rng, 40), rw=random_spd(rng, 30))
+    gplssvd(rng.normal(size=(40, 30)), rng.normal(size=(40, 20)),
+            xrw=random_spd(rng, 30), yrw=random_spd(rng, 20))
+    gsvd(rng.normal(size=(150, 120)), lw=random_spd(rng, 150), rw=rng.uniform(0.5, 2.0, 120))
+    gsvd(rng.normal(size=(150, 120)), rw=random_spd(rng, 120))
+    # the cli-ca and large-n workloads' calls: diagonal metrics, rmca's one-sided
+    # rw and weighted_mds's geigen
+    recipes.ca(rng.poisson(5.0, size=(300, 50)) + 1.0)
+    tab = recipes.disjunctive_coding(mca_fixture(n_rows=200))
+    recipes.rmca(tab, 5.0)
+    pts = rng.normal(size=(200, 3))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    recipes.weighted_mds(dist, rng.uniform(0.5, 2.0, 200))
+    assert thread_starts == []
