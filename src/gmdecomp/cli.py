@@ -4,9 +4,9 @@ Every subcommand is one entry of ``COMMANDS``: its input kind (numeric, or
 categorical and coded once into a disjunctive table), whether it takes a
 second table ``--y``, its constraint flags, its extra flags, and the recipe
 call. One run path loads the CSV inputs, makes the call, and writes each
-result as one CSV per populated field plus a summary.json, with optional
-static SVG scree/score plots; ``rmca`` with several ``--omega`` values
-writes one ``omega_<value>/`` directory per value.
+result as one CSV per populated field, optional static SVG scree/score
+plots, and last a summary.json that lists them; ``rmca`` with several
+``--omega`` values writes one ``omega_<value>/`` directory per value.
 
 Exit codes: 0 success, 2 usage error, 3 data/validation error, 4 numerical
 failure.
@@ -160,23 +160,24 @@ def _write_whole(path, write, *args):
 
 
 def _write_all(files):
-    for path, value, labels in files:
-        _write_whole(path, _write_csv, value, labels)
+    for path, write, *args in files:
+        _write_whole(path, write, *args)
 
 
-def _write_csvs(files):
-    """Write (path, value, labels) CSV files. With 2 CPUs and 2 shares' worth of cells, they
-    are dealt longest first to the share with fewer cells, and a forked child writes the larger
-    share while this process writes the other; the child's error is raised here."""
+def _write_files(csvs, plots):
+    """Write (path, write, *args) files as `write(tmp, *args)`: the CSVs, whose first arg is the
+    value, then the plots. With 2 CPUs and 2 shares' worth of cells, the CSVs are dealt longest
+    first to the share with fewer cells, and a forked child writes the larger share while this
+    process writes the other and then the plots; the child's error is raised here."""
     def cells(share):
-        return sum(value.size for _, value, _ in share)
+        return sum(f[2].size for f in share)
 
     shares = [[], []]
-    for f in sorted(files, key=lambda f: -f[1].size):
+    for f in sorted(csvs, key=lambda f: -f[2].size):
         min(shares, key=cells).append(f)
     small, large = sorted(shares, key=cells)
-    if not (hasattr(os, "fork") and _cpu_count() > 1 and cells(files) >= 2 * _CELLS_PER_PROCESS):
-        return _write_all(files)
+    if not (hasattr(os, "fork") and _cpu_count() > 1 and cells(csvs) >= 2 * _CELLS_PER_PROCESS):
+        return _write_all(csvs + plots)
     (read, write), pid = os.pipe(), None
     try:
         pid = os.fork()
@@ -188,7 +189,7 @@ def _write_csvs(files):
                 os.write(write, str(exc).encode(errors="replace"))
             finally:
                 os._exit(1)
-        _write_all(small)
+        _write_all(small + plots)
     finally:
         os.close(write)
         with open(read, "rb") as fh:
@@ -198,20 +199,31 @@ def _write_csvs(files):
         raise OSError(message or f"writer process {pid} failed")
 
 
-def write_result(result, outdir, labels=None, command_line=None, n_rows=None, n_cols=None):
-    """Write one CSV per populated result field and a summary.json.
+def write_result(result, outdir, labels=None, command_line=None, n_rows=None, n_cols=None,
+                 plot=False):
+    """Write one CSV per populated result field, with `plot` a scree.svg and, when >= 2
+    components, score scatter plots, and last a summary.json.
 
-    `labels` maps a field name to the row labels of its CSV. The summary
-    records the tolerance the decomposition used; "off" when disabled.
-    Each file appears whole; with 2 CPUs, 2 processes write a large result.
+    `labels` maps a field name to the row labels of its CSV and plot. The
+    summary records the tolerance the decomposition used ("off" when
+    disabled) and the names of the other files written. Each file appears
+    whole; with 2 CPUs, 2 processes write a large result, and the summary
+    is written once both are done.
     """
-    outdir = Path(outdir)
+    outdir, labels = Path(outdir), labels or {}
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csvs([(outdir / f"{name}.csv", value, (labels or {}).get(name))
-                 for name, value in result.fields().items()])
+    fields = result.fields()
+    csvs = [(outdir / f"{name}.csv", _write_csv, value, labels.get(name))
+            for name, value in fields.items()]
+    plots = [(outdir / "scree.svg", _write_svg, _scree_svg, list(result.l_full))] if plot else []
+    if plot and result.n_retained >= 2:
+        plots += [(outdir / f"scores_{name}.svg", _write_svg, _scatter_svg, fields[name][:, :2],
+                   labels.get(name)) for name in ("fi", "fj") if name in fields]
+    _write_files(csvs, plots)
     summary = dict(method=result.method, n_rows=n_rows, n_cols=n_cols, command_line=command_line,
                    n_total_components=result.n_total_components, n_retained=result.n_retained,
-                   tol="off" if result.tol is None else float(result.tol))
+                   tol="off" if result.tol is None else float(result.tol),
+                   files=sorted(path.name for path, *_ in csvs + plots))
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     _write_whole(outdir / "summary.json", Path.write_text, text, "utf-8")
 
@@ -275,20 +287,8 @@ def _scatter_svg(scores, labels=None):
     return _svg_document(width, height, "".join(body))
 
 
-def emit_plots(result, outdir, labels=None):
-    """Write scree.svg and, when >= 2 components, score scatter plots labelled by `labels`."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "scree.svg").write_text(_scree_svg(list(result.l_full)), encoding="utf-8")
-    if result.n_retained < 2:
-        return
-    labels = labels or {}
-    for name in ("fi", "fj"):
-        scores = getattr(result, name)
-        if scores is not None:
-            (outdir / f"scores_{name}.svg").write_text(
-                _scatter_svg(scores[:, :2], labels.get(name)), encoding="utf-8"
-            )
+def _write_svg(path, draw, *args):
+    path.write_text(draw(*args), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +428,8 @@ def _run(cmd, args, command_line):
     # Compute every result before writing any file, so a failed run writes nothing.
     results = [("", out)] if isinstance(out, DecompositionResult) else list(out)
     for sub, result in results:
-        outdir = Path(args.out) / sub
-        labels = _field_labels(result, xm, ym)
-        write_result(result, outdir, labels, command_line, *xm.values.shape)
-        if args.plot:
-            emit_plots(result, outdir, labels)
+        write_result(result, Path(args.out) / sub, _field_labels(result, xm, ym), command_line,
+                     *xm.values.shape, plot=args.plot)
 
 
 _EXIT_CODES = (

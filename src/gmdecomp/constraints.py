@@ -120,11 +120,6 @@ def factorize(checked, name="constraint"):
     return Constraint.from_eigen(*kernel.psd_eigen(checked, name), name)
 
 
-def normalize_constraint(raw, dim, name="constraint"):
-    """:func:`check_constraint` and :func:`factorize` in one step."""
-    return factorize(check_constraint(raw, dim, name), name)
-
-
 def pinv_constraint(gram, name="constraint"):
     """Dense constraint holding the pseudo-inverse of the PSD Gram matrix
     `gram`: its eigenpairs from one eigendecomposition (Björck & Golub 1973),

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .constraints import (DENSE, apply_roots, apply_sqrt_metric, check_constraint, factorize,
-                          normalize_constraint)
+from .constraints import DENSE, apply_roots, apply_sqrt_metric, check_constraint, factorize
 from .errors import DimensionMismatchError, NumericalError
 
 GEIGEN = "geigen"
@@ -174,7 +173,7 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
         dropped; None disables the tolerance and keeps negative eigenvalues.
     """
     x = kernel.check_symmetric(kernel.as_matrix(x, "x"), "x")
-    c = normalize_constraint(w, x.shape[0], "w")
+    c = factorize(check_constraint(w, x.shape[0], "w"), "w")
     xt = apply_sqrt_metric(c, apply_sqrt_metric(c, x.T).T)
     eig = kernel.tolerance_eigen(xt, tol=tol)
 

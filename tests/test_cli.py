@@ -218,17 +218,41 @@ def test_a_file_that_cannot_be_replaced_exits_3_and_leaves_no_process(
         tmp_path, monkeypatch, capsys, forks):
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     x = write_matrix(tmp_path / "x.csv", np.random.default_rng(3).normal(size=(150, 40)))
-    names = list(gsvd(np.eye(2)).fields())
-    for name in names:  # some in this process's share, the others in the child's
-        out = tmp_path / name
-        (out / f"{name}.csv").mkdir(parents=True)
-        assert cli.main(["gsvd", "--x", x, "--out", str(out)]) == 3
-        assert str(out / f"{name}.csv") in capsys.readouterr().err
+    # some CSV files in this process's share, the others in the child's; the plots here
+    names = [f"{name}.csv" for name in gsvd(np.eye(2)).fields()] + ["scree.svg", "scores_fi.svg"]
+    for i, name in enumerate(names):
+        out = tmp_path / str(i)
+        (out / name).mkdir(parents=True)
+        assert cli.main(["gsvd", "--x", x, "--out", str(out), "--plot"]) == 3
+        assert str(out / name) in capsys.readouterr().err
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
         assert not (out / "summary.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert len(forks) == len(names)
+
+
+def test_every_file_of_a_run_is_renamed_into_place_summary_last(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    replaced, replace = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(dst) or replace(src, dst))
+    x = write_matrix(tmp_path / "x.csv", np.random.default_rng(4).normal(size=(8, 4)))
+    out = tmp_path / "o"
+    assert cli.main(["gsvd", "--x", x, "--out", str(out), "--plot"]) == 0
+    assert sorted(replaced) == sorted(out.iterdir())
+    assert replaced[-1] == out / "summary.json" and len(replaced) == 14  # 10 CSV, 3 SVG files
+
+
+def test_summary_lists_the_files_of_its_own_run(tmp_path):
+    x = write_matrix(tmp_path / "x.csv", np.random.default_rng(6).normal(size=(8, 4)))
+    out = tmp_path / "o"
+    csvs = [f"{name}.csv" for name in gsvd(np.eye(2)).fields()]
+    svgs = ["scores_fi.svg", "scores_fj.svg", "scree.svg"]
+    for argv, listed in ((["--plot"], sorted(csvs + svgs)), ([], sorted(csvs))):
+        assert cli.main(["gsvd", "--x", x, "--out", str(out)] + argv) == 0
+        assert json.loads((out / "summary.json").read_text())["files"] == listed
+    # the first run's plots stay on disk, but the second run did not write them
+    assert all((out / name).is_file() for name in svgs)
 
 
 def test_a_run_below_the_cell_floor_forks_nothing(tmp_path, monkeypatch, forks):

@@ -20,44 +20,49 @@ def dense_left_product(m, x):
     return out
 
 
+def canonical(raw, dim, name="constraint"):
+    """A raw constraint checked and factorized, as the decompositions take it."""
+    return constraints.factorize(constraints.check_constraint(raw, dim, name), name)
+
+
 def test_none_becomes_identity():
-    c = constraints.normalize_constraint(None, 4)
+    c = canonical(None, 4)
     assert c.kind == constraints.IDENTITY
     assert c.weights is None and c.basis is None
     assert np.array_equal(constraints.apply_sqrt_metric(c, np.eye(4)), np.eye(4))
 
 
 def test_vector_becomes_diagonal():
-    c = constraints.normalize_constraint([1.0, 2.0, 3.0], 3)
+    c = canonical([1.0, 2.0, 3.0], 3)
     assert c.kind == constraints.DIAGONAL
     assert np.array_equal(c.weights, [1.0, 2.0, 3.0])
 
 
 def test_all_ones_collapses_to_identity():
-    assert constraints.normalize_constraint(np.ones(5), 5).kind == constraints.IDENTITY
-    assert constraints.normalize_constraint(np.eye(5), 5).kind == constraints.IDENTITY
+    assert canonical(np.ones(5), 5).kind == constraints.IDENTITY
+    assert canonical(np.eye(5), 5).kind == constraints.IDENTITY
 
 
 def test_diagonal_matrix_demoted_to_vector():
-    c = constraints.normalize_constraint(np.diag([2.0, 5.0]), 2)
+    c = canonical(np.diag([2.0, 5.0]), 2)
     assert c.kind == constraints.DIAGONAL
     assert np.array_equal(c.weights, [2.0, 5.0])
 
 
 def test_dense_spd_accepted(rng):
     m = random_spd(rng, 4)
-    c = constraints.normalize_constraint(m, 4)
+    c = canonical(m, 4)
     assert c.kind == constraints.DENSE
     assert np.allclose((c.basis * c.weights) @ c.basis.T, m)
 
 
 def test_rejects_negative_weights_and_indefinite():
     with pytest.raises(NotPSDError):
-        constraints.normalize_constraint([1.0, -2.0], 2)
+        canonical([1.0, -2.0], 2)
     with pytest.raises(NotPSDError):
-        constraints.normalize_constraint(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
+        canonical(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
     with pytest.raises(NotPSDError):
-        constraints.normalize_constraint(np.array([[1.0, 2.0], [0.5, 1.0]]), 2)
+        canonical(np.array([[1.0, 2.0], [0.5, 1.0]]), 2)
 
 
 def test_constraint_built_from_eigenpairs_matches_its_matrix(rng):
@@ -73,9 +78,9 @@ def test_constraint_built_from_eigenpairs_matches_its_matrix(rng):
 
 def test_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        constraints.normalize_constraint(np.ones(3), 4)
+        canonical(np.ones(3), 4)
     with pytest.raises(DimensionMismatchError):
-        constraints.normalize_constraint(np.eye(3), 4)
+        canonical(np.eye(3), 4)
 
 
 @pytest.mark.parametrize("raw", [
@@ -83,12 +88,12 @@ def test_rejects_dimension_mismatch():
 ], ids=["constraint-dim", "0-d", "3-d"])
 def test_rejects_constraint_of_the_wrong_shape_naming_its_slot(raw):
     with pytest.raises(DimensionMismatchError, match="^rw: "):
-        constraints.normalize_constraint(raw, 2, "rw")
+        canonical(raw, 2, "rw")
 
 
 def test_identity_application_returns_input_unchanged(rng):
     x = rng.normal(size=(4, 3))
-    c = constraints.normalize_constraint(None, 4)
+    c = canonical(None, 4)
     assert constraints.apply_sqrt_metric(c, x) is x
     assert constraints.apply_roots(c, x)[0] is x
 
@@ -96,7 +101,7 @@ def test_identity_application_returns_input_unchanged(rng):
 def test_diagonal_application_matches_matrix_product(rng):
     x = rng.normal(size=(4, 3))
     w = np.array([1.0, 4.0, 9.0, 16.0])
-    c = constraints.normalize_constraint(w, 4)
+    c = canonical(w, 4)
     assert np.allclose(constraints.apply_sqrt_metric(c, x), np.diag(np.sqrt(w)) @ x)
     assert np.allclose(
         constraints.apply_roots(c, x)[0], np.diag(1 / np.sqrt(w)) @ x
@@ -106,7 +111,7 @@ def test_diagonal_application_matches_matrix_product(rng):
 
 
 def test_diagonal_invsqrt_zero_weight_maps_to_zero():
-    c = constraints.normalize_constraint([4.0, 0.0], 2)
+    c = canonical([4.0, 0.0], 2)
     out = constraints.apply_roots(c, np.eye(2))[0]
     assert np.allclose(out, np.diag([0.5, 0.0]))
 
@@ -114,7 +119,7 @@ def test_diagonal_invsqrt_zero_weight_maps_to_zero():
 def test_dense_application_matches_loop_oracle(rng):
     m = random_spd(rng, 4)
     x = rng.normal(size=(4, 3))
-    c = constraints.normalize_constraint(m, 4)
+    c = canonical(m, 4)
     # the root applied twice is the metric
     twice = constraints.apply_sqrt_metric(c, constraints.apply_sqrt_metric(c, x))
     assert np.allclose(twice, dense_left_product(m, x))
@@ -126,7 +131,7 @@ def test_dense_application_matches_loop_oracle(rng):
 
 
 def test_application_checks_conformability(rng):
-    c = constraints.normalize_constraint(np.ones(4) * 2.0, 4)
+    c = canonical(np.ones(4) * 2.0, 4)
     # applied on the left only: the rows must conform, whatever the columns
     with pytest.raises(DimensionMismatchError):
         constraints.apply_sqrt_metric(c, rng.normal(size=(3, 2)))

@@ -185,13 +185,18 @@ def test_tolerance_svd_empty_errors():
         kernel.tolerance_svd(np.zeros((0, 3)))
 
 
+def canonical(raw, dim):
+    """A raw constraint checked and factorized, as the decompositions take it."""
+    return constraints.factorize(constraints.check_constraint(raw, dim))
+
+
 def sqrt_psd(m):
-    c = constraints.normalize_constraint(m, len(m))
+    c = canonical(m, len(m))
     return constraints.apply_sqrt_metric(c, np.eye(len(m)))
 
 
 def invsqrt_psd(m):
-    c = constraints.normalize_constraint(m, len(m))
+    c = canonical(m, len(m))
     return constraints.apply_roots(c, np.eye(len(m)))[0]
 
 
@@ -228,11 +233,11 @@ def test_sqrt_psd_rejects_indefinite():
 
 def test_is_diagonal_matrix():
     # only an exactly diagonal matrix takes the diagonal path
-    c = constraints.normalize_constraint(np.diag([1.0, 2.0, 3.0]), 3)
+    c = canonical(np.diag([1.0, 2.0, 3.0]), 3)
     assert c.kind == constraints.DIAGONAL
     assert np.array_equal(c.weights, [1.0, 2.0, 3.0])
     tiny = np.array([[1.0, 1e-300], [1e-300, 1.0]])
-    assert constraints.normalize_constraint(tiny, 2).kind == constraints.DENSE
-    assert constraints.normalize_constraint(np.eye(1), 1).kind == constraints.IDENTITY
+    assert canonical(tiny, 2).kind == constraints.DENSE
+    assert canonical(np.eye(1), 1).kind == constraints.IDENTITY
     with pytest.raises(DimensionMismatchError):
-        constraints.normalize_constraint(np.ones((2, 3)), 2)
+        canonical(np.ones((2, 3)), 2)

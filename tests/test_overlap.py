@@ -36,6 +36,7 @@ spd = [a @ a.T / len(a) + 0.5 * np.eye(len(a)) for a in
        (rng.normal(size=(n, n)) for n in (150, 120, 120, 110))]
 calls = {
     "gsvd": lambda: decomp.gsvd(x, lw=spd[0], rw=spd[1]),
+    "gsvd-transposed": lambda: decomp.gsvd(x.T, lw=spd[1], rw=spd[0]),
     "gplssvd": lambda: decomp.gplssvd(x, y, xrw=spd[2], yrw=spd[3]),
     "cca": lambda: recipes.cca(x, y),
 }
@@ -57,6 +58,13 @@ for name in calls:
     assert two.keys() == one.keys()
     for field in two:
         assert np.array_equal(two[field], one[field]), (name, field)
+# the transposed problem swaps the sides, up to column sign
+swap = dict(d="d", l="l", u="v", v="u", p="q", q="p", fi="fj", fj="fi")
+for field, other in swap.items():
+    a, b = runs[2, "gsvd-transposed"][field], runs[2, "gsvd"][other]
+    if a.ndim == 2:
+        a = a * np.where((a * b).sum(axis=0) < 0, -1.0, 1.0)
+    assert np.abs(a - b).max() < 1e-10 * np.abs(b).max(), field
 """
 
 

@@ -1,8 +1,10 @@
-"""Bounded property tests over random data for two of the paper's claims:
+"""Bounded property tests over random data for three of the paper's claims:
 identity constraints reduce each generalized decomposition to its plain
-counterpart, and the four PCA routes agree."""
+counterpart, the four PCA routes agree, and the gsvd treats rows and
+columns alike."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +18,8 @@ BOUNDED = settings(max_examples=30, deadline=None,
 TOL = 1e-9
 
 
-def _close(a, b):
-    return np.abs(np.asarray(a) - np.asarray(b)).max() < TOL * max(1.0, np.abs(b).max())
+def _close(a, b, tol=TOL):
+    return np.abs(np.asarray(a) - np.asarray(b)).max() < tol * max(1.0, np.abs(b).max())
 
 
 def _match_svd(out, m):
@@ -75,3 +77,33 @@ def test_pca_routes_agree(seed, m, extra):
     for name in ("u", "p", "fi"):
         a, b = getattr(metric, name), getattr(scaled, name)
         assert _close(align_signs(a, b), b), name
+
+
+METRICS = ("identity", "diagonal", "dense", "singular")
+
+
+def _metric(rng, kind, n):
+    """None, positive weights, an SPD matrix, or a PSD matrix of rank about n/2."""
+    if kind == "identity":
+        return None
+    if kind == "diagonal":
+        return rng.uniform(0.5, 2.0, n)
+    if kind == "dense":
+        return random_spd(rng, n)
+    a = rng.normal(size=(n, max(1, n // 2)))
+    return a @ a.T
+
+
+@pytest.mark.parametrize("lw_kind", METRICS)
+@BOUNDED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(2, 6),
+       rw_kind=st.sampled_from(METRICS))
+def test_gsvd_of_the_transpose_swaps_the_sides(lw_kind, seed, n, m, rw_kind):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, m))
+    lw, rw = _metric(rng, lw_kind, n), _metric(rng, rw_kind, m)
+    out, swapped = gsvd(x, lw=lw, rw=rw).fields(), gsvd(x.T, lw=rw, rw=lw).fields()
+    assert _close(swapped["d"], out["d"], 1e-10)
+    for a, b in (("p", "q"), ("fi", "fj"), ("u", "v")):
+        for mine, theirs in ((a, b), (b, a)):
+            assert _close(align_signs(swapped[mine], out[theirs]), out[theirs], 1e-10), mine
