@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
@@ -376,7 +377,9 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(prog="gmdecomp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():

@@ -9,13 +9,13 @@ collapses to its diagonal vector, and an all-ones diagonal collapses to
 identity, so the cheap paths are taken whenever possible. Raw inputs and
 a hand-built constraint's arrays are converted by :func:`kernel.as_array`.
 
-A dense constraint is factorized once: the one eigendecomposition that
-validates it as PSD is all the constraint keeps. Its square root and
-pseudo-inverse square root are applied on the left only, as B w^a B' for
-a = 1/2 and -1/2, and one cutoff decides which weights both roots treat as
-zero, for diagonal and dense metrics alike. The pseudo-inverse of a Gram
-matrix is a constraint holding that matrix's own eigenpairs with the
-weights inverted.
+:func:`factorize` is the one function that eigendecomposes a metric, a
+caller's dense one or a Gram matrix the library formed: that one
+eigendecomposition checks it is PSD and is all the constraint keeps. Its
+square root and pseudo-inverse square root are applied on the left only, as
+B w^a B' for a = 1/2 and -1/2, and one cutoff decides which weights both
+roots treat as zero, for diagonal and dense metrics alike.
+:func:`pinv_constraint` is :func:`factorize` with the weights inverted.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import DimensionMismatchError, NotPSDError
+from .errors import DimensionMismatchError, NonFiniteError, NotPSDError
 
 IDENTITY = "identity"
 DIAGONAL = "diagonal"
@@ -68,13 +68,6 @@ class Constraint:
                 f"{self.name}: basis of shape {b.shape} != expected ({self.dim}, {self.dim})")
         object.__setattr__(self, "basis", b)
 
-    @classmethod
-    def from_eigen(cls, weights, basis, name):
-        """A dense constraint of eigenpairs that :func:`kernel.psd_eigen` checked, unchecked."""
-        c = object.__new__(cls)
-        c.__dict__.update(dim=weights.shape[0], weights=weights, basis=basis, name=name)
-        return c
-
     @property
     def kind(self):
         if self.weights is None:
@@ -101,38 +94,42 @@ def check_constraint(raw, dim, name="constraint"):
             )
         return raw
     arr = kernel.as_array(raw, name)
+    if arr.shape == (dim, dim) and np.array_equal(arr, np.diag(np.diag(arr))):
+        arr = np.diag(arr).copy()
     if arr.ndim == 1:
-        return _from_weights(arr, dim, name)
+        c = Constraint(dim, arr, name=name)
+        return Constraint(dim) if np.all(arr == 1.0) else c
     if arr.shape != (dim, dim):
         raise DimensionMismatchError(
             f"{name}: constraint matrix shape {arr.shape} != expected ({dim}, {dim})"
         )
-    if np.array_equal(arr, np.diag(np.diag(arr))):
-        return _from_weights(np.diag(arr).copy(), dim, name)
     return kernel.check_symmetric(arr, name)
 
 
 def factorize(checked, name="constraint"):
-    """A :func:`check_constraint` result as a `Constraint`: a dense matrix is
-    eigendecomposed once, which checks it is PSD and gives its eigenpairs."""
+    """A :func:`check_constraint` result, or a Gram matrix, as a `Constraint`: a
+    symmetric matrix w is eigendecomposed once as (w + w')/2, which checks it
+    is PSD and gives its eigenpairs, eigenvalues descending and clipped at 0."""
     if isinstance(checked, Constraint):
         return checked
-    return Constraint.from_eigen(*kernel.psd_eigen(checked, name), name)
+    s = (checked + checked.T) / 2.0
+    if not np.all(np.isfinite(s)):  # w + w' overflowed
+        raise NonFiniteError(f"{name} has entries too large to factorize")
+    eig = kernel.tolerance_eigen(s, tol=None)
+    lam = eig.values
+    if lam.min() < -kernel.PSD_RTOL * max(lam[0], 0.0):
+        raise NotPSDError(f"{name} is not positive semi-definite (min eigenvalue {lam.min():.6g})")
+    return Constraint(lam.shape[0], np.clip(lam, 0.0, None), eig.vectors, name)
 
 
 def pinv_constraint(gram, name="constraint"):
-    """Dense constraint holding the pseudo-inverse of the PSD Gram matrix
-    `gram`: its eigenpairs from one eigendecomposition (Björck & Golub 1973),
-    with eigenvalues at or below sqrt(eps) times the largest counted as zero
-    and the others inverted."""
-    lam, vec = kernel.psd_eigen(gram, name)
+    """The pseudo-inverse of the PSD Gram matrix `gram` (Björck & Golub 1973):
+    its :func:`factorize` eigenpairs, with eigenvalues at or below sqrt(eps)
+    times the largest counted as zero and the others inverted."""
+    c = factorize(gram, name)
+    lam = c.weights
     keep = lam > kernel.SQRT_EPS * lam[0]
-    return Constraint.from_eigen(np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0), vec, name)
-
-
-def _from_weights(weights, dim, name):
-    c = Constraint(dim, weights, name=name)
-    return Constraint(dim) if np.all(weights == 1.0) else c
+    return Constraint(c.dim, np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0), c.basis, name)
 
 
 def _apply(c, x, powers):

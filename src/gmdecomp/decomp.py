@@ -26,6 +26,7 @@ results are the same bits. The thread is joined before the call returns;
 if both sides fail, the row (x) side's error is raised.
 """
 
+import operator
 import os
 import threading
 import warnings
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import kernel
 from .constraints import DENSE, apply_roots, apply_sqrt_metric, check_constraint, factorize
-from .errors import DimensionMismatchError, NumericalError
+from .errors import DimensionMismatchError, InvalidArgumentError, NumericalError
 
 GEIGEN = "geigen"
 GSVD = "gsvd"
@@ -119,8 +120,17 @@ class DecompositionResult:
         return {n: getattr(self, n) for n in names if getattr(self, n) is not None}
 
 
+def _checked_k(k, tol):
+    """`k` as an int, once `k` is checked to be an integer and `tol` a threshold; a bad one
+    raises InvalidArgumentError naming it, before a decomposition does any work."""
+    kernel._threshold(tol)
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise InvalidArgumentError(f"k must be an integer, got {k!r}") from None
+
+
 def _resolve_k(k, n_total):
-    k = int(k)
     if k <= 0 or k == n_total:
         return n_total
     if k > n_total:
@@ -172,6 +182,7 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
         Eigenvalues at or below this nonnegative finite threshold are
         dropped; None disables the tolerance and keeps negative eigenvalues.
     """
+    k = _checked_k(k, tol)
     x = kernel.check_symmetric(kernel.as_matrix(x, "x"), "x")
     c = factorize(check_constraint(w, x.shape[0], "w"), "w")
     xt = apply_sqrt_metric(c, apply_sqrt_metric(c, x.T).T)
@@ -192,6 +203,7 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     SVD of lw^(1/2) x rw^(1/2). Row scores fi = lw P diag(d), column scores
     fj = rw Q diag(d).
     """
+    k = _checked_k(k, tol)
     x = kernel.as_matrix(x, "x")
     lw, rw = check_constraint(lw, x.shape[0], "lw"), check_constraint(rw, x.shape[1], "rw")
     lwc, (rwc, xr) = _side_by_side(
@@ -228,6 +240,7 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
     shares that gsvd's u, d, v, p, q, fi and fj; the latent variable
     scores lx = xl xrw p and ly = yl yrw q have cross-product diagonal d.
     """
+    k = _checked_k(k, tol)
     x = kernel.as_matrix(x, "x")
     y = kernel.as_matrix(y, "y")
     if x.shape[0] != y.shape[0]:

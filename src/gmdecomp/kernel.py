@@ -11,9 +11,9 @@ case the full spectrum is returned, including negative eigenvalues; any
 other value raises :class:`InvalidArgumentError` naming ``tol``. A NaN or
 Inf in the matrix they are given is an overflow, a :class:`NumericalError`.
 
-:func:`psd_eigen`, the validated PSD eigenpairs a dense constraint metric
-keeps, is :func:`tolerance_eigen` with the tolerance off plus the PSD check,
-so ``eigh`` and ``svd`` each have one call site, in the two workhorses.
+``eigh`` and ``svd`` each have one call site, in the two workhorses. A dense
+constraint metric is not checked here: :func:`constraints.factorize` calls
+:func:`tolerance_eigen` with the tolerance off and checks the spectrum is PSD.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,6 @@ from .errors import (
     NoConvergenceError,
     NonFiniteError,
     NonSquareError,
-    NotPSDError,
     NotSymmetricError,
     NumericalError,
     ParseError,
@@ -191,21 +190,4 @@ def tolerance_svd(x, tol=EPS):
         keep = (d > tol) & (d * d > tol)
         u, d, v = u[:, keep], d[keep], v[:, keep]
     return SvdOutput(u=u, d=d, v=v)
-
-
-def psd_eigen(w, name="w"):
-    """Eigenvalues (descending, clipped at 0) and eigenvectors of (w + w')/2,
-    after checking that it is PSD; errors name `name`. `w` is a float64
-    matrix that is finite and symmetric: converted and checked caller input
-    (see :func:`check_symmetric`) or a Gram matrix the library formed."""
-    s = (w + w.T) / 2.0
-    if not np.all(np.isfinite(s)):  # w + w' overflowed
-        raise NonFiniteError(f"{name} has entries too large to factorize")
-    out = tolerance_eigen(s, tol=None)
-    lam = out.values
-    if lam.min() < -PSD_RTOL * max(lam[0], 0.0):
-        raise NotPSDError(
-            f"{name} is not positive semi-definite (min eigenvalue {lam.min():.6g})"
-        )
-    return np.clip(lam, 0.0, None), out.vectors
 

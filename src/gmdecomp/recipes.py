@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel
 from .constraints import Constraint, pinv_constraint
-from .decomp import GSVD, _assemble, geigen, gplssvd, gsvd
+from .decomp import GSVD, _assemble, _checked_k, geigen, gplssvd, gsvd
 from .errors import (
     DimensionMismatchError,
     EmptyMarginError,
@@ -289,13 +289,17 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     and 1 elsewhere, and u, p, fi are lifted back through U and the ridge.
     omega = 0 reproduces standard MCA up to a per-component scaling factor.
     """
+    k = _checked_k(k, tol)
+    try:
+        omega = float(omega)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"omega must be a number, got {omega!r}") from None
+    if not 0 <= omega < np.inf:
+        raise InvalidArgumentError(f"omega must be nonnegative and finite, got {omega!r}")
     if isinstance(disjunctive, DisjunctiveTable):
         indicator = disjunctive.indicator
     else:
         indicator = kernel.as_matrix(disjunctive, "disjunctive")
-    omega = float(omega)
-    if not 0 <= omega < np.inf:
-        raise InvalidArgumentError(f"omega must be nonnegative and finite, got {omega!r}")
     centered = indicator - indicator.mean(axis=0)
     sv = kernel.tolerance_svd(centered, tol=None)
     keep = sv.d**2 > kernel.SQRT_EPS * sv.d[0] ** 2

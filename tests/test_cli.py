@@ -331,6 +331,31 @@ def test_exit_code_usage():
     assert cli.main(["gsvd"]) == 2  # missing required --x
 
 
+def test_one_parser_serves_every_run_of_a_process_as_if_it_ran_alone(tmp_path, rng, capsys):
+    # main builds its parser once per process; no run leaves state in it for the next
+    xp = write_matrix(tmp_path / "x.csv", rng.normal(size=(6, 3)))
+    out = tmp_path / "o"
+    runs = {"usage": ["gsvd", "--x", xp, "--k", "two", "--out", str(out)],
+            "valid": ["gsvd", "--x", xp, "--k", "2", "--plot", "--out", str(out)]}
+
+    def run(name):
+        code = cli.main(runs[name])
+        captured = capsys.readouterr()
+        files = _files(out)
+        shutil.rmtree(out, ignore_errors=True)
+        return code, captured.out, captured.err, files
+
+    alone = {}
+    for name in runs:
+        cli.build_parser.cache_clear()
+        alone[name] = run(name)
+    assert alone["usage"][0] == 2 and alone["valid"][0] == 0 and alone["valid"][3]
+    cli.build_parser.cache_clear()
+    for name in ("usage", "valid", "usage"):
+        assert run(name) == alone[name], name
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_exit_code_data_errors(tmp_path, capsys):
     assert cli.main(["gsvd", "--x", str(tmp_path / "missing.csv")]) == 3
     bad = write_csv(tmp_path / "bad.csv", [["1", "nope"]])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmdecomp import constraints, kernel
+from gmdecomp import constraints
 from gmdecomp.decomp import gsvd
 from gmdecomp.errors import DimensionMismatchError, NonFiniteError, NotPSDError
 
@@ -23,6 +23,12 @@ def dense_left_product(m, x):
 def canonical(raw, dim, name="constraint"):
     """A raw constraint checked and factorized, as the decompositions take it."""
     return constraints.factorize(constraints.check_constraint(raw, dim, name), name)
+
+
+def eigenpairs(m):
+    """A dense metric's clipped eigenvalues and eigenvectors, as factorize keeps them."""
+    c = constraints.factorize(m)
+    return c.weights, c.basis
 
 
 def test_none_becomes_identity():
@@ -69,7 +75,7 @@ def test_constraint_built_from_eigenpairs_matches_its_matrix(rng):
     # a Constraint is kept as given: weights on an orthonormal basis
     a = rng.normal(size=(3, 1))
     for m in (random_spd(rng, 3), a @ a.T):
-        hand = constraints.Constraint(3, *kernel.psd_eigen(m), "lw")
+        hand = constraints.Constraint(3, *eigenpairs(m), "lw")
         assert hand.kind == constraints.DENSE
         x = rng.normal(size=(3, 4))
         got, want = gsvd(x, lw=hand).fields(), gsvd(x, lw=m).fields()

@@ -80,10 +80,16 @@ def test_rrr_and_cca_factorize_each_gram_matrix_once(rng, eigh_calls, svd_calls)
 # bit-identity with the decomposition written out by hand
 
 
+def _eigenpairs(m):
+    """A dense metric's clipped eigenvalues and eigenvectors, as factorize keeps them."""
+    c = constraints.factorize(m)
+    return c.weights, c.basis
+
+
 def _eigen_form(m):
     """Basis and root weights of a dense metric: sqrt and the pseudo-inverse
     sqrt, both zero at or below max * n * eps."""
-    lam, vec = kernel.psd_eigen(m)
+    lam, vec = _eigenpairs(m)
     keep = lam > lam.max() * lam.shape[0] * kernel.EPS
     root = np.sqrt(np.where(keep, lam, 1.0))
     return vec, np.where(keep, root, 0.0), np.where(keep, 1.0 / root, 0.0)
@@ -358,7 +364,7 @@ def test_gplssvd_invariants_property(seed, n, mx, my, kinds):
     _check_scores(out.fi, xrw_m, out.p, out.d)
     _check_scores(out.fj, yrw_m, out.q, out.d)
     # lx = xl xrw P with xl = xlw^(1/2) x
-    xl = _psd_root(*kernel.psd_eigen(xlw_m)) @ x
+    xl = _psd_root(*_eigenpairs(xlw_m)) @ x
     _check_scores(out.lx, xl @ xrw_m, out.p, np.ones_like(out.d))
     # The latent variables' cross-products are the singular values.
     cross = np.einsum("ij,ij->j", out.lx, out.ly)
@@ -369,7 +375,7 @@ def test_gplssvd_invariants_property(seed, n, mx, my, kinds):
 
 
 def test_geigen_checks_each_matrix_for_symmetry_once(rng, monkeypatch):
-    # x at entry, a dense w in psd_eigen; never the metric-weighted matrix
+    # x at entry, a dense w in check_constraint; never the metric-weighted matrix
     checked = []
     real = kernel.is_symmetric
     monkeypatch.setattr(kernel, "is_symmetric", lambda s: checked.append(s.shape) or real(s))

@@ -53,6 +53,39 @@ def test_a_bad_slot_is_named_before_any_slot_is_factorized(rng, eigh_calls, call
     assert eigh_calls == []
 
 
+_SPD = random_spd(np.random.default_rng(5), 6)
+_TABLE = recipes.disjunctive_coding(mca_fixture())
+
+
+@pytest.mark.parametrize("arg, call", [
+    ("k", lambda x: gsvd(x, lw=_SPD, k="a")),
+    ("k", lambda x: gsvd(x, lw=_SPD, k=None)),
+    ("k", lambda x: gsvd(x, lw=_SPD, k=2.7)),
+    ("k", lambda x: geigen(_SPD, w=_SPD, k=np.float64(2.0))),
+    ("k", lambda x: gplssvd(x, x, xlw=_SPD, k="2")),
+    ("k", lambda x: recipes.rmca(_TABLE, 1.0, k=2.7)),
+    ("tol", lambda x: gsvd(x, lw=_SPD, tol=-1.0)),
+    ("tol", lambda x: geigen(_SPD, w=_SPD, tol="a")),
+    ("tol", lambda x: gplssvd(x, x, xlw=_SPD, tol=float("nan"))),
+    ("tol", lambda x: recipes.rmca(_TABLE, 1.0, tol=-1.0)),
+    ("omega", lambda x: recipes.rmca(_TABLE, "a")),
+    ("omega", lambda x: recipes.rmca(_TABLE, None)),
+], ids=["gsvd-k-str", "gsvd-k-none", "gsvd-k-float", "geigen-k-np-float", "gplssvd-k-str",
+        "rmca-k-float", "gsvd-tol-negative", "geigen-tol-str", "gplssvd-tol-nan",
+        "rmca-tol-negative", "rmca-omega-str", "rmca-omega-none"])
+def test_a_bad_scalar_argument_is_named_before_any_slot_is_factorized(rng, eigh_calls, arg, call):
+    with pytest.raises(InvalidArgumentError, match=f"^{arg} must be"):
+        call(rng.normal(size=(6, 3)))
+    assert eigh_calls == []
+
+
+def test_an_integer_k_of_any_integer_type_is_taken(rng):
+    x = rng.normal(size=(6, 3))
+    full = gsvd(x, lw=_SPD)
+    for k in (2, np.int64(2), np.int32(2)):
+        assert np.array_equal(gsvd(x, lw=_SPD, k=k).p, full.p[:, :2])
+
+
 def test_a_dense_metric_is_checked_for_finiteness_once(rng, monkeypatch):
     lw = random_spd(rng, 6)
     seen = []

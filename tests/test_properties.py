@@ -1,7 +1,8 @@
-"""Bounded property tests over random data for three of the paper's claims:
+"""Bounded property tests over random data for four of the paper's claims:
 identity constraints reduce each generalized decomposition to its plain
-counterpart, the four PCA routes agree, and the gsvd treats rows and
-columns alike."""
+counterpart, the four PCA routes agree, the gsvd treats rows and columns
+alike, and permuting the rows of its data and row metric permutes only its
+row outputs."""
 
 import numpy as np
 import pytest
@@ -107,3 +108,27 @@ def test_gsvd_of_the_transpose_swaps_the_sides(lw_kind, seed, n, m, rw_kind):
     for a, b in (("p", "q"), ("fi", "fj"), ("u", "v")):
         for mine, theirs in ((a, b), (b, a)):
             assert _close(align_signs(swapped[mine], out[theirs]), out[theirs], 1e-10), mine
+
+
+def _permuted(lw, perm):
+    """A row metric for the rows of its data taken in the order `perm`."""
+    if lw is None:
+        return None
+    return lw[perm] if lw.ndim == 1 else lw[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("lw_kind", METRICS)
+@BOUNDED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(2, 6),
+       rw_kind=st.sampled_from(METRICS))
+def test_gsvd_of_permuted_rows_permutes_the_row_outputs(lw_kind, seed, n, m, rw_kind):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, m))
+    lw, rw = _metric(rng, lw_kind, n), _metric(rng, rw_kind, m)
+    perm = rng.permutation(n)
+    out = gsvd(x, lw=lw, rw=rw).fields()
+    permuted = gsvd(x[perm], lw=_permuted(lw, perm), rw=rw).fields()
+    assert _close(permuted["d"], out["d"], 1e-10)
+    for name in ("u", "p", "fi", "v", "q", "fj"):
+        want = out[name][perm] if name in ("u", "p", "fi") else out[name]
+        assert _close(align_signs(permuted[name], want), want, 1e-10), name

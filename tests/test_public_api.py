@@ -94,6 +94,23 @@ def test_each_lapack_routine_has_one_call_site():
     assert sites == {"eigh": ["kernel.tolerance_eigen"], "svd": ["kernel.tolerance_svd"]}
 
 
+def test_one_function_eigendecomposes_a_metric_and_every_constraint_is_checked():
+    # geigen eigendecomposes its weighted x, factorize every dense metric; and no
+    # record is made with __new__, which would skip its checked constructor
+    sites = {"tolerance_eigen": [], "__new__": []}
+    for path in sorted(Path(gmdecomp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in sites:
+                    sites[name].append(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert sites == {"tolerance_eigen": ["constraints.factorize", "decomp.geigen"],
+                     "__new__": []}
+
+
 def test_caller_input_is_converted_in_one_place():
     # every array a caller passes goes through kernel.as_array; the CSV
     # loader only converts the floats it parsed itself
