@@ -19,13 +19,12 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from . import recipes
+from . import _floatfmt, recipes
 from .decomp import GPLSSVD, DecompositionResult, geigen, gplssvd, gsvd
 from .decomp import cpu_count as _cpu_count
 from .errors import (
@@ -41,8 +40,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-# Cells per writer process, of 2 at most: 10 000 take about 16 ms of repr; a fork took 4-13 ms.
-_CELLS_PER_PROCESS = 10_000
+# Cells per writer process, of 2 at most: 10 000 take about 5 ms to format and a fork 2.5 ms;
+# 2 processes wrote a ca result faster from about 5 500 cells up, 1 below 4 100 (2 vCPUs).
+_CELLS_PER_PROCESS = 3_000
 
 
 @dataclass
@@ -119,23 +119,21 @@ def _write_csv(path, value, row_labels=None):
     comp_1..comp_k header, each row after its label when labels are given.
     The bytes are csv.writer's: CRLF line ends, csv quoting for the header
     and labels, and each float as its repr, the shortest decimal that
-    round-trips; a repr never needs quoting, so numbers are joined directly.
-    Rows are streamed, never joined into one string."""
+    round-trips, which `_floatfmt` formats a chunk of cells at a time; a
+    repr never needs quoting, so numbers are joined directly."""
     csv_line = csv.writer(SimpleNamespace(write=str)).writerow  # returns the line
-    heads = repeat("")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    heads = None
+    with open(path, "wb") as fh:
         if value.ndim == 2:
             header = [f"comp_{j + 1}" for j in range(value.shape[1])]
             if row_labels is not None:
                 # "label," before the numbers; with none, the label is a
                 # one-field row, where csv writes an empty label as "".
                 tail = [""] if value.shape[1] else []
-                heads = (csv_line([label] + tail)[:-2] for label in row_labels)
+                heads = [csv_line([label] + tail)[:-2].encode() for label in row_labels]
                 header = [""] + header
-            fh.write(csv_line(header))
-        rows = value.tolist() if value.ndim == 2 else value[:, None].tolist()
-        fh.writelines(head + ",".join(map(repr, row)) + "\r\n"
-                      for head, row in zip(heads, rows))
+            fh.write(csv_line(header).encode())
+        _floatfmt.write_rows(fh, value if value.ndim == 2 else value[:, None], heads)
 
 
 def _field_labels(result, xm, ym):

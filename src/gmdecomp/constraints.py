@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import DimensionMismatchError, NonFiniteError, NotPSDError
+from .errors import DimensionMismatchError, NonFiniteError, NotPSDError, NumericalError
 
 IDENTITY = "identity"
 DIAGONAL = "diagonal"
@@ -123,13 +123,18 @@ def factorize(checked, name="constraint"):
 
 
 def pinv_constraint(gram, name="constraint"):
-    """The pseudo-inverse of the PSD Gram matrix `gram` (Björck & Golub 1973):
-    its :func:`factorize` eigenpairs, with eigenvalues at or below sqrt(eps)
-    times the largest counted as zero and the others inverted."""
+    """The pseudo-inverse of the PSD Gram matrix `gram` (Björck & Golub 1973): its
+    :func:`factorize` eigenpairs, with eigenvalues at or below sqrt(eps) times the largest
+    counted as zero and the others inverted; NumericalError if an inverse overflows."""
     c = factorize(gram, name)
     lam = c.weights
     keep = lam > kernel.SQRT_EPS * lam[0]
-    return Constraint(c.dim, np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0), c.basis, name)
+    with np.errstate(over="ignore"):
+        inv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
+    if not np.all(np.isfinite(inv)):
+        raise NumericalError(f"{name}: the pseudo-inverse of its Gram matrix overflows "
+                             f"(eigenvalue {lam[keep].min():.6g})")
+    return Constraint(c.dim, inv, c.basis, name)
 
 
 def _apply(c, x, powers):

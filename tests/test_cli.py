@@ -410,6 +410,15 @@ def test_overflow_in_a_formed_matrix_exits_4_writing_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pseudo_inverse_that_overflows_exits_4_writing_nothing(tmp_path, capsys, rng):
+    xp = write_matrix(tmp_path / "x.csv", rng.normal(size=(10, 3)) * 1e-160)
+    yp = write_matrix(tmp_path / "y.csv", rng.normal(size=(10, 2)))
+    out = tmp_path / "o"
+    assert cli.main(["rrr", "--x", xp, "--y", yp, "--no-scale", "--out", str(out)]) == 4
+    assert "xrw: the pseudo-inverse of its Gram matrix overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_asymmetric_geigen_input(tmp_path, capsys):
     xp = write_matrix(tmp_path / "x.csv", [[1.0, 2.0], [0.0, 1.0]])
     assert cli.main(["geigen", "--x", xp, "--out", str(tmp_path / "o")]) == 3

@@ -114,6 +114,19 @@ def test_overflow_in_a_formed_matrix_is_numerical(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, slot", [
+    (lambda x, y: recipes.rrr(x * 1e-160, y, scale=False), "xrw"),
+    (lambda x, y: recipes.cca(x * 1e-160, y, scale=False), "xrw"),
+    (lambda x, y: recipes.cca(x, y * 1e-160, scale=False), "yrw"),
+], ids=["rrr", "cca-x", "cca-y"])
+def test_pseudo_inverse_that_overflows_is_numerical(rng, call, slot):
+    # the Gram matrix's eigenvalues are near 1e-320: their inverses overflow, with no warning
+    x, y = rng.normal(size=(10, 3)), rng.normal(size=(10, 2))
+    with pytest.raises(NumericalError, match=f"^{slot}: the pseudo-inverse of its Gram matrix "
+                                             "overflows"):
+        call(x, y)
+
+
 def test_inf_in_each_gplssvd_constraint_names_its_slot(rng, no_eigh):
     x, y = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     for slot, dim in (("xlw", 4), ("xrw", 3), ("ylw", 4), ("yrw", 2)):

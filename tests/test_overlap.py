@@ -34,9 +34,15 @@ rng = np.random.default_rng(7)
 x, y = rng.normal(size=(150, 120)), rng.normal(size=(150, 110))
 spd = [a @ a.T / len(a) + 0.5 * np.eye(len(a)) for a in
        (rng.normal(size=(n, n)) for n in (150, 120, 120, 110))]
+basis = rng.normal(size=(150, 60))
+singular, perm = basis @ basis.T / 60, rng.permutation(150)  # lw of rank 60; a row order
 calls = {
     "gsvd": lambda: decomp.gsvd(x, lw=spd[0], rw=spd[1]),
     "gsvd-transposed": lambda: decomp.gsvd(x.T, lw=spd[1], rw=spd[0]),
+    "gsvd-permuted": lambda: decomp.gsvd(x[perm], lw=spd[0][np.ix_(perm, perm)], rw=spd[1]),
+    "gsvd-singular": lambda: decomp.gsvd(x, lw=singular, rw=spd[1]),
+    "gsvd-singular-permuted": lambda: decomp.gsvd(
+        x[perm], lw=singular[np.ix_(perm, perm)], rw=spd[1]),
     "gplssvd": lambda: decomp.gplssvd(x, y, xrw=spd[2], yrw=spd[3]),
     "cca": lambda: recipes.cca(x, y),
 }
@@ -51,8 +57,10 @@ for cpus in (2, 1):
         starts.clear()
         runs[cpus, name] = call().fields()
         assert threading.active_count() == before, name
-        # before the SVD and after it; cca's metrics come factorized
-        assert len(starts) == (cpus > 1) * (1 if name == "cca" else 2), (cpus, name, starts)
+        # before the SVD and after it; cca's metrics come factorized, and rank-60 lw's
+        # 60 components are too few for the map-back to reach the floor
+        once = name == "cca" or name.startswith("gsvd-singular")
+        assert len(starts) == (cpus > 1) * (1 if once else 2), (cpus, name, starts)
 for name in calls:
     two, one = runs[2, name], runs[1, name]
     assert two.keys() == one.keys()
@@ -65,6 +73,14 @@ for field, other in swap.items():
     if a.ndim == 2:
         a = a * np.where((a * b).sum(axis=0) < 0, -1.0, 1.0)
     assert np.abs(a - b).max() < 1e-10 * np.abs(b).max(), field
+# permuting the rows of x and of lw's rows and columns permutes the row outputs, up to
+# column sign, and keeps the rest
+for name in ("gsvd", "gsvd-singular"):
+    for field, a in runs[2, name + "-permuted"].items():
+        b = runs[2, name][field][perm] if field in ("u", "p", "fi") else runs[2, name][field]
+        if a.ndim == 2:
+            a = a * np.where((a * b).sum(axis=0) < 0, -1.0, 1.0)
+        assert np.abs(a - b).max() < 1e-10 * np.abs(b).max(), (name, field)
 """
 
 
