@@ -12,9 +12,9 @@ a hand-built constraint's arrays are converted by :func:`kernel.as_array`.
 :func:`factorize` is the one function that eigendecomposes a metric, a
 caller's dense one or a Gram matrix the library formed: that one
 eigendecomposition checks it is PSD and is all the constraint keeps. Its
-square root and pseudo-inverse square root are applied on the left only, as
-B w^a B' for a = 1/2 and -1/2, and one cutoff decides which weights both
-roots treat as zero, for diagonal and dense metrics alike.
+square root, pseudo-inverse square root and pseudo-inverse are applied on the
+left only, as B w^a B' for a = 1/2, -1/2 and -1, and one cutoff decides which
+weights all three treat as zero, for diagonal and dense metrics alike.
 :func:`pinv_constraint` is :func:`factorize` with the weights inverted.
 """
 
@@ -138,9 +138,9 @@ def pinv_constraint(gram, name="constraint"):
 
 
 def _apply(c, x, powers):
-    """B w^a B' x for each a in `powers`, 1/2 or -1/2, with B' x formed once.
-    A weight at or below max * n * eps counts as zero, so both roots vanish
-    on the same directions and the inverse root is a pseudo-inverse."""
+    """B w^a B' x for each a in `powers`, 1/2, -1/2 or -1, with B' x formed once.
+    A weight at or below max * n * eps counts as zero, so all three vanish
+    on the same directions and the inverse powers are pseudo-inverses."""
     if c.dim != x.shape[0]:
         raise DimensionMismatchError(
             f"{c.name} dim {c.dim} does not conform to the rows of matrix {x.shape}")
@@ -148,9 +148,11 @@ def _apply(c, x, powers):
         return [x for _ in powers]
     w, b = c.weights, c.basis
     keep = w > w.max(initial=0.0) * w.shape[0] * kernel.EPS
-    root = np.sqrt(np.where(keep, w, 1.0))
+    kept = np.where(keep, w, 1.0)
+    root = np.sqrt(kept)
     bx = x if b is None else b.T @ x
-    out = [np.where(keep, root if a > 0 else 1.0 / root, 0.0)[:, None] * bx for a in powers]
+    out = [np.where(keep, root if a > 0 else 1.0 / (root if a > -1 else kept), 0.0)[:, None] * bx
+           for a in powers]
     return out if b is None else [b @ o for o in out]
 
 
@@ -163,3 +165,9 @@ def apply_roots(c, x):
     """The metric's pseudo-inverse square root (null weights map to 0) and
     its square root, each times x, sharing one product with the basis."""
     return _apply(c, x, (-0.5, 0.5))
+
+
+def apply_inverses(c, x):
+    """The metric's pseudo-inverse square root and its pseudo-inverse, each times x, sharing
+    one product with the basis."""
+    return _apply(c, x, (-0.5, -1.0))

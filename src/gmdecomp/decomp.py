@@ -18,12 +18,27 @@ Rank truncation: ``k=0`` (the default) returns every retained component;
 outputs are computed on the full retained set and then sliced, so a k-run
 is bit-identical to the leading columns of a full run.
 
-A second thread does one side, a metric (gplssvd: a table), while the caller
-does the other, before the SVD and after it, when 2 CPUs are available, the
-process's settings give BLAS one thread (OPENBLAS_NUM_THREADS for OpenBLAS,
-then OMP_NUM_THREADS) and both sides' work reaches a measured floor. The
-results are the same bits. The thread is joined before the call returns;
-if both sides fail, the row (x) side's error is raised.
+A dense metric passed as a matrix is solved in its Cholesky frame (Golub &
+Van Loan 2013, section 8.7): with w = L L', gsvd takes the SVD of Ll' x Lr and
+geigen the eigh of L' x L; a side's standard vectors, generalized vectors and
+scores are then w^(-1/2) L U, w^(-1) L U and L U diag(d), and the final v gets
+the canonical signs. The metric's eigendecomposition (factorize) stays its
+one PSD check and the only source of its roots, and the frame is kept only
+when its smallest eigenvalue is at least the largest over _FRAME_COND; else,
+and for a metric with no Cholesky factor, the solve is redone through the
+roots. Identity, diagonal and factorized `Constraint` metrics, and gplssvd's
+row metrics, whose roots weight the tables, always take the roots.
+
+A second thread solves in the frames while the caller factorizes the dense
+metrics (when a metric has no frame, it factorizes the last metrics instead;
+gplssvd factorizes dense row metrics first, the x table's beside the y
+table's), and after the solve maps one side back while the caller maps the
+other. It starts only when 2 CPUs are available, the process's settings give
+BLAS one thread (OPENBLAS_NUM_THREADS for OpenBLAS, then OMP_NUM_THREADS) and
+both sides' work reaches a measured floor; the route never depends on that,
+so the results are the same bits. The thread is joined before the call
+returns and the caller's error wins: a metric's own over its frame's, and the
+row (x) side's when both sides fail.
 """
 
 import operator
@@ -35,8 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .constraints import DENSE, apply_roots, apply_sqrt_metric, check_constraint, factorize
-from .errors import DimensionMismatchError, InvalidArgumentError, NumericalError
+from .constraints import (
+    DENSE, apply_inverses, apply_roots, apply_sqrt_metric, check_constraint, factorize)
+from .errors import DimensionMismatchError, GmdError, InvalidArgumentError, NumericalError
 
 GEIGEN = "geigen"
 GSVD = "gsvd"
@@ -46,6 +62,11 @@ GPLSSVD = "gplssvd"
 # starting and joining one cost more than the overlap saved (2 vCPUs, BLAS on one thread).
 _OVERLAP_FLOOR = 5_000_000
 _OPENBLAS = "openblas" in str(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies"))
+# A frame is kept only when its metric's eigenvalues span at most this ratio. Against the root
+# route, relative to each field's largest entry and up to sign, frames moved a 60 x 40 gsvd by
+# at most 5.2e-13 at condition number 1e3 and 2.3e-12 at 1e4, and a 40 x 40 geigen by 1.1e-11
+# and 9.3e-11 (25 metrics each; a 200 x 200 geigen: 2.8e-11 and 3.4e-10).
+_FRAME_COND = 1e3
 
 
 def cpu_count():
@@ -184,16 +205,19 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
     """
     k = _checked_k(k, tol)
     x = kernel.check_symmetric(kernel.as_matrix(x, "x"), "x")
-    c = factorize(check_constraint(w, x.shape[0], "w"), "w")
-    xt = apply_sqrt_metric(c, apply_sqrt_metric(c, x.T).T)
-    eig = kernel.tolerance_eigen(xt, tol=tol)
+    w = check_constraint(w, x.shape[0], "w")
 
+    def eigen(h):
+        eig = kernel.tolerance_eigen(_half(h, _half(h, x.T).T), tol=tol)
+        return eig, _lift(h, eig.vectors)
+
+    (c,), (h,), (eig, lifted) = _solve((w,), ("w",), eigen, _work(w, 0))
     l_full = eig.values
     d_full = np.sqrt(np.clip(l_full, 0.0, None))
-    v = eig.vectors
-    q, fj, _ = _map_back(c, v, d_full, None)
-
-    return _assemble(GEIGEN, k, tol, d_full, l_full, v=v, q=q, fj=fj)
+    v, q, fj, _ = _map_back(c, eig.vectors, lifted, d_full, None)
+    columns = dict(v=v, q=q, fj=fj)
+    return _assemble(GEIGEN, k, tol, d_full, l_full,
+                     **(_signed(columns) if isinstance(h, np.ndarray) else columns))
 
 
 def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
@@ -205,31 +229,119 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     """
     k = _checked_k(k, tol)
     x = kernel.as_matrix(x, "x")
-    lw, rw = check_constraint(lw, x.shape[0], "lw"), check_constraint(rw, x.shape[1], "rw")
-    lwc, (rwc, xr) = _side_by_side(
-        lambda: factorize(lw, "lw"), lambda: (c := factorize(rw, "rw"), apply_sqrt_metric(c, x.T)),
-        min(_work(lw, 0), _work(rw, 2 * x.shape[0])))
-    d_full, columns = _gsvd_columns(xr, lwc, rwc, tol)
-    return _assemble(GSVD, k, tol, d_full, d_full**2, **columns)
+    slots = check_constraint(lw, x.shape[0], "lw"), check_constraint(rw, x.shape[1], "rw")
+    d_full, columns = _gsvd_columns(lambda: x, x.shape, slots, ("lw", "rw"), tol)
+    return _assemble(GSVD, k, tol, d_full, _squares(d_full), **columns)
 
 
-def _gsvd_columns(xr, lwc, rwc, tol, xl=None, yl=None):
-    """The unchecked d_full and column fields of the gsvd of x under lwc and rwc, from
-    xr = rwc^(1/2) x'; given gplssvd's row-weighted tables xl and yl, also lx and ly."""
-    sv = kernel.tolerance_svd(apply_sqrt_metric(lwc, xr.T), tol=tol)
+def _squares(d):
+    """d**2, where an overflow is left to _assemble to raise."""
+    with np.errstate(over="ignore"):
+        return d**2
+
+
+def _factor(w):
+    """The frame of `w`, a checked dense matrix: its Cholesky factor L, or None when it has
+    none or a lower bound of its condition number exceeds _FRAME_COND. The bound is the largest
+    column norm of w, at most its largest eigenvalue, over the smallest pivot L_ii^2, at least
+    its smallest."""
+    low = kernel.cholesky(w)
+    if low is None:
+        return None
+    bound = np.sqrt(np.einsum("ij,ij->j", w, w).max()) / np.diag(low).min() ** 2
+    return low if bound <= _FRAME_COND else None
+
+
+def _half(h, x):
+    """H' x for a side's half H (w = H H'): its frame L, or a `Constraint`'s root."""
+    return h.T @ x if isinstance(h, np.ndarray) else apply_sqrt_metric(h, x)
+
+
+def _lift(h, vectors):
+    """L vectors, the metric's root times the standard vectors, for a side's frame L; None for
+    a root, whose standard vectors are the solve's own."""
+    return h @ vectors if isinstance(h, np.ndarray) else None
+
+
+def _solve(slots, names, solve, work, made=None):
+    """(constraints, halves, solve(*halves)) for the checked `slots`. The caller factorizes them
+    in order (or takes `made`) while the second thread solves with each dense matrix's frame as
+    its half, or, when a slot has no frame, factorizes slots from the last one until it meets
+    the caller. A frame factorize refuses is replaced by the root, and then, or when a slot had
+    no frame or the frame's solve failed, the solve is redone on the caller."""
+    if not any(isinstance(w, np.ndarray) for w in slots):  # factorized already: no frame
+        return slots, slots, solve(*slots)
+    cs, lock = list(made or [None] * len(slots)), threading.Lock()
+
+    def factorize_from(order):  # each slot once, whichever thread claims it first
+        for i in order:
+            with lock:
+                if cs[i] is not None:
+                    continue
+                cs[i] = slots[i]
+            cs[i] = factorize(slots[i], names[i])
+
+    def framed():
+        with np.errstate(all="ignore"):  # a failure is redone, with its warnings, below
+            halves = [_factor(w) if isinstance(w, np.ndarray) else w for w in slots]
+            unframed = any(h is None for h in halves)
+            try:
+                out = None if unframed else solve(*halves)
+            except GmdError:
+                out = None
+        if unframed:
+            factorize_from(reversed(range(len(slots))))
+        return halves, out
+
+    _, (tried, out) = _side_by_side(lambda: factorize_from(range(len(slots))), framed, work)
+    halves = [h if isinstance(h, np.ndarray) and c.weights[-1] * _FRAME_COND >= c.weights[0]
+              else c for h, c in zip(tried, cs)]
+    if out is None or any(h is not t for h, t in zip(halves, tried)):
+        out = solve(*halves)
+    return cs, halves, out
+
+
+def _gsvd_columns(form, shape, slots, names, tol, made=None, xl=None, yl=None):
+    """The unchecked d_full and column fields of the gsvd of form(), a matrix of `shape`, under
+    the checked column slots; given gplssvd's row-weighted tables xl and yl, also lx and ly."""
+    def svd(hl, hr):
+        sv = kernel.tolerance_svd(_half(hl, _half(hr, form().T).T), tol=tol)
+        return sv, _lift(hl, sv.u), _lift(hr, sv.v)
+
+    # the caller's eighs against the svd, which took as long as 25 m n min(m, n) multiply-adds
+    eighs = 0 if made else _work(slots[0], 0) + _work(slots[1], 0)
+    (lc, rc), (hl, hr), (sv, ul, vl) = _solve(
+        slots, names, svd, min(eighs, 25 * shape[0] * shape[1] * min(shape)), made)
     r = sv.d.shape[0]
-    work = [_work(c, 3 * r) + (0 if t is None else t.size * r) for c, t in ((lwc, xl), (rwc, yl))]
-    (p, fi, lx), (q, fj, ly) = _side_by_side(
-        lambda: _map_back(lwc, sv.u, sv.d, xl), lambda: _map_back(rwc, sv.v, sv.d, yl), min(work))
+    work = [_work(c, 3 * r) + (0 if t is None else t.size * r) for c, t in ((lc, xl), (rc, yl))]
+    (u, p, fi, lx), (v, q, fj, ly) = _side_by_side(
+        lambda: _map_back(lc, sv.u, ul, sv.d, xl), lambda: _map_back(rc, sv.v, vl, sv.d, yl),
+        min(work))
     latent = {} if xl is None else dict(lx=lx, ly=ly)
-    return sv.d, dict(u=sv.u, v=sv.v, p=p, q=q, fi=fi, fj=fj, **latent)
+    columns = dict(u=u, v=v, p=p, q=q, fi=fi, fj=fj, **latent)
+    return sv.d, _signed(columns) if isinstance(hr, np.ndarray) else columns
 
 
-def _map_back(c, vectors, d, table):
-    """A side's generalized vectors c^(-1/2) vectors, scores c^(1/2) vectors
-    diag(d) and, given a table, latent variable scores table c^(1/2) vectors."""
-    inv, root = apply_roots(c, vectors)
-    return inv, root * d[None, :], None if table is None else table @ root
+def _map_back(c, vectors, lifted, d, table):
+    """A side's standard vectors, generalized vectors c^(-1/2) standard, scores c^(1/2) standard
+    diag(d) and, given a table, latent variable scores table c^(1/2) standard, from the solve's
+    `vectors`: the standard vectors themselves under a root, and under a frame L, whose
+    `lifted` vectors L vectors are c^(1/2) standard, c^(-1/2) lifted."""
+    if lifted is None:
+        std, (inv, root) = vectors, apply_roots(c, vectors)
+    else:
+        root = lifted
+        std, inv = apply_inverses(c, root)
+    return std, inv, root * d[None, :], None if table is None else table @ root
+
+
+def _signed(columns):
+    """The column fields, given in place the canonical signs of their v, mapped out of a frame.
+    A field that is another's array (u and p under an identity metric) is flipped once."""
+    signs = kernel.canonical_signs(columns["v"])
+    for m in {id(m): m for name, m in columns.items() if name != "v"}.values():
+        m *= signs
+    return columns
 
 
 def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
@@ -249,12 +361,23 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
         )
     xlw, xrw = check_constraint(xlw, x.shape[0], "xlw"), check_constraint(xrw, x.shape[1], "xrw")
     ylw, yrw = check_constraint(ylw, y.shape[0], "ylw"), check_constraint(yrw, y.shape[1], "yrw")
-    (xl, xrwc), (yl, yrwc) = _side_by_side(
-        lambda: (apply_sqrt_metric(factorize(xlw, "xlw"), x), factorize(xrw, "xrw")),
-        lambda: (apply_sqrt_metric(factorize(ylw, "ylw"), y), factorize(yrw, "yrw")),
-        min(_work(xlw, 2 * x.shape[1]) + _work(xrw, 0), _work(ylw, 2 * y.shape[1]) + _work(yrw, 0)))
-    cross = xl.T @ yl
-    if not np.all(np.isfinite(cross)):
-        raise NumericalError("the cross-product xl' yl overflowed: it holds NaN or Inf entries")
-    d_full, columns = _gsvd_columns(apply_sqrt_metric(yrwc, cross.T), xrwc, yrwc, tol, xl, yl)
-    return _assemble(GPLSSVD, k, tol, d_full, d_full**2, **columns)
+    made = None
+    if isinstance(xlw, np.ndarray) or isinstance(ylw, np.ndarray):
+        (xl, xrwc), (yl, yrwc) = _side_by_side(
+            lambda: (apply_sqrt_metric(factorize(xlw, "xlw"), x), factorize(xrw, "xrw")),
+            lambda: (apply_sqrt_metric(factorize(ylw, "ylw"), y), factorize(yrw, "yrw")),
+            min(_work(xlw, 2 * x.shape[1]) + _work(xrw, 0),
+                _work(ylw, 2 * y.shape[1]) + _work(yrw, 0)))
+        made = [xrwc, yrwc]
+    else:
+        xl, yl = apply_sqrt_metric(xlw, x), apply_sqrt_metric(ylw, y)
+
+    def cross():
+        c = xl.T @ yl
+        if not np.all(np.isfinite(c)):
+            raise NumericalError("the cross-product xl' yl overflowed: it holds NaN or Inf entries")
+        return c
+
+    d_full, columns = _gsvd_columns(
+        cross, (x.shape[1], y.shape[1]), (xrw, yrw), ("xrw", "yrw"), tol, made, xl, yl)
+    return _assemble(GPLSSVD, k, tol, d_full, _squares(d_full), **columns)

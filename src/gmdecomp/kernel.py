@@ -11,9 +11,12 @@ case the full spectrum is returned, including negative eigenvalues; any
 other value raises :class:`InvalidArgumentError` naming ``tol``. A NaN or
 Inf in the matrix they are given is an overflow, a :class:`NumericalError`.
 
-``eigh`` and ``svd`` each have one call site, in the two workhorses. A dense
-constraint metric is not checked here: :func:`constraints.factorize` calls
-:func:`tolerance_eigen` with the tolerance off and checks the spectrum is PSD.
+``eigh`` and ``svd`` each have one call site, in the two workhorses, and
+``cholesky`` has one, in :func:`cholesky`, which gives a dense metric's
+Cholesky factor for ``decomp`` to solve in while the metric is eigendecomposed.
+A dense constraint metric is not checked here: :func:`constraints.factorize`
+calls :func:`tolerance_eigen` with the tolerance off and checks the spectrum
+is PSD; a failed Cholesky is not an error, only a metric without a factor.
 """
 
 from dataclasses import dataclass
@@ -64,6 +67,8 @@ def _threshold(tol):
     if tol is None:
         return None
     try:
+        if isinstance(tol, (str, bytes)):  # float() would parse a numeric string
+            raise TypeError
         if 0 <= float(tol) < np.inf:
             return float(tol)
     except (TypeError, ValueError):
@@ -137,6 +142,19 @@ def _factorizable(s):
     return s
 
 
+def cholesky(w):
+    """The lower Cholesky factor of (w + w')/2, for a checked symmetric matrix `w`, or None
+    when it is not positive definite or w + w' overflows."""
+    with np.errstate(over="ignore"):
+        s = (w + w.T) / 2.0
+    if not np.all(np.isfinite(s)):
+        return None
+    try:
+        return np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def tolerance_eigen(s, tol=SQRT_EPS):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending,
     that drops eigenvalues at or below `tol`.
@@ -187,7 +205,8 @@ def tolerance_svd(x, tol=EPS):
         # Both the singular values and their squares (the eigenvalues) must
         # clear the threshold; collinear data leaves near-null singular
         # values whose squares are far below any sensible cutoff.
-        keep = (d > tol) & (d * d > tol)
+        with np.errstate(over="ignore"):  # an infinite square is kept, and _assemble rejects it
+            keep = (d > tol) & (d * d > tol)
         u, d, v = u[:, keep], d[keep], v[:, keep]
     return SvdOutput(u=u, d=d, v=v)
 

@@ -79,3 +79,9 @@ def eigh_calls(monkeypatch):
 def svd_calls(monkeypatch):
     """Shapes of every np.linalg.svd call made while the test runs."""
     return _record_shapes(monkeypatch, "svd")
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Shapes of every np.linalg.cholesky call made while the test runs."""
+    return _record_shapes(monkeypatch, "cholesky")

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -379,6 +381,23 @@ def test_non_finite_result_exits_4_writing_nothing(tmp_path, capsys):
         code = cli.main(["gsvd", "--x", xp, "--lw", lw, "--out", str(out)])
     assert code == 4
     assert "NaN or Inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_singular_values_whose_squares_overflow_exit_4_with_one_line(tmp_path):
+    # d = 3e200: d^2 overflows in the tolerance and in l, which raises alone, with no
+    # warning before it
+    xp = write_matrix(tmp_path / "x.csv", np.full((3, 3), 1e200))
+    out = tmp_path / "o"
+    with pytest.raises(NumericalError, match="^gsvd: the result field l_full holds NaN"):
+        gsvd(np.full((3, 3), 1e200))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "gmdecomp.cli", "gsvd", "--x", xp, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert run.returncode == 4
+    assert run.stderr.splitlines() == [
+        "error: gsvd: the result field l_full holds NaN or Inf values"]
     assert not out.exists()
 
 

@@ -2,9 +2,12 @@
 
 A dense metric is eigendecomposed once, when it is canonicalized, and the
 constraint keeps only those eigenpairs: its roots are applied on the left as
-B (w^a (B' x)). The savings are pinned as eigh call counts (never wall
-time); the outputs as bit-identical to that route written out by hand, and
-within 1e-10 (up to sign) of the route through symmetric root matrices; one
+B (w^a (B' x)). A dense metric passed as a matrix also takes one Cholesky
+factor, the frame its solve runs in. The savings are pinned as eigh and
+Cholesky call counts (never wall time); the outputs as bit-identical to the
+frame route, and for factorized metrics to the root route, written out by
+hand, and within 1e-10 (up to sign) of the route through symmetric root
+matrices; one
 pseudo-inverse rule for diagonal and dense weights by a property test; and
 the paper's invariants, with the scores as the metric times the generalized
 vectors, by a bounded property test over identity, diagonal (with zero
@@ -76,8 +79,42 @@ def test_rrr_and_cca_factorize_each_gram_matrix_once(rng, eigh_calls, svd_calls)
     assert (eigh_calls, svd_calls) == ([(4, 4), (5, 5)], [(4, 5)])
 
 
+def test_each_dense_matrix_metric_takes_one_cholesky(rng, cholesky_calls):
+    gsvd(rng.normal(size=(9, 6)), lw=random_spd(rng, 9), rw=random_spd(rng, 6))
+    assert cholesky_calls == [(9, 9), (6, 6)]
+    cholesky_calls.clear()
+    geigen(random_spd(rng, 7), w=random_spd(rng, 7))
+    assert cholesky_calls == [(7, 7)]
+    cholesky_calls.clear()
+    x, y = rng.normal(size=(10, 4)), rng.normal(size=(10, 5))
+    gplssvd(x, y, xrw=random_spd(rng, 4), yrw=random_spd(rng, 5))
+    assert cholesky_calls == [(4, 4), (5, 5)]
+    cholesky_calls.clear()
+    # a dense row metric is applied through its root: only the column metric has a frame
+    gplssvd(x, y, xlw=random_spd(rng, 10), yrw=random_spd(rng, 5))
+    assert cholesky_calls == [(5, 5)]
+
+
+def test_no_cholesky_without_a_dense_matrix_metric(rng, cholesky_calls):
+    x, y = rng.normal(size=(30, 4)), rng.normal(size=(30, 5))
+    gsvd(x, lw=rng.uniform(0.5, 2.0, 30))
+    gsvd(x, lw=constraints.factorize(random_spd(rng, 30)), rw=np.diag(rng.uniform(0.5, 2.0, 4)))
+    geigen(random_spd(rng, 4), w=rng.uniform(0.5, 2.0, 4))
+    gplssvd(x, y, ylw=np.ones(30))
+    recipes.ca(rng.poisson(5.0, size=(20, 6)) + 1.0)
+    recipes.rmca(recipes.disjunctive_coding(categorical_table(rng, 60, (3, 4))), 5.0)
+    recipes.rrr(x, y)
+    recipes.cca(x, y)
+    pts = rng.normal(size=(12, 2))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    recipes.weighted_mds(dist, rng.uniform(0.5, 2.0, 12))
+    assert cholesky_calls == []
+
+
 # ---------------------------------------------------------------------------
-# bit-identity with the decomposition written out by hand
+# bit-identity with the decomposition written out by hand: a dense metric passed
+# as a matrix is solved in its Cholesky frame, the same metric passed factorized
+# through its roots
 
 
 def _eigenpairs(m):
@@ -87,63 +124,95 @@ def _eigenpairs(m):
 
 
 def _eigen_form(m):
-    """Basis and root weights of a dense metric: sqrt and the pseudo-inverse
-    sqrt, both zero at or below max * n * eps."""
+    """Basis and weights of a dense metric's sqrt, pseudo-inverse sqrt and pseudo-inverse,
+    each zero at or below max * n * eps."""
     lam, vec = _eigenpairs(m)
     keep = lam > lam.max() * lam.shape[0] * kernel.EPS
-    root = np.sqrt(np.where(keep, lam, 1.0))
-    return vec, np.where(keep, root, 0.0), np.where(keep, 1.0 / root, 0.0)
+    kept = np.where(keep, lam, 1.0)
+    root = np.sqrt(kept)
+    return (vec, np.where(keep, root, 0.0), np.where(keep, 1.0 / root, 0.0),
+            np.where(keep, 1.0 / kept, 0.0))
 
 
 def _left(b, s, x):
     return b @ (s[:, None] * (b.T @ x))
 
 
+def _chol(m):
+    return np.linalg.cholesky((m + m.T) / 2.0)
+
+
+def _signed(v, fields):
+    """The fields with v's canonical signs, v mapped out of a frame."""
+    v = v.copy()
+    signs = kernel.canonical_signs(v)
+    return dict(v=v, **{name: value * signs for name, value in fields.items()})
+
+
+def _check_fields(out, expected):
+    for name, value in expected.items():
+        assert np.array_equal(getattr(out, name), value), name
+
+
 def test_dense_gsvd_matches_written_out_roots(rng):
     x = rng.normal(size=(12, 7))
     lw, rw = random_spd(rng, 12), random_spd(rng, 7)
-    lb, lw_s, lw_i = _eigen_form(lw)
-    rb, rw_s, rw_i = _eigen_form(rw)
+    lb, lw_s, lw_i, lw_p = _eigen_form(lw)
+    rb, rw_s, rw_i, rw_p = _eigen_form(rw)
     sv = kernel.tolerance_svd(_left(lb, lw_s, _left(rb, rw_s, x.T).T), tol=kernel.EPS)
-    expected = dict(
+    roots = dict(
         d=sv.d, u=sv.u, v=sv.v, p=_left(lb, lw_i, sv.u), q=_left(rb, rw_i, sv.v),
         fi=_left(lb, lw_s, sv.u) * sv.d[None, :], fj=_left(rb, rw_s, sv.v) * sv.d[None, :],
     )
-    out = gsvd(x, lw=lw, rw=rw)
-    for name, value in expected.items():
-        assert np.array_equal(getattr(out, name), value), name
+    _check_fields(gsvd(x, lw=constraints.factorize(lw), rw=constraints.factorize(rw)), roots)
+    ll, rl = _chol(lw), _chol(rw)
+    sv = kernel.tolerance_svd(ll.T @ (rl.T @ x.T).T, tol=kernel.EPS)
+    lu, rv = ll @ sv.u, rl @ sv.v
+    frame = _signed(_left(rb, rw_i, rv), dict(
+        u=_left(lb, lw_i, lu), p=_left(lb, lw_p, lu), q=_left(rb, rw_p, rv),
+        fi=lu * sv.d[None, :], fj=rv * sv.d[None, :]))
+    _check_fields(gsvd(x, lw=lw, rw=rw), dict(d=sv.d, **frame))
 
 
 def test_dense_geigen_matches_written_out_roots(rng):
     x = random_spd(rng, 8)
     w = random_spd(rng, 8)
-    b, w_s, w_i = _eigen_form(w)
+    b, w_s, w_i, w_p = _eigen_form(w)
     eig = kernel.tolerance_eigen(_left(b, w_s, _left(b, w_s, x.T).T), tol=kernel.SQRT_EPS)
     d = np.sqrt(np.clip(eig.values, 0.0, None))
-    out = geigen(x, w=w)
-    assert np.array_equal(out.l, eig.values)
-    assert np.array_equal(out.d, d)
-    assert np.array_equal(out.v, eig.vectors)
-    assert np.array_equal(out.q, _left(b, w_i, eig.vectors))
-    assert np.array_equal(out.fj, _left(b, w_s, eig.vectors) * d[None, :])
+    roots = dict(l=eig.values, d=d, v=eig.vectors, q=_left(b, w_i, eig.vectors),
+                 fj=_left(b, w_s, eig.vectors) * d[None, :])
+    _check_fields(geigen(x, w=constraints.factorize(w)), roots)
+    low = _chol(w)
+    eig = kernel.tolerance_eigen(low.T @ (low.T @ x.T).T, tol=kernel.SQRT_EPS)
+    d = np.sqrt(np.clip(eig.values, 0.0, None))
+    lv = low @ eig.vectors
+    frame = _signed(_left(b, w_i, lv), dict(q=_left(b, w_p, lv), fj=lv * d[None, :]))
+    _check_fields(geigen(x, w=w), dict(l=eig.values, d=d, **frame))
 
 
 def test_dense_gplssvd_matches_written_out_roots(rng):
     x = rng.normal(size=(15, 4))
     y = rng.normal(size=(15, 6))
     xrw, yrw = random_spd(rng, 4), random_spd(rng, 6)
-    xb, xrw_s, xrw_i = _eigen_form(xrw)
-    yb, yrw_s, yrw_i = _eigen_form(yrw)
+    xb, xrw_s, xrw_i, xrw_p = _eigen_form(xrw)
+    yb, yrw_s, yrw_i, yrw_p = _eigen_form(yrw)
     sv = kernel.tolerance_svd(
         _left(xb, xrw_s, _left(yb, yrw_s, (x.T @ y).T).T), tol=kernel.EPS)
     fi, fj = _left(xb, xrw_s, sv.u), _left(yb, yrw_s, sv.v)
-    expected = dict(
+    roots = dict(
         d=sv.d, u=sv.u, v=sv.v, p=_left(xb, xrw_i, sv.u), q=_left(yb, yrw_i, sv.v),
         fi=fi * sv.d[None, :], fj=fj * sv.d[None, :], lx=x @ fi, ly=y @ fj,
     )
-    out = gplssvd(x, y, xrw=xrw, yrw=yrw)
-    for name, value in expected.items():
-        assert np.array_equal(getattr(out, name), value), name
+    _check_fields(gplssvd(x, y, xrw=constraints.factorize(xrw), yrw=constraints.factorize(yrw)),
+                  roots)
+    xl, yl = _chol(xrw), _chol(yrw)
+    sv = kernel.tolerance_svd(xl.T @ (yl.T @ (x.T @ y).T).T, tol=kernel.EPS)
+    lu, rv = xl @ sv.u, yl @ sv.v
+    frame = _signed(_left(yb, yrw_i, rv), dict(
+        u=_left(xb, xrw_i, lu), p=_left(xb, xrw_p, lu), q=_left(yb, yrw_p, rv),
+        fi=lu * sv.d[None, :], fj=rv * sv.d[None, :], lx=x @ lu, ly=y @ rv))
+    _check_fields(gplssvd(x, y, xrw=xrw, yrw=yrw), dict(d=sv.d, **frame))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +261,8 @@ DENSE_CASES = _dense_cases()
 @pytest.mark.parametrize("case", sorted(DENSE_CASES))
 def test_eigen_form_matches_the_root_matrix_route(case, monkeypatch):
     got = DENSE_CASES[case]()
+    # the reference takes no Cholesky frame: its dense metrics are applied through root matrices
+    monkeypatch.setattr(kernel, "cholesky", lambda w: None)
     monkeypatch.setattr(constraints, "_apply", _root_matrix_apply)
     ref = DENSE_CASES[case]()
     assert got.n_total_components == ref.n_total_components

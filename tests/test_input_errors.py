@@ -66,13 +66,14 @@ _TABLE = recipes.disjunctive_coding(mca_fixture())
     ("k", lambda x: recipes.rmca(_TABLE, 1.0, k=2.7)),
     ("tol", lambda x: gsvd(x, lw=_SPD, tol=-1.0)),
     ("tol", lambda x: geigen(_SPD, w=_SPD, tol="a")),
+    ("tol", lambda x: gsvd(x, lw=_SPD, tol="1e-3")),
     ("tol", lambda x: gplssvd(x, x, xlw=_SPD, tol=float("nan"))),
     ("tol", lambda x: recipes.rmca(_TABLE, 1.0, tol=-1.0)),
     ("omega", lambda x: recipes.rmca(_TABLE, "a")),
     ("omega", lambda x: recipes.rmca(_TABLE, None)),
 ], ids=["gsvd-k-str", "gsvd-k-none", "gsvd-k-float", "geigen-k-np-float", "gplssvd-k-str",
-        "rmca-k-float", "gsvd-tol-negative", "geigen-tol-str", "gplssvd-tol-nan",
-        "rmca-tol-negative", "rmca-omega-str", "rmca-omega-none"])
+        "rmca-k-float", "gsvd-tol-negative", "geigen-tol-str", "gsvd-tol-numeric-str",
+        "gplssvd-tol-nan", "rmca-tol-negative", "rmca-omega-str", "rmca-omega-none"])
 def test_a_bad_scalar_argument_is_named_before_any_slot_is_factorized(rng, eigh_calls, arg, call):
     with pytest.raises(InvalidArgumentError, match=f"^{arg} must be"):
         call(rng.normal(size=(6, 3)))

@@ -1,12 +1,14 @@
-"""gsvd and gplssvd on two threads: the same bits, the same errors, no thread left.
+"""geigen, gsvd and gplssvd on two threads: the same bits, the same errors, no thread left.
 
-A dense gsvd factorizes and maps back its row and column metrics (a gplssvd
-its x and y tables) on two threads only when 2 CPUs are available, the
-process's settings give BLAS one thread and both sides' work reaches
-``decomp._OVERLAP_FLOOR``. The sizes here are above that floor, except where
-a test says otherwise. Bits are compared in a child process started with
-BLAS on one thread, as the overlap requires: this process's BLAS may run
-more, and its threads split sums differently."""
+A dense metric passed as a matrix is solved in its Cholesky frame on a second
+thread while the caller eigendecomposes it, and a gsvd or gplssvd maps its
+two sides back on two threads (a gplssvd with a dense row metric factorizes
+its x and y tables' metrics on two threads first). Each runs on a thread only
+when 2 CPUs are available, the process's settings give BLAS one thread and
+both sides' work reaches ``decomp._OVERLAP_FLOOR``. The sizes here are above
+that floor, except where a test says otherwise. Bits are compared in a child
+process started with BLAS on one thread, as the overlap requires: this
+process's BLAS may run more, and its threads split sums differently."""
 
 import os
 import subprocess
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from gmdecomp import decomp, recipes
-from gmdecomp.decomp import gplssvd, gsvd
+from gmdecomp.decomp import geigen, gplssvd, gsvd
 from gmdecomp.errors import GmdError, NotPSDError
 
 from conftest import mca_fixture, random_spd
@@ -29,6 +31,7 @@ _SAME_BITS = """
 import threading
 import numpy as np
 from gmdecomp import decomp, recipes
+from gmdecomp.constraints import factorize
 
 rng = np.random.default_rng(7)
 x, y = rng.normal(size=(150, 120)), rng.normal(size=(150, 110))
@@ -36,14 +39,26 @@ spd = [a @ a.T / len(a) + 0.5 * np.eye(len(a)) for a in
        (rng.normal(size=(n, n)) for n in (150, 120, 120, 110))]
 basis = rng.normal(size=(150, 60))
 singular, perm = basis @ basis.T / 60, rng.permutation(150)  # lw of rank 60; a row order
+s = x.T @ x / 150
+q, conditioned = np.linalg.qr(rng.normal(size=(150, 150)))[0], {}
+for cond in (5e3, 1e5):  # an lw of this condition number
+    m = (q * np.logspace(0, -np.log10(cond), 150)) @ q.T
+    conditioned[cond] = (m + m.T) / 2
 calls = {
     "gsvd": lambda: decomp.gsvd(x, lw=spd[0], rw=spd[1]),
+    "gsvd-small": lambda: decomp.gsvd(1e-3 * x, lw=spd[0], rw=spd[1]),
+    "gsvd-large": lambda: decomp.gsvd(1e3 * x, lw=spd[0], rw=spd[1]),
     "gsvd-transposed": lambda: decomp.gsvd(x.T, lw=spd[1], rw=spd[0]),
     "gsvd-permuted": lambda: decomp.gsvd(x[perm], lw=spd[0][np.ix_(perm, perm)], rw=spd[1]),
     "gsvd-singular": lambda: decomp.gsvd(x, lw=singular, rw=spd[1]),
     "gsvd-singular-permuted": lambda: decomp.gsvd(
         x[perm], lw=singular[np.ix_(perm, perm)], rw=spd[1]),
+    # frames refused after the join (condition number 5e3) and before the solve (1e5)
+    **{f"gsvd-cond-{cond:g}": (lambda lw=lw: decomp.gsvd(x, lw=lw, rw=spd[1]))
+       for cond, lw in conditioned.items()},
     "gplssvd": lambda: decomp.gplssvd(x, y, xrw=spd[2], yrw=spd[3]),
+    "gplssvd-rows": lambda: decomp.gplssvd(x, y, xlw=spd[0], xrw=spd[2], yrw=spd[3]),
+    "geigen": lambda: decomp.geigen(s, w=spd[1]),
     "cca": lambda: recipes.cca(x, y),
 }
 starts = []
@@ -57,9 +72,10 @@ for cpus in (2, 1):
         starts.clear()
         runs[cpus, name] = call().fields()
         assert threading.active_count() == before, name
-        # before the SVD and after it; cca's metrics come factorized, and rank-60 lw's
-        # 60 components are too few for the map-back to reach the floor
-        once = name == "cca" or name.startswith("gsvd-singular")
+        # before the SVD and after it; geigen maps back one side, cca's metrics come
+        # factorized, and rank-60 lw's 60 components are too few for the map-back to
+        # reach the floor
+        once = name in ("geigen", "cca") or name.startswith("gsvd-singular")
         assert len(starts) == (cpus > 1) * (1 if once else 2), (cpus, name, starts)
 for name in calls:
     two, one = runs[2, name], runs[1, name]
@@ -73,6 +89,19 @@ for field, other in swap.items():
     if a.ndim == 2:
         a = a * np.where((a * b).sum(axis=0) < 0, -1.0, 1.0)
     assert np.abs(a - b).max() < 1e-10 * np.abs(b).max(), field
+# a refused frame gives the bits of the same metric passed factorized, through its root
+for cond, lw in conditioned.items():
+    roots = decomp.gsvd(x, lw=factorize(lw), rw=spd[1]).fields()
+    for field, value in runs[2, f"gsvd-cond-{cond:g}"].items():
+        assert np.array_equal(value, roots[field]), (cond, field)
+# scaling x by c > 0 scales d by c and keeps p and q, up to column sign
+for name, c in (("gsvd-small", 1e-3), ("gsvd-large", 1e3)):
+    scaled, base = runs[2, name], runs[2, "gsvd"]
+    assert np.abs(scaled["d"] - c * base["d"]).max() < 1e-10 * c * base["d"].max(), name
+    for field in ("p", "q"):
+        a, b = scaled[field], base[field]
+        a = a * np.where((a * b).sum(axis=0) < 0, -1.0, 1.0)
+        assert np.abs(a - b).max() < 1e-10 * np.abs(b).max(), (name, field)
 # permuting the rows of x and of lw's rows and columns permutes the row outputs, up to
 # column sign, and keeps the rest
 for name in ("gsvd", "gsvd-singular"):
@@ -161,13 +190,20 @@ def test_a_thread_starts_only_when_blas_runs_one(rng, monkeypatch, thread_starts
     assert len(thread_starts) == threads
 
 
-def test_no_thread_starts_below_the_floor_or_with_one_dense_side(rng, thread_starts):
-    # both sides dense but small; one side dense and large, the other cheap
+def test_one_dense_side_is_solved_beside_its_factorization(rng, thread_starts):
+    # the frame's solve runs on the second thread while the caller factorizes the one dense
+    # metric; the other side is cheap, so the map-back runs on the caller alone
+    gsvd(rng.normal(size=(150, 120)), lw=random_spd(rng, 150), rw=rng.uniform(0.5, 2.0, 120))
+    gsvd(rng.normal(size=(150, 120)), rw=random_spd(rng, 120))
+    assert len(thread_starts) == 2
+
+
+def test_no_thread_starts_below_the_floor_or_without_a_dense_matrix(rng, thread_starts):
+    # both sides dense but small
     gsvd(rng.normal(size=(40, 30)), lw=random_spd(rng, 40), rw=random_spd(rng, 30))
     gplssvd(rng.normal(size=(40, 30)), rng.normal(size=(40, 20)),
             xrw=random_spd(rng, 30), yrw=random_spd(rng, 20))
-    gsvd(rng.normal(size=(150, 120)), lw=random_spd(rng, 150), rw=rng.uniform(0.5, 2.0, 120))
-    gsvd(rng.normal(size=(150, 120)), rw=random_spd(rng, 120))
+    geigen(random_spd(rng, 60), w=random_spd(rng, 60))
     # the cli-ca and large-n workloads' calls: diagonal metrics, rmca's one-sided
     # rw and weighted_mds's geigen
     recipes.ca(rng.poisson(5.0, size=(300, 50)) + 1.0)

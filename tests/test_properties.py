@@ -1,8 +1,8 @@
-"""Bounded property tests over random data for four of the paper's claims:
+"""Bounded property tests over random data for five of the paper's claims:
 identity constraints reduce each generalized decomposition to its plain
 counterpart, the four PCA routes agree, the gsvd treats rows and columns
-alike, and permuting the rows of its data and row metric permutes only its
-row outputs."""
+alike, permuting the rows of its data and row metric permutes only its row
+outputs, and scaling its data by c > 0 scales only its singular values."""
 
 import numpy as np
 import pytest
@@ -132,3 +132,18 @@ def test_gsvd_of_permuted_rows_permutes_the_row_outputs(lw_kind, seed, n, m, rw_
     for name in ("u", "p", "fi", "v", "q", "fj"):
         want = out[name][perm] if name in ("u", "p", "fi") else out[name]
         assert _close(align_signs(permuted[name], want), want, 1e-10), name
+
+
+@pytest.mark.parametrize("lw_kind", METRICS)
+@BOUNDED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(2, 6),
+       rw_kind=st.sampled_from(METRICS), c=st.floats(1e-3, 1e3))
+def test_gsvd_of_scaled_data_scales_only_the_singular_values(lw_kind, seed, n, m, rw_kind, c):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, m))
+    lw, rw = _metric(rng, lw_kind, n), _metric(rng, rw_kind, m)
+    out, scaled = gsvd(x, lw=lw, rw=rw).fields(), gsvd(c * x, lw=lw, rw=rw).fields()
+    d = out["d"]
+    assert np.abs(scaled["d"] - c * d).max(initial=0.0) <= 1e-10 * c * d.max(initial=0.0)
+    for name in ("p", "q"):
+        assert _close(align_signs(scaled[name], out[name]), out[name], 1e-10), name
