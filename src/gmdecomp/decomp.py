@@ -10,7 +10,9 @@ lw^(1/2) U diag(d).
 gplssvd is the gsvd of the two tables' row-weighted cross-product under
 their column metrics, plus the latent variable scores. All three return the
 same :class:`DecompositionResult` record with the fields appropriate to the
-method populated (see each function's docstring).
+method populated (see each function's docstring). geigen checks its x and
+calls its core, _geigen, which the recipes call with the symmetric matrix they
+form: it checks the metric, and the matrix only for finiteness, before LAPACK.
 
 Rank truncation: ``k=0`` (the default) returns every retained component;
 ``k > 0`` keeps the first k columns of every per-component output while
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import kernel
 from .constraints import (
-    DENSE, apply_inverses, apply_roots, apply_sqrt_metric, check_constraint, factorize)
+    DENSE, DIAGONAL, apply_inverses, apply_roots, apply_sqrt_metric, check_constraint, factorize)
 from .errors import DimensionMismatchError, GmdError, InvalidArgumentError, NumericalError
 
 GEIGEN = "geigen"
@@ -204,11 +206,22 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
         dropped; None disables the tolerance and keeps negative eigenvalues.
     """
     k = _checked_k(k, tol)
-    x = kernel.check_symmetric(kernel.as_matrix(x, "x"), "x")
+    return _geigen(kernel.check_symmetric(kernel.as_matrix(x, "x"), "x"), w, k, tol)
+
+
+def _geigen(x, w, k, tol):
+    """geigen of `x`, a symmetric float64 matrix its caller checked or formed, for a checked `k`
+    and `tol`: only the metric `w` is checked here, and x's finiteness before LAPACK."""
     w = check_constraint(w, x.shape[0], "w")
 
     def eigen(h):
-        eig = kernel.tolerance_eigen(_half(h, _half(h, x.T).T), tol=tol)
+        if not isinstance(h, np.ndarray) and h.kind == DIAGONAL:  # s_i (s_j x_ij), one buffer
+            s = apply_sqrt_metric(h, np.ones((x.shape[0], 1)))  # the root's diagonal, a column
+            m = x * s.T
+            m *= s
+        else:
+            m = _half(h, _half(h, x.T).T)
+        eig = kernel.tolerance_eigen(m, tol=tol)
         return eig, _lift(h, eig.vectors)
 
     (c,), (h,), (eig, lifted) = _solve((w,), ("w",), eigen, _work(w, 0))
@@ -326,13 +339,15 @@ def _map_back(c, vectors, lifted, d, table):
     """A side's standard vectors, generalized vectors c^(-1/2) standard, scores c^(1/2) standard
     diag(d) and, given a table, latent variable scores table c^(1/2) standard, from the solve's
     `vectors`: the standard vectors themselves under a root, and under a frame L, whose
-    `lifted` vectors L vectors are c^(1/2) standard, c^(-1/2) lifted."""
+    `lifted` vectors L vectors are c^(1/2) standard, c^(-1/2) lifted. The scores scale
+    c^(1/2) standard in place, unless it is the standard vectors (c is the identity)."""
     if lifted is None:
         std, (inv, root) = vectors, apply_roots(c, vectors)
     else:
         root = lifted
         std, inv = apply_inverses(c, root)
-    return std, inv, root * d[None, :], None if table is None else table @ root
+    latent = None if table is None else table @ root  # before root is scaled
+    return std, inv, root * d if root is std else np.multiply(root, d, out=root), latent
 
 
 def _signed(columns):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel
 from .constraints import Constraint, pinv_constraint
-from .decomp import GSVD, _assemble, _checked_k, geigen, gplssvd, gsvd
+from .decomp import GSVD, _assemble, _checked_k, _geigen, gplssvd, gsvd
 from .errors import (
     DimensionMismatchError,
     EmptyMarginError,
@@ -79,24 +79,27 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
     n = data.shape[0]
     dof = n - 1
     centered = data - data.mean(axis=0)
-    col_sumsq = np.sum(centered**2, axis=0)
+    eigen = route in ("eigen_cov", "eigen_cor")
+    tol = (kernel.SQRT_EPS if eigen else kernel.EPS) if tol is _UNSET else tol  # geigen's, gsvd's
     # Every route but the covariance one scales a column by its variance.
-    if route != "eigen_cov" and np.any(col_sumsq == 0):
+    if eigen:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is _geigen's to raise
+            cov = centered.T @ centered / dof  # exactly symmetric: numpy forms a' a as one
+            if route == "eigen_cor":
+                sd = np.sqrt(np.diag(cov))
+                if np.any(sd == 0):
+                    raise ZeroVarianceColumnError(f"column {np.argmin(sd)} has zero variance")
+                cov = cov / np.outer(sd, sd)
+        return _geigen(cov, None, _checked_k(k, tol), tol)
+    col_sumsq = np.sum(centered**2, axis=0)
+    if np.any(col_sumsq == 0):
         raise ZeroVarianceColumnError(f"column {np.argmin(col_sumsq)} has zero variance")
-    # Only a given tolerance is passed on; the defaults are the routes'.
-    opts = {} if tol is _UNSET else {"tol": tol}
-    if route in ("eigen_cov", "eigen_cor"):
-        cov = centered.T @ centered / dof
-        if route == "eigen_cor":
-            sd = np.sqrt(np.diag(cov))
-            cov = cov / np.outer(sd, sd)
-        return geigen(cov, k=k, **opts)
     row_constraints = np.full(n, 1.0 / dof)
     if route == "triplet_scaled":
         scaled = center_scale(data, center=True, scale=True)
-        return gsvd(scaled, lw=row_constraints, k=k, **opts)
+        return gsvd(scaled, lw=row_constraints, k=k, tol=tol)
     col_constraints = dof / col_sumsq
-    return gsvd(centered, lw=row_constraints, rw=col_constraints, k=k, **opts)
+    return gsvd(centered, lw=row_constraints, rw=col_constraints, k=k, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +119,31 @@ def _check_distance_matrix(dist):
     return dist
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def double_centered_gram(dist, weights=None):
     """-1/2 * Cw d^2 Cw', symmetrized, with Cw = I - 1 w' the centering by
     masses `w` (uniform 1/n when omitted, the classical centering). Computed
     in O(n^2) from the row and column corrections d^2 w and w' d^2 and the
-    grand term w' d^2 w."""
-    d2 = dist**2
+    grand term w' d^2 w, in place in d^2: the output is the one other n x n
+    array. An overflow leaves NaN or Inf entries, with no warning, for
+    geigen to reject."""
+    d2 = np.square(dist, dtype=np.float64)  # a new float64 array, worked in below
     w = np.full(d2.shape[0], 1.0 / d2.shape[0]) if weights is None else weights
-    row = d2 @ w
-    b = -0.5 * (d2 - row[:, None] - (w @ d2)[None, :] + w @ row)
-    return (b + b.T) / 2.0
+    row, col = d2 @ w, w @ d2
+    d2 -= row[:, None]
+    d2 -= col
+    d2 += w @ row
+    d2 *= -0.5
+    b = d2 + d2.T
+    b *= 0.5  # the same bits as b / 2.0, a multiply being cheaper than a divide
+    return b
 
 
 def mds(dist, k=0, tol=kernel.SQRT_EPS):
     """Classical (Torgerson) metric MDS via geigen of the double-centered
     squared distances. Component scores fj hold the coordinates."""
     dist = _check_distance_matrix(dist)
-    return geigen(double_centered_gram(dist), k=k, tol=tol)
+    return _geigen(double_centered_gram(dist), None, _checked_k(k, tol), tol)
 
 
 def weighted_mds(dist, row_weights, k=0):
@@ -149,7 +160,7 @@ def weighted_mds(dist, row_weights, k=0):
     w = Constraint(dist.shape[0], row_weights, name="row_weights")
     if np.any(w.weights == 0):
         raise NonPositiveWeightError("row weights must be strictly positive")
-    return geigen(double_centered_gram(dist, w.weights), w=w, k=k, tol=None)
+    return _geigen(double_centered_gram(dist, w.weights), w, _checked_k(k, None), None)
 
 
 def mds_score_sets(result):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,22 @@ def svd_calls(monkeypatch):
 def cholesky_calls(monkeypatch):
     """Shapes of every np.linalg.cholesky call made while the test runs."""
     return _record_shapes(monkeypatch, "cholesky")
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args, **kwargs): the most bytes tracemalloc saw allocated at once while
+    fn(*args, **kwargs) ran, above what was allocated when it started."""
+    def peak(fn, *args, **kwargs):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+    return peak

@@ -384,6 +384,24 @@ def test_non_finite_result_exits_4_writing_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mds"], ["wmds", "--w", "weights"], ["pca", "--route", "eigen_cov"]],
+    ids=["mds", "wmds", "pca-eigen_cov"])
+def test_a_recipe_whose_matrix_overflows_exits_4_with_one_line(tmp_path, argv):
+    # every entry is finite, but its square overflows: a numerical failure, not bad input
+    xp = write_matrix(tmp_path / "x.csv", 1e200 * (1.0 - np.eye(3)))
+    argv = [write_matrix(tmp_path / "w.csv", np.ones((3, 1))) if a == "weights" else a
+            for a in argv]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "gmdecomp.cli", *argv, "--x", xp, "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert run.returncode == 4
+    assert run.stderr.splitlines() == [
+        "error: the matrix to factorize overflowed: it holds NaN or Inf entries"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_singular_values_whose_squares_overflow_exit_4_with_one_line(tmp_path):
     # d = 3e200: d^2 overflows in the tolerance and in l, which raises alone, with no
     # warning before it

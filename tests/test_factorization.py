@@ -455,3 +455,35 @@ def test_geigen_checks_each_matrix_for_symmetry_once(rng, monkeypatch):
     checked.clear()
     geigen(random_spd(rng, 6), w=random_spd(rng, 6))
     assert checked == [(6, 6), (6, 6)]
+
+
+def _distances(rng, n):
+    p = rng.normal(size=(n, 3))
+    return np.sqrt(((p[:, None] - p[None]) ** 2).sum(axis=-1))
+
+
+@pytest.mark.parametrize("recipe", [
+    recipes.mds, lambda dist: recipes.weighted_mds(dist, np.linspace(0.5, 2.0, dist.shape[0]))],
+    ids=["mds", "weighted_mds"])
+def test_mds_checks_its_distances_once_and_makes_one_eigh(
+        rng, monkeypatch, eigh_calls, cholesky_calls, recipe):
+    # dist at entry; never the double-centred matrix, symmetric by construction
+    dist = _distances(rng, 12)
+    checked = []
+    real = kernel.is_symmetric
+    monkeypatch.setattr(kernel, "is_symmetric",
+                        lambda s: checked.append((s.shape, s is dist)) or real(s))
+    recipe(dist)
+    assert checked == [((12, 12), True)]
+    assert eigh_calls == [(12, 12)]
+    assert cholesky_calls == []
+
+
+def test_weighted_mds_forms_its_matrices_in_few_buffers(rng, traced_peak):
+    # traced bytes, never time: forming every n x n matrix in a new temporary peaked at
+    # 5.22 n^2 doubles at n = 200; the double-centring in place and the whitening in one
+    # buffer keep the peak at least 0.5 n^2 doubles below that
+    n = 200
+    dist, w = _distances(rng, n), rng.uniform(0.5, 1.5, n)
+    recipes.weighted_mds(dist, w)
+    assert traced_peak(recipes.weighted_mds, dist, w) <= (5.22 - 0.5) * n * n * 8

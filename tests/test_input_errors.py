@@ -103,12 +103,33 @@ def test_dense_metric_that_overflows_names_its_slot(rng):
         gsvd(rng.normal(size=(2, 3)), lw=w)
 
 
+def _unwrapped(call):
+    """`call` under numpy's default error handling, outside the test's errstate wrapper: a
+    warning it gives fails the test."""
+    def run():
+        with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+            return call()
+    return run
+
+
+# finite distances near 1e200 overflow in dist**2, finite data near 1e200 in centered' centered
+_FAR = 1e200 * (1.0 - np.eye(4))
+_HUGE = 1e200 * np.random.default_rng(6).normal(size=(6, 3))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: geigen(np.diag([1e300, 1.0]), w=[1e10, 1.0]), "the matrix to factorize overflowed"),
     (lambda: gsvd(np.diag([1e300, 1.0]), lw=[1e20, 1.0]), "the matrix to factorize overflowed"),
     (lambda: gplssvd(np.full((3, 2), 1e200), np.full((3, 2), 1e200)),
      "the cross-product xl' yl overflowed"),
-], ids=["geigen", "gsvd", "gplssvd"])
+    (_unwrapped(lambda: recipes.mds(_FAR)), "the matrix to factorize overflowed"),
+    (_unwrapped(lambda: recipes.weighted_mds(_FAR, np.ones(4))),
+     "the matrix to factorize overflowed"),
+    (_unwrapped(lambda: recipes.pca(_HUGE, route="eigen_cov")),
+     "the matrix to factorize overflowed"),
+    (_unwrapped(lambda: recipes.pca(_HUGE, route="eigen_cor")),
+     "the matrix to factorize overflowed"),
+], ids=["geigen", "gsvd", "gplssvd", "mds", "weighted_mds", "pca-eigen_cov", "pca-eigen_cor"])
 def test_overflow_in_a_formed_matrix_is_numerical(call, message):
     # every input is finite: the overflow is in the matrix the library forms
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"^{message}"):

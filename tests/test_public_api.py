@@ -95,7 +95,7 @@ def test_each_lapack_routine_has_one_call_site():
 
 
 def test_one_function_eigendecomposes_a_metric_and_every_constraint_is_checked():
-    # geigen eigendecomposes its weighted x, factorize every dense metric; and no
+    # geigen's core eigendecomposes its weighted x, factorize every dense metric; and no
     # record is made with __new__, which would skip its checked constructor
     sites = {"tolerance_eigen": [], "__new__": []}
     for path in sorted(Path(gmdecomp.__file__).parent.glob("*.py")):
@@ -107,7 +107,7 @@ def test_one_function_eigendecomposes_a_metric_and_every_constraint_is_checked()
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
                 if name in sites:
                     sites[name].append(f"{path.stem}.{getattr(top, 'name', '')}")
-    assert sites == {"tolerance_eigen": ["constraints.factorize", "decomp.geigen"],
+    assert sites == {"tolerance_eigen": ["constraints.factorize", "decomp._geigen"],
                      "__new__": []}
 
 

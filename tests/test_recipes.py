@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gmdecomp import constraints, recipes
+from gmdecomp import constraints, kernel, recipes
+from gmdecomp.decomp import geigen
 from gmdecomp.errors import (
     DimensionMismatchError,
     EmptyMarginError,
@@ -196,6 +197,54 @@ def test_weighted_mds_rejects_bad_weights(rng):
         recipes.weighted_mds(dist, np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
     with pytest.raises(DimensionMismatchError):
         recipes.weighted_mds(dist, np.ones(4))
+
+
+def assert_same_bits(a, b):
+    fa, fb = a.fields(), b.fields()
+    assert fa.keys() == fb.keys()
+    for name in fa:
+        assert np.array_equal(fa[name], fb[name]), name
+    assert (a.n_retained, a.n_total_components, a.tol) == (b.n_retained, b.n_total_components, b.tol)
+
+
+@pytest.mark.parametrize("n", [4, 13, 40])
+@pytest.mark.parametrize("k", [0, 2])
+def test_mds_equals_geigen_of_its_gram_bit_for_bit(rng, n, k):
+    # the recipes hand the matrix they form to geigen's core, past geigen's input checks
+    dist = pairwise_distances(rng.normal(size=(n, 3)))
+    w = rng.uniform(0.2, 2.0, n)
+    assert_same_bits(recipes.weighted_mds(dist, w, k=k),
+                     geigen(recipes.double_centered_gram(dist, w), w=w, k=k, tol=None))
+    assert_same_bits(recipes.mds(dist, k=k),
+                     geigen(recipes.double_centered_gram(dist), k=k, tol=kernel.SQRT_EPS))
+
+
+@pytest.mark.parametrize("shape", [(10, 3), (60, 12), (8, 11)])
+@pytest.mark.parametrize("k", [0, 2])
+def test_pca_eigen_routes_equal_geigen_of_the_written_out_matrix(rng, shape, k):
+    data = rng.normal(size=shape) * rng.uniform(0.5, 5.0, shape[1]) + 2.0
+    centered = data - data.mean(axis=0)
+    cov = centered.T @ centered / (shape[0] - 1)
+    sd = np.sqrt(np.diag(cov))
+    assert_same_bits(recipes.pca(data, route="eigen_cov", k=k), geigen(cov, k=k))
+    assert_same_bits(recipes.pca(data, route="eigen_cor", k=k),
+                     geigen(cov / np.outer(sd, sd), k=k))
+
+
+@pytest.mark.parametrize("route", ["eigen_cov", "eigen_cor"])
+def test_pca_hands_its_eigen_route_an_exactly_symmetric_matrix(rng, monkeypatch, route):
+    # what lets pca skip geigen's symmetry check: numpy forms centered' centered as one
+    # symmetric product, and sd_i sd_j = sd_j sd_i
+    seen = []
+    real = kernel.tolerance_eigen
+    monkeypatch.setattr(kernel, "tolerance_eigen",
+                        lambda s, tol: seen.append(s.copy()) or real(s, tol=tol))
+    for shape in ((10, 3), (60, 12), (8, 11), (500, 40)):
+        for order in "CF":
+            data = np.asarray(rng.normal(size=shape) * rng.uniform(0.5, 5.0, shape[1]), order=order)
+            recipes.pca(data, route=route)
+    assert len(seen) == 8
+    assert all(np.array_equal(s, s.T) for s in seen)
 
 
 def test_mds_score_sets_keys(rng):
