@@ -81,8 +81,9 @@ def check_constraint(raw, dim, name="constraint"):
     Missing constraints are mathematically identity matrices. Vectors are
     diagonal weights; a diagonal matrix is demoted to its diagonal, and an
     all-ones diagonal to identity; a `Constraint` is kept as it is. Anything
-    else must be a symmetric matrix of shape (dim, dim), returned converted
-    and checked for :func:`factorize`. `name` names the slot in errors.
+    else must be a symmetric matrix w of shape (dim, dim), returned as its one
+    exactly symmetric copy (w + w')/2 (NonFiniteError when w + w' overflows)
+    for :func:`factorize` and the Cholesky frame. `name` names the slot.
     """
     dim = int(dim)
     if raw is None:
@@ -103,19 +104,21 @@ def check_constraint(raw, dim, name="constraint"):
         raise DimensionMismatchError(
             f"{name}: constraint matrix shape {arr.shape} != expected ({dim}, {dim})"
         )
-    return kernel.check_symmetric(arr, name)
+    kernel.check_symmetric(arr, name)
+    with np.errstate(over="ignore"):  # an overflow raises below, with no warning
+        s = (arr + arr.T) / 2.0
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteError(f"{name} has entries too large to factorize")
+    return s
 
 
 def factorize(checked, name="constraint"):
     """A :func:`check_constraint` result, or a Gram matrix, as a `Constraint`: a
-    symmetric matrix w is eigendecomposed once as (w + w')/2, which checks it
+    matrix, which must be exactly symmetric, is eigendecomposed once, which checks it
     is PSD and gives its eigenpairs, eigenvalues descending and clipped at 0."""
     if isinstance(checked, Constraint):
         return checked
-    s = (checked + checked.T) / 2.0
-    if not np.all(np.isfinite(s)):  # w + w' overflowed
-        raise NonFiniteError(f"{name} has entries too large to factorize")
-    eig = kernel.tolerance_eigen(s, tol=None)
+    eig = kernel.tolerance_eigen(checked, tol=None)
     lam = eig.values
     if lam.min() < -kernel.PSD_RTOL * max(lam[0], 0.0):
         raise NotPSDError(f"{name} is not positive semi-definite (min eigenvalue {lam.min():.6g})")

@@ -21,26 +21,24 @@ outputs are computed on the full retained set and then sliced, so a k-run
 is bit-identical to the leading columns of a full run.
 
 A dense metric passed as a matrix is solved in its Cholesky frame (Golub &
-Van Loan 2013, section 8.7): with w = L L', gsvd takes the SVD of Ll' x Lr and
-geigen the eigh of L' x L; a side's standard vectors, generalized vectors and
-scores are then w^(-1/2) L U, w^(-1) L U and L U diag(d), and the final v gets
-the canonical signs. The metric's eigendecomposition (factorize) stays its
-one PSD check and the only source of its roots, and the frame is kept only
-when its smallest eigenvalue is at least the largest over _FRAME_COND; else,
-and for a metric with no Cholesky factor, the solve is redone through the
-roots. Identity, diagonal and factorized `Constraint` metrics, and gplssvd's
-row metrics, whose roots weight the tables, always take the roots.
+Van Loan 2013, section 8.7) when BLAS runs one thread (below): with w = L L',
+gsvd takes the SVD of Ll' x Lr and geigen the eigh of L' x L; a side's standard
+vectors, generalized vectors and scores are then w^(-1/2) L U, w^(-1) L U and
+L U diag(d), and the final v gets the canonical signs. factorize, the metric's
+one PSD check and the only source of its roots, keeps the frame only when its
+smallest eigenvalue is at least the largest over _FRAME_COND; else, and with no
+Cholesky factor, the solve is redone through the roots, which all other metrics
+take, gplssvd's row metrics and the column metrics beside them included.
 
 A second thread solves in the frames while the caller factorizes the dense
 metrics (when a metric has no frame, it factorizes the last metrics instead;
 gplssvd factorizes dense row metrics first, the x table's beside the y
 table's), and after the solve maps one side back while the caller maps the
-other. It starts only when 2 CPUs are available, the process's settings give
-BLAS one thread (OPENBLAS_NUM_THREADS for OpenBLAS, then OMP_NUM_THREADS) and
-both sides' work reaches a measured floor; the route never depends on that,
-so the results are the same bits. The thread is joined before the call
-returns and the caller's error wins: a metric's own over its frame's, and the
-row (x) side's when both sides fail.
+other. It starts only when 2 CPUs are available, BLAS runs one thread and both
+sides' work reaches a measured floor; for a fixed BLAS setting, the results
+are the same bits. The thread is joined before the call returns and the
+caller's error wins: a metric's own over its frame's, the row (x) side's when
+both fail.
 """
 
 import operator
@@ -85,12 +83,15 @@ def _work(c, cols):
     return c.dim**2 * cols if c.kind == DENSE else 0
 
 
+def _blas_one_thread():
+    """Whether the process's settings give BLAS one thread: on more, the overlap was slower."""
+    threads = _OPENBLAS and os.environ.get("OPENBLAS_NUM_THREADS")
+    return (threads or os.environ.get("OMP_NUM_THREADS", "")).strip() == "1"
+
+
 def _side_by_side(first, second, work):
-    """(first(), second()), on two threads as the module says when `work`, the lighter side's,
-    reaches the floor. On more BLAS threads, their spinning made the overlap slower."""
-    env = os.environ
-    threads = (_OPENBLAS and env.get("OPENBLAS_NUM_THREADS")) or env.get("OMP_NUM_THREADS", "")
-    if work < _OVERLAP_FLOOR or cpu_count() < 2 or threads.strip() != "1":
+    """(first(), second()), on two threads when the module says; `work` is the lighter side's."""
+    if work < _OVERLAP_FLOOR or cpu_count() < 2 or not _blas_one_thread():
         return first(), second()
     out = []
 
@@ -212,7 +213,7 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
 def _geigen(x, w, k, tol):
     """geigen of `x`, a symmetric float64 matrix its caller checked or formed, for a checked `k`
     and `tol`: only the metric `w` is checked here, and x's finiteness before LAPACK."""
-    w = check_constraint(w, x.shape[0], "w")
+    slots = [check_constraint(w, x.shape[0], "w")]
 
     def eigen(h):
         if not isinstance(h, np.ndarray) and h.kind == DIAGONAL:  # s_i (s_j x_ij), one buffer
@@ -224,10 +225,10 @@ def _geigen(x, w, k, tol):
         eig = kernel.tolerance_eigen(m, tol=tol)
         return eig, _lift(h, eig.vectors)
 
-    (c,), (h,), (eig, lifted) = _solve((w,), ("w",), eigen, _work(w, 0))
+    (h,), (eig, lifted) = _solve(slots, ("w",), eigen, _work(slots[0], 0))
     l_full = eig.values
     d_full = np.sqrt(np.clip(l_full, 0.0, None))
-    v, q, fj, _ = _map_back(c, eig.vectors, lifted, d_full, None)
+    v, q, fj, _ = _map_back(slots[0], eig.vectors, lifted, d_full, None)
     columns = dict(v=v, q=q, fj=fj)
     return _assemble(GEIGEN, k, tol, d_full, l_full,
                      **(_signed(columns) if isinstance(h, np.ndarray) else columns))
@@ -242,7 +243,7 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     """
     k = _checked_k(k, tol)
     x = kernel.as_matrix(x, "x")
-    slots = check_constraint(lw, x.shape[0], "lw"), check_constraint(rw, x.shape[1], "rw")
+    slots = [check_constraint(lw, x.shape[0], "lw"), check_constraint(rw, x.shape[1], "rw")]
     d_full, columns = _gsvd_columns(lambda: x, x.shape, slots, ("lw", "rw"), tol)
     return _assemble(GSVD, k, tol, d_full, _squares(d_full), **columns)
 
@@ -276,45 +277,46 @@ def _lift(h, vectors):
     return h @ vectors if isinstance(h, np.ndarray) else None
 
 
-def _solve(slots, names, solve, work, made=None):
-    """(constraints, halves, solve(*halves)) for the checked `slots`. The caller factorizes them
-    in order (or takes `made`) while the second thread solves with each dense matrix's frame as
-    its half, or, when a slot has no frame, factorizes slots from the last one until it meets
-    the caller. A frame factorize refuses is replaced by the root, and then, or when a slot had
-    no frame or the frame's solve failed, the solve is redone on the caller."""
-    if not any(isinstance(w, np.ndarray) for w in slots):  # factorized already: no frame
-        return slots, slots, solve(*slots)
-    cs, lock = list(made or [None] * len(slots)), threading.Lock()
+def _solve(slots, names, solve, work):
+    """(halves, solve(*halves)) for `slots`, a list of checked metrics factorized in place (which
+    frees a dense matrix's copy) and solved through their roots, unless BLAS runs one thread and
+    a slot is a dense matrix: then the caller factorizes them in order while a second thread
+    solves in their frames, or, if one has none, factorizes from the last slot to meet it. A
+    refused frame becomes the root; then, or with none or no solve, the solve is redone."""
+    if not (_blas_one_thread() and any(isinstance(w, np.ndarray) for w in slots)):
+        slots[:] = [factorize(w, name) for w, name in zip(slots, names)]
+        return slots, solve(*slots)
+    mats, lock = list(slots), threading.Lock()
 
     def factorize_from(order):  # each slot once, whichever thread claims it first
         for i in order:
             with lock:
-                if cs[i] is not None:
+                if slots[i] is not mats[i]:
                     continue
-                cs[i] = slots[i]
-            cs[i] = factorize(slots[i], names[i])
+                slots[i] = None
+            slots[i] = factorize(mats[i], names[i])
 
     def framed():
         with np.errstate(all="ignore"):  # a failure is redone, with its warnings, below
-            halves = [_factor(w) if isinstance(w, np.ndarray) else w for w in slots]
+            halves = [_factor(w) if isinstance(w, np.ndarray) else w for w in mats]
             unframed = any(h is None for h in halves)
             try:
                 out = None if unframed else solve(*halves)
             except GmdError:
                 out = None
         if unframed:
-            factorize_from(reversed(range(len(slots))))
+            factorize_from(reversed(range(len(mats))))
         return halves, out
 
-    _, (tried, out) = _side_by_side(lambda: factorize_from(range(len(slots))), framed, work)
+    _, (tried, out) = _side_by_side(lambda: factorize_from(range(len(mats))), framed, work)
     halves = [h if isinstance(h, np.ndarray) and c.weights[-1] * _FRAME_COND >= c.weights[0]
-              else c for h, c in zip(tried, cs)]
+              else c for h, c in zip(tried, slots)]
     if out is None or any(h is not t for h, t in zip(halves, tried)):
         out = solve(*halves)
-    return cs, halves, out
+    return halves, out
 
 
-def _gsvd_columns(form, shape, slots, names, tol, made=None, xl=None, yl=None):
+def _gsvd_columns(form, shape, slots, names, tol, xl=None, yl=None):
     """The unchecked d_full and column fields of the gsvd of form(), a matrix of `shape`, under
     the checked column slots; given gplssvd's row-weighted tables xl and yl, also lx and ly."""
     def svd(hl, hr):
@@ -322,10 +324,9 @@ def _gsvd_columns(form, shape, slots, names, tol, made=None, xl=None, yl=None):
         return sv, _lift(hl, sv.u), _lift(hr, sv.v)
 
     # the caller's eighs against the svd, which took as long as 25 m n min(m, n) multiply-adds
-    eighs = 0 if made else _work(slots[0], 0) + _work(slots[1], 0)
-    (lc, rc), (hl, hr), (sv, ul, vl) = _solve(
-        slots, names, svd, min(eighs, 25 * shape[0] * shape[1] * min(shape)), made)
-    r = sv.d.shape[0]
+    work = min(_work(slots[0], 0) + _work(slots[1], 0), 25 * shape[0] * shape[1] * min(shape))
+    (hl, hr), (sv, ul, vl) = _solve(slots, names, svd, work)
+    (lc, rc), r = slots, sv.d.shape[0]
     work = [_work(c, 3 * r) + (0 if t is None else t.size * r) for c, t in ((lc, xl), (rc, yl))]
     (u, p, fi, lx), (v, q, fj, ly) = _side_by_side(
         lambda: _map_back(lc, sv.u, ul, sv.d, xl), lambda: _map_back(rc, sv.v, vl, sv.d, yl),
@@ -376,16 +377,15 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
         )
     xlw, xrw = check_constraint(xlw, x.shape[0], "xlw"), check_constraint(xrw, x.shape[1], "xrw")
     ylw, yrw = check_constraint(ylw, y.shape[0], "ylw"), check_constraint(yrw, y.shape[1], "yrw")
-    made = None
-    if isinstance(xlw, np.ndarray) or isinstance(ylw, np.ndarray):
-        (xl, xrwc), (yl, yrwc) = _side_by_side(
+    if isinstance(xlw, np.ndarray) or isinstance(ylw, np.ndarray):  # factorized with the columns
+        (xl, xrw), (yl, yrw) = _side_by_side(
             lambda: (apply_sqrt_metric(factorize(xlw, "xlw"), x), factorize(xrw, "xrw")),
             lambda: (apply_sqrt_metric(factorize(ylw, "ylw"), y), factorize(yrw, "yrw")),
             min(_work(xlw, 2 * x.shape[1]) + _work(xrw, 0),
                 _work(ylw, 2 * y.shape[1]) + _work(yrw, 0)))
-        made = [xrwc, yrwc]
     else:
         xl, yl = apply_sqrt_metric(xlw, x), apply_sqrt_metric(ylw, y)
+    slots, xlw, xrw, ylw, yrw = [xrw, yrw], None, None, None, None  # frees the checked copies
 
     def cross():
         c = xl.T @ yl
@@ -394,5 +394,5 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
         return c
 
     d_full, columns = _gsvd_columns(
-        cross, (x.shape[1], y.shape[1]), (xrw, yrw), ("xrw", "yrw"), tol, made, xl, yl)
+        cross, (x.shape[1], y.shape[1]), slots, ("xrw", "yrw"), tol, xl, yl)
     return _assemble(GPLSSVD, k, tol, d_full, _squares(d_full), **columns)

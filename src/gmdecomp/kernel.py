@@ -143,14 +143,10 @@ def _factorizable(s):
 
 
 def cholesky(w):
-    """The lower Cholesky factor of (w + w')/2, for a checked symmetric matrix `w`, or None
-    when it is not positive definite or w + w' overflows."""
-    with np.errstate(over="ignore"):
-        s = (w + w.T) / 2.0
-    if not np.all(np.isfinite(s)):
-        return None
+    """The lower Cholesky factor of `w`, an exactly symmetric finite matrix such as a dense
+    metric from :func:`constraints.check_constraint`, or None when it is not positive definite."""
     try:
-        return np.linalg.cholesky(s)
+        return np.linalg.cholesky(w)
     except np.linalg.LinAlgError:
         return None
 

@@ -24,6 +24,7 @@ from .errors import (
     NegativeCountError,
     NonPositiveWeightError,
     NotADistanceMatrixError,
+    NumericalError,
     SingleLevelVariableError,
     ZeroVarianceColumnError,
 )
@@ -44,7 +45,10 @@ def center_scale(data, center=True, scale=True):
     if scale:
         if data.shape[0] < 2:
             raise DimensionMismatchError("scaling needs at least 2 rows")
-        sd = np.std(data, axis=0, ddof=1)
+        with np.errstate(over="ignore"):  # an overflow raises below, with no warning
+            sd = np.std(data, axis=0, ddof=1)
+        if not np.all(np.isfinite(sd)):
+            raise NumericalError("a column's sum of squares overflowed")
         if np.any(sd == 0):
             bad = int(np.flatnonzero(sd == 0)[0])
             raise ZeroVarianceColumnError(f"column {bad} has zero variance")
@@ -91,7 +95,10 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
                     raise ZeroVarianceColumnError(f"column {np.argmin(sd)} has zero variance")
                 cov = cov / np.outer(sd, sd)
         return _geigen(cov, None, _checked_k(k, tol), tol)
-    col_sumsq = np.sum(centered**2, axis=0)
+    with np.errstate(over="ignore"):  # an overflow raises below, with no warning
+        col_sumsq = np.sum(centered**2, axis=0)
+    if not np.all(np.isfinite(col_sumsq)):
+        raise NumericalError("a column's sum of squares overflowed")
     if np.any(col_sumsq == 0):
         raise ZeroVarianceColumnError(f"column {np.argmin(col_sumsq)} has zero variance")
     row_constraints = np.full(n, 1.0 / dof)
@@ -339,6 +346,7 @@ def pls(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     return gplssvd(xp, yp, k=k, tol=tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow in x'x is factorize's to raise
 def rrr(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Reduced rank regression (redundancy analysis): gplssvd with the
     pseudo-inverse of X'X as the column metric for x."""
@@ -346,6 +354,7 @@ def rrr(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     return gplssvd(xp, yp, xrw=pinv_constraint(xp.T @ xp, "xrw"), k=k, tol=tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow in a Gram matrix is factorize's
 def cca(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Canonical correlation analysis: gplssvd with pseudo-inverse
     cross-product metrics on both column sides. The singular values are the

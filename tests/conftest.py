@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gmdecomp import decomp
+
 
 def align_signs(a, b):
     """Flip columns of `a` to match the signs of `b` (for comparisons that
@@ -87,6 +89,23 @@ def svd_calls(monkeypatch):
 def cholesky_calls(monkeypatch):
     """Shapes of every np.linalg.cholesky call made while the test runs."""
     return _record_shapes(monkeypatch, "cholesky")
+
+
+@pytest.fixture
+def blas_one_thread(monkeypatch):
+    """The process's BLAS settings pinned to one thread, under which dense metrics passed as
+    matrices take their Cholesky frames."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+
+
+@pytest.fixture
+def blas_default(monkeypatch):
+    """The process's BLAS thread settings unset, with numpy's BLAS taken as OpenBLAS: BLAS
+    runs its default threads, and no dense metric takes a Cholesky frame."""
+    monkeypatch.setattr(decomp, "_OPENBLAS", True)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
 
 
 @pytest.fixture

@@ -402,6 +402,28 @@ def test_a_recipe_whose_matrix_overflows_exits_4_with_one_line(tmp_path, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["pca", "--route", "triplet_metric"], 4, "a column's sum of squares overflowed"),
+    (["rrr", "--y", "y", "--no-scale"], 4,
+     "the matrix to factorize overflowed: it holds NaN or Inf entries"),
+    (["gsvd", "--lw", "lw"], 3, "lw has entries too large to factorize"),
+], ids=["pca-triplet_metric", "rrr-unscaled", "gsvd-dense-lw"])
+def test_an_overflow_exits_with_one_line_and_no_warning(tmp_path, argv, code, message):
+    # finite data near 1e200 overflow in their sums of squares; a finite lw near 1e308 in
+    # lw + lw', which names its slot as bad input
+    rng = np.random.default_rng(8)
+    files = dict(y=rng.normal(size=(8, 2)), lw=np.full((8, 8), 1e308))
+    argv = [write_matrix(tmp_path / f"{a}.csv", files[a]) if a in files else a for a in argv]
+    xp = write_matrix(tmp_path / "x.csv", 1e200 * rng.normal(size=(8, 3)))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "gmdecomp.cli", *argv, "--x", xp, "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert run.returncode == code
+    assert run.stderr.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_singular_values_whose_squares_overflow_exit_4_with_one_line(tmp_path):
     # d = 3e200: d^2 overflows in the tolerance and in l, which raises alone, with no
     # warning before it

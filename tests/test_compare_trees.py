@@ -1,0 +1,35 @@
+"""tools/compare_trees.py: a tree compared with itself is identical, and a difference shows."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "compare_trees.py"
+
+
+def test_a_tree_against_itself_is_identical():
+    cases = "^(gsvd-small|geigen-cond-1000|gplssvd-dense-rows|pca-eigen_cor|rmca-omega-5|cli-gsvd)$"
+    run = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--cases", cases],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 1 + 6 + 2
+    assert all(": identical (" in line for line in lines[1:7]), lines
+    assert lines[7:] == ["fields: 46 identical, 0 differ", "CLI files: 13 identical, 0 differ"]
+
+
+def test_a_difference_is_reported_relative_to_the_largest_entry():
+    spec = importlib.util.spec_from_file_location("compare_trees", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    u = np.array([[2.0, -1.0], [1.0, 3.0]])
+    base = {"case": {"d": np.array([4.0, 2.0]), "u": u}, "cli-x": {"d.csv": b"d\n4.0\n"}}
+    head = {"case": {"d": np.array([4.0, 2.0 + 4e-12]), "u": -u},
+            "cli-x": {"d.csv": b"d\n4.000000000000001\n"}}
+    lines, differ = tool.compare(base, head)
+    assert lines[:2] == ["case: d 1e-12, u 0", "cli-x: d.csv 2.2e-16"]
+    assert differ == 3

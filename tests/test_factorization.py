@@ -3,7 +3,7 @@
 A dense metric is eigendecomposed once, when it is canonicalized, and the
 constraint keeps only those eigenpairs: its roots are applied on the left as
 B (w^a (B' x)). A dense metric passed as a matrix also takes one Cholesky
-factor, the frame its solve runs in. The savings are pinned as eigh and
+factor, the frame its solve runs in, when BLAS runs one thread. The savings are pinned as eigh and
 Cholesky call counts (never wall time); the outputs as bit-identical to the
 frame route, and for factorized metrics to the root route, written out by
 hand, and within 1e-10 (up to sign) of the route through symmetric root
@@ -13,12 +13,14 @@ the paper's invariants, with the scores as the metric times the generalized
 vectors, by a bounded property test over identity, diagonal (with zero
 weights), dense and singular-PSD constraints."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gmdecomp import constraints, kernel, recipes
+from gmdecomp import constraints, decomp, kernel, recipes
 from gmdecomp.decomp import geigen, gplssvd, gsvd
 from gmdecomp.errors import NotSymmetricError
 
@@ -79,7 +81,7 @@ def test_rrr_and_cca_factorize_each_gram_matrix_once(rng, eigh_calls, svd_calls)
     assert (eigh_calls, svd_calls) == ([(4, 4), (5, 5)], [(4, 5)])
 
 
-def test_each_dense_matrix_metric_takes_one_cholesky(rng, cholesky_calls):
+def test_each_dense_matrix_metric_takes_one_cholesky(rng, cholesky_calls, blas_one_thread):
     gsvd(rng.normal(size=(9, 6)), lw=random_spd(rng, 9), rw=random_spd(rng, 6))
     assert cholesky_calls == [(9, 9), (6, 6)]
     cholesky_calls.clear()
@@ -90,9 +92,10 @@ def test_each_dense_matrix_metric_takes_one_cholesky(rng, cholesky_calls):
     gplssvd(x, y, xrw=random_spd(rng, 4), yrw=random_spd(rng, 5))
     assert cholesky_calls == [(4, 4), (5, 5)]
     cholesky_calls.clear()
-    # a dense row metric is applied through its root: only the column metric has a frame
+    # a dense row metric is applied through its root, and the column metrics factorized
+    # beside it are too
     gplssvd(x, y, xlw=random_spd(rng, 10), yrw=random_spd(rng, 5))
-    assert cholesky_calls == [(5, 5)]
+    assert cholesky_calls == []
 
 
 def test_no_cholesky_without_a_dense_matrix_metric(rng, cholesky_calls):
@@ -154,7 +157,7 @@ def _check_fields(out, expected):
         assert np.array_equal(getattr(out, name), value), name
 
 
-def test_dense_gsvd_matches_written_out_roots(rng):
+def test_dense_gsvd_matches_written_out_roots(rng, blas_one_thread):
     x = rng.normal(size=(12, 7))
     lw, rw = random_spd(rng, 12), random_spd(rng, 7)
     lb, lw_s, lw_i, lw_p = _eigen_form(lw)
@@ -174,7 +177,7 @@ def test_dense_gsvd_matches_written_out_roots(rng):
     _check_fields(gsvd(x, lw=lw, rw=rw), dict(d=sv.d, **frame))
 
 
-def test_dense_geigen_matches_written_out_roots(rng):
+def test_dense_geigen_matches_written_out_roots(rng, blas_one_thread):
     x = random_spd(rng, 8)
     w = random_spd(rng, 8)
     b, w_s, w_i, w_p = _eigen_form(w)
@@ -191,7 +194,7 @@ def test_dense_geigen_matches_written_out_roots(rng):
     _check_fields(geigen(x, w=w), dict(l=eig.values, d=d, **frame))
 
 
-def test_dense_gplssvd_matches_written_out_roots(rng):
+def test_dense_gplssvd_matches_written_out_roots(rng, blas_one_thread):
     x = rng.normal(size=(15, 4))
     y = rng.normal(size=(15, 6))
     xrw, yrw = random_spd(rng, 4), random_spd(rng, 6)
@@ -213,6 +216,80 @@ def test_dense_gplssvd_matches_written_out_roots(rng):
         u=_left(xb, xrw_i, lu), p=_left(xb, xrw_p, lu), q=_left(yb, yrw_p, rv),
         fi=lu * sv.d[None, :], fj=rv * sv.d[None, :], lx=x @ lu, ly=y @ rv))
     _check_fields(gplssvd(x, y, xrw=xrw, yrw=yrw), dict(d=sv.d, **frame))
+
+
+def _factorized(metrics):
+    return {slot: constraints.factorize(w) for slot, w in metrics.items()}
+
+
+def test_without_blas_on_one_thread_dense_metrics_take_their_roots(
+        rng, cholesky_calls, blas_default):
+    # no second thread can hide a frame's cost: a dense matrix gives the bits of the same
+    # metric passed factorized
+    x, y, s = rng.normal(size=(12, 7)), rng.normal(size=(12, 5)), random_spd(rng, 7)
+    lw, rw, w, yrw = random_spd(rng, 12), random_spd(rng, 7), random_spd(rng, 7), random_spd(rng, 5)
+    for call, metrics in (
+            (lambda **m: gsvd(x, **m), dict(lw=lw, rw=rw)),
+            (lambda **m: geigen(s, **m), dict(w=w)),
+            (lambda **m: gplssvd(x, y, **m), dict(xrw=rw, yrw=yrw)),
+            (lambda **m: gplssvd(x, y, **m), dict(xlw=lw, xrw=rw, ylw=lw, yrw=yrw))):
+        _check_fields(call(**metrics), call(**_factorized(metrics)).fields())
+    assert cholesky_calls == []
+
+
+@pytest.mark.parametrize("call", ["gsvd", "geigen", "gplssvd", "gplssvd-rows"])
+def test_a_checked_copy_is_freed_before_the_solve_through_the_roots(
+        rng, monkeypatch, blas_default, call):
+    # a dense matrix's symmetrized copy lives only until it is factorized: kept to the end of
+    # the call, the copies slowed the dense-metrics op with BLAS at its default by 5-8%
+    copies, alive = [], []
+
+    def wrap(module, name, before):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            before()
+            out = real(*args, **kwargs)
+            if name == "check_constraint" and isinstance(out, np.ndarray):
+                copies.append(weakref.ref(out))
+            return out
+        monkeypatch.setattr(module, name, wrapped)
+
+    wrap(decomp, "check_constraint", lambda: None)
+    for name in ("tolerance_eigen", "tolerance_svd"):  # each LAPACK solve counts the copies alive
+        wrap(kernel, name, lambda: alive.append(sum(ref() is not None for ref in copies)))
+    x, y, s = rng.normal(size=(12, 7)), rng.normal(size=(12, 5)), random_spd(rng, 7)
+    dict(gsvd=lambda: gsvd(x, lw=random_spd(rng, 12), rw=random_spd(rng, 7)),
+         geigen=lambda: geigen(s, w=random_spd(rng, 7)),
+         gplssvd=lambda: gplssvd(x, y, xrw=random_spd(rng, 7), yrw=random_spd(rng, 5)),
+         **{"gplssvd-rows": lambda: gplssvd(x, y, xlw=random_spd(rng, 12), ylw=random_spd(rng, 12),
+                                            yrw=random_spd(rng, 5))})[call]()
+    assert alive[0] > 0 and alive[-1] == 0, alive
+
+
+def test_gplssvd_with_dense_row_metrics_takes_the_roots(rng, blas_one_thread):
+    x, y = rng.normal(size=(15, 4)), rng.normal(size=(15, 6))
+    metrics = dict(xlw=random_spd(rng, 15), xrw=random_spd(rng, 4),
+                   ylw=random_spd(rng, 15), yrw=random_spd(rng, 6))
+    _check_fields(gplssvd(x, y, **metrics), gplssvd(x, y, **_factorized(metrics)).fields())
+
+
+@pytest.mark.parametrize("n, p", [(60, 4), (400, 9), (1000, 17)])
+def test_gram_matrices_reach_factorize_exactly_symmetric(monkeypatch, n, p):
+    # factorize takes a Gram matrix as it is, with no symmetrized copy: the recipes' x'x and
+    # rmca's column metric keep their bits because numpy forms them exactly symmetric
+    seen, real = [], constraints.factorize
+    monkeypatch.setattr(constraints, "factorize", lambda g, name: seen.append(g) or real(g, name))
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=(n, p)), rng.normal(size=(n, p + 2))
+    recipes.rrr(x, y)
+    recipes.cca(x, y)
+    tab = recipes.disjunctive_coding(categorical_table(rng, n, (3, 4, 5)))
+    for omega in (0.0, 1.0, 5.0, 25.0):
+        recipes.rmca(tab, omega)
+    assert len(seen) == 7
+    for g in seen:
+        assert np.array_equal(g, g.T)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_a_dense_metric_is_checked_for_finiteness_once(rng, monkeypatch):
 def test_dense_metric_that_overflows_names_its_slot(rng):
     # finite, symmetric and PSD, but w + w' overflows
     w = np.full((2, 2), 1e308)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"^lw "):
+    with pytest.raises(NonFiniteError, match=r"^lw "):
         gsvd(rng.normal(size=(2, 3)), lw=w)
 
 
@@ -115,6 +115,7 @@ def _unwrapped(call):
 # finite distances near 1e200 overflow in dist**2, finite data near 1e200 in centered' centered
 _FAR = 1e200 * (1.0 - np.eye(4))
 _HUGE = 1e200 * np.random.default_rng(6).normal(size=(6, 3))
+_Y = np.random.default_rng(7).normal(size=(6, 2))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -129,7 +130,22 @@ _HUGE = 1e200 * np.random.default_rng(6).normal(size=(6, 3))
      "the matrix to factorize overflowed"),
     (_unwrapped(lambda: recipes.pca(_HUGE, route="eigen_cor")),
      "the matrix to factorize overflowed"),
-], ids=["geigen", "gsvd", "gplssvd", "mds", "weighted_mds", "pca-eigen_cov", "pca-eigen_cor"])
+    # a column's sum of squares overflows in the scaling, or in triplet_metric's column metric
+    (_unwrapped(lambda: recipes.pca(_HUGE, route="triplet_scaled")),
+     "a column's sum of squares overflowed"),
+    (_unwrapped(lambda: recipes.pca(_HUGE, route="triplet_metric")),
+     "a column's sum of squares overflowed"),
+    (_unwrapped(lambda: recipes.pls(_HUGE, _Y)), "a column's sum of squares overflowed"),
+    (_unwrapped(lambda: recipes.rrr(_HUGE, _Y)), "a column's sum of squares overflowed"),
+    (_unwrapped(lambda: recipes.cca(_Y, _HUGE)), "a column's sum of squares overflowed"),
+    # unscaled, x'x overflows
+    (_unwrapped(lambda: recipes.rrr(_HUGE, _Y, scale=False)),
+     "the matrix to factorize overflowed"),
+    (_unwrapped(lambda: recipes.cca(_Y, _HUGE, scale=False)),
+     "the matrix to factorize overflowed"),
+], ids=["geigen", "gsvd", "gplssvd", "mds", "weighted_mds", "pca-eigen_cov", "pca-eigen_cor",
+        "pca-triplet_scaled", "pca-triplet_metric", "pls", "rrr", "cca", "rrr-unscaled",
+        "cca-unscaled"])
 def test_overflow_in_a_formed_matrix_is_numerical(call, message):
     # every input is finite: the overflow is in the matrix the library forms
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"^{message}"):

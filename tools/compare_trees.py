@@ -1,0 +1,298 @@
+"""Compare the outputs of two gmdecomp source trees on one seeded corpus.
+
+    python tools/compare_trees.py BASE HEAD [--blas pinned|default] [--cases REGEX]
+
+BASE and HEAD are directories that each hold ``src/gmdecomp``, for example one
+made by ``git archive <rev> src | tar -x -C BASE``. Each tree runs the same
+corpus in a subprocess of its own, which imports that tree's ``src/`` only:
+
+- geigen, gsvd and gplssvd with dense metrics: the dense-metrics benchmark
+  calls, a k-run, a singular metric, small frames and dense row metrics;
+- a gsvd and a geigen with a dense metric at each condition number 1e1-1e5;
+- every recipe, the four pca routes and rmca at omega 0, 1, 5 and 25;
+- every CLI command on small inputs, without and with ``--plot``.
+
+``--blas pinned`` (the default) sets OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
+to 1 in both subprocesses, as the benchmark does; ``--blas default`` unsets
+them. ``--cases`` keeps the cases whose name the regular expression matches.
+
+Each array field is reported "identical" or by its largest deviation relative
+to the field's largest entry, after the columns of HEAD's are given the signs
+of BASE's. Each CLI file, the exit code and stderr are reported "identical" or
+"differs", and a failed call by its error's type and message. The exit status
+is 0 when every field and file is identical and 1 otherwise.
+"""
+
+import argparse
+import contextlib
+import csv
+import io
+import os
+import pickle
+import re
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+
+def _spd(rng, n):
+    a = rng.normal(size=(n, n))
+    return a @ a.T / n + 0.5 * np.eye(n)
+
+
+def _conditioned(rng, n, cond):
+    """A dense SPD metric whose eigenvalues span `cond`, exactly symmetric."""
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    m = (q * np.logspace(0, -np.log10(cond), n)) @ q.T
+    return (m + m.T) / 2
+
+
+def _distances(rng, n):
+    pts = rng.normal(size=(n, 3))
+    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+
+
+def _categories(rng, n, levels):
+    """A categorical table in which every level of every variable appears."""
+    return [[f"L{i % k + 1 if i < k else rng.integers(1, k + 1)}" for k in levels]
+            for i in range(n)]
+
+
+def _calls():
+    """name -> zero-argument call returning a DecompositionResult, on seeded inputs."""
+    from gmdecomp import decomp, recipes
+
+    rng = np.random.default_rng(2022)
+    b = rng.normal(size=(300, 200))
+    dm = dict(x=rng.normal(size=(300, 200)), lw=_spd(rng, 300), rw=_spd(rng, 200),
+              s=b.T @ b / 300, w=_spd(rng, 200), px=rng.normal(size=(300, 100)),
+              py=rng.normal(size=(300, 100)), xrw=_spd(rng, 100), yrw=_spd(rng, 100))
+    x, y, s = rng.normal(size=(30, 7)), rng.normal(size=(30, 5)), _spd(rng, 7)
+    lw, rw, yrw, w = _spd(rng, 30), _spd(rng, 7), _spd(rng, 5), _spd(rng, 7)
+    basis = rng.normal(size=(30, 4))
+    cx, cs = rng.normal(size=(60, 40)), _spd(rng, 40)
+    counts = rng.poisson(5.0, size=(20, 6)) + 1.0
+    table = recipes.disjunctive_coding(_categories(rng, 60, (3, 4, 5)))
+    table_y = recipes.disjunctive_coding(_categories(rng, 60, (2, 3)))
+    data, dist = rng.normal(size=(40, 6)), _distances(rng, 25)
+    calls = {
+        "dense-metrics-gsvd": lambda: decomp.gsvd(dm["x"], lw=dm["lw"], rw=dm["rw"]),
+        "dense-metrics-geigen": lambda: decomp.geigen(dm["s"], w=dm["w"]),
+        "dense-metrics-gplssvd": lambda: decomp.gplssvd(dm["px"], dm["py"], xrw=dm["xrw"],
+                                                        yrw=dm["yrw"]),
+        "gsvd-k3": lambda: decomp.gsvd(x, lw=lw, rw=rw, k=3),
+        "gsvd-singular-lw": lambda: decomp.gsvd(x, lw=basis @ basis.T, rw=rw),
+        "gsvd-small": lambda: decomp.gsvd(x, lw=lw, rw=rw),
+        "gsvd-small-rw": lambda: decomp.gsvd(x, rw=rw),
+        "geigen-small": lambda: decomp.geigen(s, w=w),
+        "gplssvd-small": lambda: decomp.gplssvd(x, y, xrw=rw, yrw=yrw),
+        "gplssvd-dense-rows": lambda: decomp.gplssvd(x, y, xlw=lw, xrw=rw, ylw=lw, yrw=yrw),
+        "gplssvd-diagonal": lambda: decomp.gplssvd(x, y, xlw=np.abs(x[:, 0]) + 0.5, yrw=yrw),
+        "mds": lambda: recipes.mds(dist),
+        "weighted_mds": lambda: recipes.weighted_mds(dist, np.linspace(0.5, 2.0, 25)),
+        "ca": lambda: recipes.ca(counts),
+        "mca": lambda: recipes.mca(table),
+        "pls": lambda: recipes.pls(x, y),
+        "rrr": lambda: recipes.rrr(x, y),
+        "cca": lambda: recipes.cca(x, y),
+        "plsca": lambda: recipes.plsca(table, table_y),
+    }
+    for route in recipes.PCA_ROUTES:
+        calls[f"pca-{route}"] = lambda route=route: recipes.pca(data, route=route)
+    for omega in (0, 1, 5, 25):
+        calls[f"rmca-omega-{omega}"] = lambda omega=omega: recipes.rmca(table, omega)
+    for cond in (1e1, 1e2, 1e3, 1e4, 1e5):
+        m = _conditioned(rng, 60, cond)
+        calls[f"gsvd-cond-{cond:g}"] = lambda m=m: decomp.gsvd(cx, lw=m, rw=cs)
+        calls[f"geigen-cond-{cond:g}"] = lambda m=m: decomp.geigen(cs, w=m[:40, :40])
+    return calls
+
+
+def _write(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(path)
+
+
+def _cli_inputs(rng, root):
+    """The CLI's input files, written under `root`, and each command's arguments."""
+    root.mkdir()
+
+    def numbers(name, m):
+        return _write(root / f"{name}.csv", [[repr(float(v)) for v in row] for row in m])
+
+    x, y = numbers("x", rng.normal(size=(12, 4))), numbers("y", rng.normal(size=(12, 3)))
+    cat, cat_y = (_write(root / f"{name}.csv", _categories(rng, 12, levels))
+                  for name, levels in (("cat", (3, 2, 3)), ("cat_y", (2, 3))))
+    dist = numbers("dist", _distances(rng, 10))
+    spd4 = numbers("spd4", _spd(rng, 4))
+    return {
+        "geigen": ["--x", spd4, "--w", numbers("w", _spd(rng, 4))],
+        "gsvd": ["--x", x, "--lw", numbers("lw", _spd(rng, 12)), "--rw", spd4],
+        "gplssvd": ["--x", x, "--y", y, "--xrw", spd4],
+        "pca": ["--x", x, "--route", "triplet_metric"],
+        "mds": ["--x", dist],
+        "wmds": ["--x", dist, "--w", numbers("masses", rng.uniform(0.5, 2.0, (10, 1)))],
+        "ca": ["--x", numbers("counts", rng.poisson(5.0, size=(8, 5)) + 1.0)],
+        "mca": ["--x", cat],
+        "rmca": ["--x", cat, "--omega", "0,1,5"],
+        "pls": ["--x", x, "--y", y],
+        "rrr": ["--x", x, "--y", y],
+        "cca": ["--x", x, "--y", y],
+        "plsca": ["--x", cat, "--y", cat_y],
+    }
+
+
+def _cli_run(cli, argv, out):
+    """{relative path: bytes} of what `gmdecomp argv --out out` wrote, with its exit code and
+    stderr; paths are relative to the working directory, so both trees print the same."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--out", out])
+    files = {"exit code": str(code).encode(), "stderr": err.getvalue().encode()}
+    for path in sorted(Path(out).rglob("*")):
+        if path.is_file():
+            files[str(path.relative_to(out))] = path.read_bytes()
+    return files
+
+
+def _child(out_path, pattern):
+    """Run the corpus on the gmdecomp the environment imports and pickle what it gave."""
+    import gmdecomp
+    from gmdecomp import cli
+
+    results = {"gmdecomp": gmdecomp.__file__}
+    for name, call in _calls().items():
+        if re.search(pattern, name):
+            try:
+                results[name] = call().fields()
+            except Exception as exc:  # a failed call is an outcome to compare
+                results[name] = {"error": f"{type(exc).__name__}: {exc}"}
+    commands = _cli_inputs(np.random.default_rng(7), Path("in"))
+    for command, argv in commands.items():
+        for plot in ([], ["--plot"]):
+            name = f"cli-{command}{'-plot' if plot else ''}"
+            if command in cli.COMMANDS and re.search(pattern, name):
+                results[name] = _cli_run(cli, [command, *argv, *plot], f"out/{name}")
+    with open(out_path, "wb") as fh:
+        pickle.dump(results, fh)
+
+
+def _run_tree(tree, blas, pattern, tmp):
+    """The corpus's results from `tree`, run in a subprocess in a fresh directory."""
+    src = Path(tree).resolve() / "src"
+    if not (src / "gmdecomp" / "__init__.py").is_file():
+        raise SystemExit(f"{tree} holds no src/gmdecomp")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "PYTHONPATH")}
+    if blas == "pinned":
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = str(src)
+    work = Path(tempfile.mkdtemp(dir=tmp))
+    run = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child",
+                          str(work / "results.pickle"), "--cases", pattern],
+                         cwd=work, env=env, capture_output=True, text=True)
+    if run.returncode:
+        raise SystemExit(f"{tree}: the corpus failed:\n{run.stderr}")
+    with open(work / "results.pickle", "rb") as fh:  # written by this script's own child
+        results = pickle.load(fh)
+    if Path(results.pop("gmdecomp")).resolve().parent != src / "gmdecomp":
+        raise SystemExit(f"{tree}: the corpus imported another gmdecomp")
+    return results
+
+
+def deviation(base, head):
+    """None when `head` equals `base` bit for bit, else its largest deviation relative to the
+    largest entry of base, with head's columns given base's signs (inf if shapes differ)."""
+    if isinstance(base, (bytes, str)) or isinstance(head, (bytes, str)):
+        return None if base == head else np.inf
+    if base.shape != head.shape:
+        return np.inf
+    if np.array_equal(base, head):
+        return None
+    if base.ndim == 2:
+        head = head * np.where((head * base).sum(axis=0) < 0, -1.0, 1.0)
+    return float(np.abs(head - base).max() / max(np.abs(base).max(), np.finfo(float).tiny))
+
+
+def _csv_numbers(data):
+    """The numbers of a CLI CSV file as a matrix, without its header row and label column;
+    None when a cell elsewhere is not a number."""
+    def number(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return np.nan
+    m = np.array([[number(c) for c in row] for row in csv.reader(io.StringIO(data.decode()))])
+    m = m[~np.isnan(m).all(axis=1)][:, ~np.isnan(m).all(axis=0)]
+    return None if np.isnan(m).any() else m
+
+
+def _file_deviation(name, base, head):
+    """inf when two CLI files differ in anything but the numbers of a CSV file, else as
+    :func:`deviation` on those numbers."""
+    dev = deviation(base, head)
+    if dev is None or not name.endswith(".csv") or not isinstance(base, bytes):
+        return dev
+    a, b = _csv_numbers(base), _csv_numbers(head)
+    dev = None if a is None or b is None else deviation(a, b)
+    return np.inf if dev is None else dev  # None: the text differs elsewhere
+
+
+def compare(base, head):
+    """Report lines for the two trees' results, and how many fields and files differ."""
+    lines, counts, largest = [], Counter(), {}
+    for name in sorted(set(base) | set(head)):
+        if name not in base or name not in head:
+            lines.append(f"{name}: only in {'HEAD' if name in head else 'BASE'}")
+            counts["missing", True] += 1
+            continue
+        a, b = base[name], head[name]
+        kind = "CLI files" if name.startswith("cli-") else "fields"
+        parts = []
+        for field in [*a, *(f for f in b if f not in a)]:
+            x, y = a.get(field, b"<missing>"), b.get(field, b"<missing>")
+            dev = _file_deviation(field, x, y) if kind == "CLI files" else deviation(x, y)
+            counts[kind, dev is not None] += 1
+            if dev is not None and largest.get(kind, (0,))[0] < dev < np.inf:
+                largest[kind] = dev, f"{name} {field}"
+            text = "identical" if dev is None else "differs" if dev == np.inf else f"{dev:.2g}"
+            parts.append(f"{field} {text}")
+        if all(part.endswith(" identical") for part in parts):
+            lines.append(f"{name}: identical ({len(parts)} {kind})")
+        else:
+            lines.append(f"{name}: " + ", ".join(parts))
+    for kind in ("fields", "CLI files"):
+        most = f" (largest {largest[kind][0]:.2g}, {largest[kind][1]})" if kind in largest else ""
+        lines.append(f"{kind}: {counts[kind, False]} identical, {counts[kind, True]} differ{most}")
+    return lines, sum(n for (_, differs), n in counts.items() if differs)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", nargs="?")
+    parser.add_argument("head", nargs="?")
+    parser.add_argument("--blas", choices=("pinned", "default"), default="pinned")
+    parser.add_argument("--cases", default="", help="regular expression on case names")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        _child(args.child, args.cases)
+        return 0
+    if not (args.base and args.head):
+        parser.error("BASE and HEAD are required")
+    with tempfile.TemporaryDirectory() as tmp:
+        base, head = (_run_tree(tree, args.blas, args.cases, tmp)
+                      for tree in (args.base, args.head))
+    lines, differ = compare(base, head)
+    print(f"BASE {args.base} against HEAD {args.head}, BLAS {args.blas}")
+    print("\n".join(lines))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
