@@ -21,24 +21,23 @@ outputs are computed on the full retained set and then sliced, so a k-run
 is bit-identical to the leading columns of a full run.
 
 A dense metric passed as a matrix is solved in its Cholesky frame (Golub &
-Van Loan 2013, section 8.7) when BLAS runs one thread (below): with w = L L',
-gsvd takes the SVD of Ll' x Lr and geigen the eigh of L' x L; a side's standard
-vectors, generalized vectors and scores are then w^(-1/2) L U, w^(-1) L U and
-L U diag(d), and the final v gets the canonical signs. factorize, the metric's
-one PSD check and the only source of its roots, keeps the frame only when its
-smallest eigenvalue is at least the largest over _FRAME_COND; else, and with no
-Cholesky factor, the solve is redone through the roots, which all other metrics
-take, gplssvd's row metrics and the column metrics beside them included.
+Van Loan 2013, section 8.7) whenever the BLAS setting gives one thread, with
+or without a second thread (below): with w = L L', gsvd takes the SVD of
+Ll' x Lr and geigen the eigh of L' x L; a side's standard vectors, generalized
+vectors and scores are then w^(-1/2) L U, w^(-1) L U and L U diag(d), and the
+final v gets the canonical signs. factorize, the metric's one PSD check and
+the only source of its roots, keeps a frame only when its smallest eigenvalue
+is at least the largest over _FRAME_COND; else, or with no Cholesky factor,
+the solve is redone through the roots, which all other metrics take.
 
 A second thread solves in the frames while the caller factorizes the dense
-metrics (when a metric has no frame, it factorizes the last metrics instead;
-gplssvd factorizes dense row metrics first, the x table's beside the y
-table's), and after the solve maps one side back while the caller maps the
-other. It starts only when 2 CPUs are available, BLAS runs one thread and both
-sides' work reaches a measured floor; for a fixed BLAS setting, the results
-are the same bits. The thread is joined before the call returns and the
-caller's error wins: a metric's own over its frame's, the row (x) side's when
-both fail.
+metrics (or the last metrics, when one has no frame; gplssvd factorizes dense
+row metrics first, the x table's beside the y table's), and after the solve
+maps one side back while the caller maps the other. It starts only when 2 CPUs
+are available, BLAS runs one thread and both sides' work reaches a measured
+floor; for a fixed BLAS setting, the results are the same bits. The thread is
+joined before the call returns and the caller's error wins: a metric's own
+over its frame's, the row (x) side's when both fail.
 """
 
 import operator
@@ -225,10 +224,10 @@ def _geigen(x, w, k, tol):
         eig = kernel.tolerance_eigen(m, tol=tol)
         return eig, _lift(h, eig.vectors)
 
-    (h,), (eig, lifted) = _solve(slots, ("w",), eigen, _work(slots[0], 0))
+    (c,), (h,), (eig, lifted) = _solve(slots, ("w",), eigen, _work(slots[0], 0))
     l_full = eig.values
     d_full = np.sqrt(np.clip(l_full, 0.0, None))
-    v, q, fj, _ = _map_back(slots[0], eig.vectors, lifted, d_full, None)
+    v, q, fj, _ = _map_back(c, eig.vectors, lifted, d_full, None)
     columns = dict(v=v, q=q, fj=fj)
     return _assemble(GEIGEN, k, tol, d_full, l_full,
                      **(_signed(columns) if isinstance(h, np.ndarray) else columns))
@@ -278,14 +277,15 @@ def _lift(h, vectors):
 
 
 def _solve(slots, names, solve, work):
-    """(halves, solve(*halves)) for `slots`, a list of checked metrics factorized in place (which
-    frees a dense matrix's copy) and solved through their roots, unless BLAS runs one thread and
-    a slot is a dense matrix: then the caller factorizes them in order while a second thread
-    solves in their frames, or, if one has none, factorizes from the last slot to meet it. A
-    refused frame becomes the root; then, or with none or no solve, the solve is redone."""
+    """(factorized, halves, solve(*halves)) for `slots`, checked metrics factorized in place
+    (freeing each copy) and solved through their roots, unless BLAS runs one thread and a slot is
+    a dense matrix: then they are solved in their frames while the caller factorizes them in order
+    (on two threads when _side_by_side says), or from the last slot if one has no frame. A refused
+    frame becomes the root; then, or with none or no solve, the solve is redone."""
     if not (_blas_one_thread() and any(isinstance(w, np.ndarray) for w in slots)):
-        slots[:] = [factorize(w, name) for w, name in zip(slots, names)]
-        return slots, solve(*slots)
+        for i, name in enumerate(names):
+            slots[i] = factorize(slots[i], name)
+        return slots, slots, solve(*slots)
     mats, lock = list(slots), threading.Lock()
 
     def factorize_from(order):  # each slot once, whichever thread claims it first
@@ -313,7 +313,7 @@ def _solve(slots, names, solve, work):
               else c for h, c in zip(tried, slots)]
     if out is None or any(h is not t for h, t in zip(halves, tried)):
         out = solve(*halves)
-    return halves, out
+    return slots, halves, out
 
 
 def _gsvd_columns(form, shape, slots, names, tol, xl=None, yl=None):
@@ -325,8 +325,8 @@ def _gsvd_columns(form, shape, slots, names, tol, xl=None, yl=None):
 
     # the caller's eighs against the svd, which took as long as 25 m n min(m, n) multiply-adds
     work = min(_work(slots[0], 0) + _work(slots[1], 0), 25 * shape[0] * shape[1] * min(shape))
-    (hl, hr), (sv, ul, vl) = _solve(slots, names, svd, work)
-    (lc, rc), r = slots, sv.d.shape[0]
+    (lc, rc), (hl, hr), (sv, ul, vl) = _solve(slots, names, svd, work)
+    r = sv.d.shape[0]
     work = [_work(c, 3 * r) + (0 if t is None else t.size * r) for c, t in ((lc, xl), (rc, yl))]
     (u, p, fi, lx), (v, q, fj, ly) = _side_by_side(
         lambda: _map_back(lc, sv.u, ul, sv.d, xl), lambda: _map_back(rc, sv.v, vl, sv.d, yl),

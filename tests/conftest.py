@@ -1,4 +1,7 @@
+import contextlib
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,12 +94,24 @@ def cholesky_calls(monkeypatch):
     return _record_shapes(monkeypatch, "cholesky")
 
 
+@contextlib.contextmanager
+def blas_threads(one):
+    """While the block runs, the process's BLAS thread settings pinned to one thread, under
+    which dense metrics passed as matrices take their Cholesky frames, or, if not `one`, unset,
+    under which they take their roots."""
+    with mock.patch.dict(os.environ):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            os.environ.pop(var, None)
+            if one:
+                os.environ[var] = "1"
+        yield
+
+
 @pytest.fixture
-def blas_one_thread(monkeypatch):
-    """The process's BLAS settings pinned to one thread, under which dense metrics passed as
-    matrices take their Cholesky frames."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+def blas_one_thread():
+    """The process's BLAS settings pinned to one thread (see blas_threads)."""
+    with blas_threads(True):
+        yield
 
 
 @pytest.fixture
@@ -104,8 +119,8 @@ def blas_default(monkeypatch):
     """The process's BLAS thread settings unset, with numpy's BLAS taken as OpenBLAS: BLAS
     runs its default threads, and no dense metric takes a Cholesky frame."""
     monkeypatch.setattr(decomp, "_OPENBLAS", True)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
+    with blas_threads(False):
+        yield
 
 
 @pytest.fixture

@@ -71,10 +71,11 @@ def test_rejects_negative_weights_and_indefinite():
         canonical(np.array([[1.0, 2.0], [0.5, 1.0]]), 2)
 
 
-def test_constraint_built_from_eigenpairs_matches_its_matrix(rng):
+def test_constraint_built_from_eigenpairs_matches_its_matrix(rng, blas_one_thread):
     # a Constraint is kept as given: weights on an orthonormal basis. It is applied
     # through its roots, as the singular matrix is; the positive definite matrix is
-    # solved in its Cholesky frame, which agrees up to rounding and column sign
+    # solved in its Cholesky frame (BLAS on one thread), which agrees up to rounding
+    # and column sign
     a = rng.normal(size=(3, 1))
     for m, same_route in ((random_spd(rng, 3), False), (a @ a.T, True)):
         hand = constraints.Constraint(3, *eigenpairs(m), "lw")

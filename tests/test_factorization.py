@@ -24,7 +24,7 @@ from gmdecomp import constraints, decomp, kernel, recipes
 from gmdecomp.decomp import geigen, gplssvd, gsvd
 from gmdecomp.errors import NotSymmetricError
 
-from conftest import align_signs, categorical_table, random_spd
+from conftest import align_signs, blas_threads, categorical_table, random_spd
 
 
 def test_dense_gsvd_makes_two_eigh_calls(rng, eigh_calls):
@@ -265,6 +265,8 @@ def test_a_checked_copy_is_freed_before_the_solve_through_the_roots(
          **{"gplssvd-rows": lambda: gplssvd(x, y, xlw=random_spd(rng, 12), ylw=random_spd(rng, 12),
                                             yrw=random_spd(rng, 5))})[call]()
     assert alive[0] > 0 and alive[-1] == 0, alive
+    if call != "gplssvd-rows":  # each factorization frees its copy before the next one's eigh
+        assert alive == list(range(alive[0], -1, -1)), alive
 
 
 def test_gplssvd_with_dense_row_metrics_takes_the_roots(rng, blas_one_thread):
@@ -337,19 +339,25 @@ DENSE_CASES = _dense_cases()
 
 @pytest.mark.parametrize("case", sorted(DENSE_CASES))
 def test_eigen_form_matches_the_root_matrix_route(case, monkeypatch):
-    got = DENSE_CASES[case]()
+    # dense metrics passed as matrices take their Cholesky frames with BLAS on one thread
+    # and their roots without; both routes are checked
+    runs = {}
+    for one in (True, False):
+        with blas_threads(one):
+            runs[one] = DENSE_CASES[case]()
     # the reference takes no Cholesky frame: its dense metrics are applied through root matrices
     monkeypatch.setattr(kernel, "cholesky", lambda w: None)
     monkeypatch.setattr(constraints, "_apply", _root_matrix_apply)
     ref = DENSE_CASES[case]()
-    assert got.n_total_components == ref.n_total_components
     # the singular values are distinct, so each component is defined up to sign
     assert np.all(np.diff(ref.d_full) < -1e-6 * ref.d_full[0])
-    for name, want in ref.fields().items():
-        have = getattr(got, name)
-        if have.ndim == 2:
-            have = align_signs(have, want)
-        assert np.abs(have - want).max() <= 1e-10 * np.abs(want).max(), name
+    for one, got in runs.items():
+        assert got.n_total_components == ref.n_total_components, one
+        for name, want in ref.fields().items():
+            have = getattr(got, name)
+            if have.ndim == 2:
+                have = align_signs(have, want)
+            assert np.abs(have - want).max() <= 1e-10 * np.abs(want).max(), (one, name)
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,42 +453,48 @@ def _check_prefix(full, run, kk):
     m=st.integers(2, 6),
     lkind=st.sampled_from(KINDS),
     rkind=st.sampled_from(KINDS),
+    frames=st.booleans(),
 )
-def test_gsvd_invariants_property(seed, n, m, lkind, rkind):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, m))
-    lw, lw_m = _make_constraint(lkind, rng, n)
-    rw, rw_m = _make_constraint(rkind, rng, m)
-    out = gsvd(x, lw=lw, rw=rw)
-    _check_orthonormal(out.p, lw_m)
-    _check_orthonormal(out.q, rw_m)
-    _check_scores(out.fi, lw_m, out.p, out.d)
-    _check_scores(out.fj, rw_m, out.q, out.d)
-    # Metric reconstruction: lw P D Q' rw = lw x rw (plain reconstruction
-    # when both metrics are nonsingular).
-    recon = lw_m @ (out.p * out.d[None, :]) @ out.q.T @ rw_m
-    target = lw_m @ x @ rw_m
-    assert np.abs(recon - target).max() < 1e-8 * max(1.0, np.abs(target).max())
-    if out.n_retained > 1:
-        kk = int(rng.integers(1, out.n_retained))
-        _check_prefix(out, gsvd(x, lw=lw, rw=rw, k=kk), kk)
+def test_gsvd_invariants_property(seed, n, m, lkind, rkind, frames):
+    # dense metrics in their Cholesky frames (BLAS on one thread), or through their roots
+    with blas_threads(frames):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, m))
+        lw, lw_m = _make_constraint(lkind, rng, n)
+        rw, rw_m = _make_constraint(rkind, rng, m)
+        out = gsvd(x, lw=lw, rw=rw)
+        _check_orthonormal(out.p, lw_m)
+        _check_orthonormal(out.q, rw_m)
+        _check_scores(out.fi, lw_m, out.p, out.d)
+        _check_scores(out.fj, rw_m, out.q, out.d)
+        # Metric reconstruction: lw P D Q' rw = lw x rw (plain reconstruction
+        # when both metrics are nonsingular).
+        recon = lw_m @ (out.p * out.d[None, :]) @ out.q.T @ rw_m
+        target = lw_m @ x @ rw_m
+        assert np.abs(recon - target).max() < 1e-8 * max(1.0, np.abs(target).max())
+        if out.n_retained > 1:
+            kk = int(rng.integers(1, out.n_retained))
+            _check_prefix(out, gsvd(x, lw=lw, rw=rw, k=kk), kk)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), kind=st.sampled_from(KINDS))
-def test_geigen_invariants_property(seed, n, kind):
-    rng = np.random.default_rng(seed)
-    x = random_spd(rng, n)
-    w, w_m = _make_constraint(kind, rng, n)
-    out = geigen(x, w=w)
-    _check_orthonormal(out.q, w_m)
-    _check_scores(out.fj, w_m, out.q, out.d)
-    recon = w_m @ (out.q * out.l[None, :]) @ out.q.T @ w_m
-    target = w_m @ x @ w_m
-    assert np.abs(recon - target).max() < 1e-8 * max(1.0, np.abs(target).max())
-    if out.n_retained > 1:
-        kk = int(rng.integers(1, out.n_retained))
-        _check_prefix(out, geigen(x, w=w, k=kk), kk)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), kind=st.sampled_from(KINDS),
+       frames=st.booleans())
+def test_geigen_invariants_property(seed, n, kind, frames):
+    # dense metrics in their Cholesky frames (BLAS on one thread), or through their roots
+    with blas_threads(frames):
+        rng = np.random.default_rng(seed)
+        x = random_spd(rng, n)
+        w, w_m = _make_constraint(kind, rng, n)
+        out = geigen(x, w=w)
+        _check_orthonormal(out.q, w_m)
+        _check_scores(out.fj, w_m, out.q, out.d)
+        recon = w_m @ (out.q * out.l[None, :]) @ out.q.T @ w_m
+        target = w_m @ x @ w_m
+        assert np.abs(recon - target).max() < 1e-8 * max(1.0, np.abs(target).max())
+        if out.n_retained > 1:
+            kk = int(rng.integers(1, out.n_retained))
+            _check_prefix(out, geigen(x, w=w, k=kk), kk)
 
 
 def test_singular_dense_metric_keeps_p_orthonormal():
@@ -499,27 +513,30 @@ def test_singular_dense_metric_keeps_p_orthonormal():
     mx=st.integers(2, 5),
     my=st.integers(2, 5),
     kinds=st.tuples(*[st.sampled_from(KINDS)] * 4),
+    frames=st.booleans(),
 )
-def test_gplssvd_invariants_property(seed, n, mx, my, kinds):
-    rng = np.random.default_rng(seed)
-    x, y = rng.normal(size=(n, mx)), rng.normal(size=(n, my))
-    (xlw, xlw_m), (xrw, xrw_m), (ylw, _), (yrw, yrw_m) = (
-        _make_constraint(kind, rng, dim) for kind, dim in zip(kinds, (n, mx, n, my))
-    )
-    out = gplssvd(x, y, xlw=xlw, xrw=xrw, ylw=ylw, yrw=yrw)
-    _check_orthonormal(out.p, xrw_m)
-    _check_orthonormal(out.q, yrw_m)
-    _check_scores(out.fi, xrw_m, out.p, out.d)
-    _check_scores(out.fj, yrw_m, out.q, out.d)
-    # lx = xl xrw P with xl = xlw^(1/2) x
-    xl = _psd_root(*_eigenpairs(xlw_m)) @ x
-    _check_scores(out.lx, xl @ xrw_m, out.p, np.ones_like(out.d))
-    # The latent variables' cross-products are the singular values.
-    cross = np.einsum("ij,ij->j", out.lx, out.ly)
-    assert np.allclose(cross, out.d, rtol=0.0, atol=1e-8 * max(1.0, out.d.max(initial=0.0)))
-    if out.n_retained > 1:
-        kk = int(rng.integers(1, out.n_retained))
-        _check_prefix(out, gplssvd(x, y, xlw=xlw, xrw=xrw, ylw=ylw, yrw=yrw, k=kk), kk)
+def test_gplssvd_invariants_property(seed, n, mx, my, kinds, frames):
+    # dense metrics in their Cholesky frames (BLAS on one thread), or through their roots
+    with blas_threads(frames):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(n, mx)), rng.normal(size=(n, my))
+        (xlw, xlw_m), (xrw, xrw_m), (ylw, _), (yrw, yrw_m) = (
+            _make_constraint(kind, rng, dim) for kind, dim in zip(kinds, (n, mx, n, my))
+        )
+        out = gplssvd(x, y, xlw=xlw, xrw=xrw, ylw=ylw, yrw=yrw)
+        _check_orthonormal(out.p, xrw_m)
+        _check_orthonormal(out.q, yrw_m)
+        _check_scores(out.fi, xrw_m, out.p, out.d)
+        _check_scores(out.fj, yrw_m, out.q, out.d)
+        # lx = xl xrw P with xl = xlw^(1/2) x
+        xl = _psd_root(*_eigenpairs(xlw_m)) @ x
+        _check_scores(out.lx, xl @ xrw_m, out.p, np.ones_like(out.d))
+        # The latent variables' cross-products are the singular values.
+        cross = np.einsum("ij,ij->j", out.lx, out.ly)
+        assert np.allclose(cross, out.d, rtol=0.0, atol=1e-8 * max(1.0, out.d.max(initial=0.0)))
+        if out.n_retained > 1:
+            kk = int(rng.integers(1, out.n_retained))
+            _check_prefix(out, gplssvd(x, y, xlw=xlw, xrw=xrw, ylw=ylw, yrw=yrw, k=kk), kk)
 
 
 def test_geigen_checks_each_matrix_for_symmetry_once(rng, monkeypatch):
