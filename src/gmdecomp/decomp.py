@@ -31,13 +31,13 @@ is at least the largest over _FRAME_COND; else, or with no Cholesky factor,
 the solve is redone through the roots, which all other metrics take.
 
 A second thread solves in the frames while the caller factorizes the dense
-metrics (or the last metrics, when one has no frame; gplssvd factorizes dense
-row metrics first, the x table's beside the y table's), and after the solve
-maps one side back while the caller maps the other. It starts only when 2 CPUs
-are available, BLAS runs one thread and both sides' work reaches a measured
-floor; for a fixed BLAS setting, the results are the same bits. The thread is
-joined before the call returns and the caller's error wins: a metric's own
-over its frame's, the row (x) side's when both fail.
+metrics (or the last metrics, when one has no frame), and after the solve maps
+one side back while the caller maps the other; gplssvd first whitens its x
+table beside its y table. It starts only when 2 CPUs are available, BLAS runs
+one thread and both sides' work reaches a measured floor; for a fixed BLAS
+setting, the results are the same bits. The thread is joined before the call
+returns; the error is the sequence's: a metric's own over its frame's, and
+the first of lw, rw or of xlw, ylw, xrw, yrw to fail.
 """
 
 import operator
@@ -377,14 +377,9 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
         )
     xlw, xrw = check_constraint(xlw, x.shape[0], "xlw"), check_constraint(xrw, x.shape[1], "xrw")
     ylw, yrw = check_constraint(ylw, y.shape[0], "ylw"), check_constraint(yrw, y.shape[1], "yrw")
-    if isinstance(xlw, np.ndarray) or isinstance(ylw, np.ndarray):  # factorized with the columns
-        (xl, xrw), (yl, yrw) = _side_by_side(
-            lambda: (apply_sqrt_metric(factorize(xlw, "xlw"), x), factorize(xrw, "xrw")),
-            lambda: (apply_sqrt_metric(factorize(ylw, "ylw"), y), factorize(yrw, "yrw")),
-            min(_work(xlw, 2 * x.shape[1]) + _work(xrw, 0),
-                _work(ylw, 2 * y.shape[1]) + _work(yrw, 0)))
-    else:
-        xl, yl = apply_sqrt_metric(xlw, x), apply_sqrt_metric(ylw, y)
+    xl, yl = _side_by_side(lambda: apply_sqrt_metric(factorize(xlw, "xlw"), x),
+                           lambda: apply_sqrt_metric(factorize(ylw, "ylw"), y),
+                           min(_work(xlw, 2 * x.shape[1]), _work(ylw, 2 * y.shape[1])))
     slots, xlw, xrw, ylw, yrw = [xrw, yrw], None, None, None, None  # frees the checked copies
 
     def cross():

@@ -102,9 +102,8 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
     if np.any(col_sumsq == 0):
         raise ZeroVarianceColumnError(f"column {np.argmin(col_sumsq)} has zero variance")
     row_constraints = np.full(n, 1.0 / dof)
-    if route == "triplet_scaled":
-        scaled = center_scale(data, center=True, scale=True)
-        return gsvd(scaled, lw=row_constraints, k=k, tol=tol)
+    if route == "triplet_scaled":  # the z-scores center_scale gives, from the work above
+        return gsvd(centered / np.sqrt(col_sumsq / dof), lw=row_constraints, k=k, tol=tol)
     col_constraints = dof / col_sumsq
     return gsvd(centered, lw=row_constraints, rw=col_constraints, k=k, tol=tol)
 

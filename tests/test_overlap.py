@@ -2,8 +2,9 @@
 
 A dense metric passed as a matrix is solved in its Cholesky frame on a second
 thread while the caller eigendecomposes it, and a gsvd or gplssvd maps its
-two sides back on two threads (a gplssvd with a dense row metric factorizes
-its x and y tables' metrics on two threads first). Each runs on a thread only
+two sides back on two threads (a gplssvd first weights its x and y tables by
+their row metrics' roots on two threads, so its metrics are factorized in the
+order xlw, ylw, xrw, yrw, as in sequence). Each runs on a thread only
 when 2 CPUs are available, the process's settings give BLAS one thread and
 both sides' work reaches ``decomp._OVERLAP_FLOOR``. The sizes here are above
 that floor, except where a test says otherwise. Bits are compared in a child
@@ -19,9 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmdecomp import decomp, recipes
+from gmdecomp import constraints, decomp, kernel, recipes
 from gmdecomp.decomp import geigen, gplssvd, gsvd
-from gmdecomp.errors import GmdError, NotPSDError
+from gmdecomp.errors import ComplexOrNegativeEigenvalueError, GmdError, NotPSDError
 
 from conftest import mca_fixture, random_spd
 
@@ -58,6 +59,7 @@ calls = {
        for cond, lw in conditioned.items()},
     "gplssvd": lambda: decomp.gplssvd(x, y, xrw=spd[2], yrw=spd[3]),
     "gplssvd-rows": lambda: decomp.gplssvd(x, y, xlw=spd[0], xrw=spd[2], yrw=spd[3]),
+    "gplssvd-all": lambda: decomp.gplssvd(x, y, xlw=spd[0], xrw=spd[2], ylw=spd[0], yrw=spd[3]),
     "geigen": lambda: decomp.geigen(s, w=spd[1]),
     "cca": lambda: recipes.cca(x, y),
 }
@@ -72,11 +74,12 @@ for cpus in (2, 1):
         starts.clear()
         runs[cpus, name] = call().fields()
         assert threading.active_count() == before, name
-        # before the SVD and after it; geigen maps back one side, cca's metrics come
-        # factorized, and rank-60 lw's 60 components are too few for the map-back to
-        # reach the floor
+        # before the SVD and after it, and with two dense row metrics also before both, to
+        # weight the tables; geigen maps back one side, cca's metrics come factorized, and
+        # rank-60 lw's 60 components are too few for the map-back to reach the floor
         once = name in ("geigen", "cca") or name.startswith("gsvd-singular")
-        assert len(starts) == (cpus > 1) * (1 if once else 2), (cpus, name, starts)
+        n = 1 if once else 3 if name == "gplssvd-all" else 2
+        assert len(starts) == (cpus > 1) * n, (cpus, name, starts)
 for name in calls:
     two, one = runs[2, name], runs[1, name]
     assert two.keys() == one.keys()
@@ -146,13 +149,14 @@ def test_no_thread_outlives_a_call(rng, thread_starts):
     assert len(thread_starts) == 4
 
 
-@pytest.mark.parametrize("bad, slot", [
-    (dict(lw=True, rw=True), "lw"),
-    (dict(xrw=True, yrw=True), "xrw"),
-    (dict(xlw=True, xrw=True, ylw=True, yrw=True), "xlw"),
-    (dict(ylw=True, xrw=True), "xrw"),
-], ids=["gsvd", "gplssvd-columns", "gplssvd-all", "gplssvd-x-then-y"])
-def test_when_both_sides_fail_the_row_side_is_named(rng, monkeypatch, thread_starts, bad, slot):
+@pytest.mark.parametrize("bad, slot, starts", [
+    (dict(lw=True, rw=True), "lw", 1),
+    (dict(xrw=True, yrw=True), "xrw", 2),  # the rows' whitening, then the columns' frames
+    (dict(xlw=True, xrw=True, ylw=True, yrw=True), "xlw", 1),
+    (dict(ylw=True, xrw=True), "ylw", 1),
+], ids=["gsvd", "gplssvd-columns", "gplssvd-all", "gplssvd-rows-then-columns"])
+def test_when_both_sides_fail_the_row_side_is_named(
+        rng, monkeypatch, thread_starts, bad, slot, starts):
     x, y = rng.normal(size=(150, 120)), rng.normal(size=(150, 110))
     dims = dict(lw=150, rw=120, xlw=150, xrw=120, ylw=150, yrw=110)
     metrics = {s: (-1.0 if s in bad else 1.0) * random_spd(rng, dims[s]) for s in dims}
@@ -168,9 +172,35 @@ def test_when_both_sides_fail_the_row_side_is_named(rng, monkeypatch, thread_sta
         with pytest.raises(GmdError) as caught:
             call()
         errors.append((type(caught.value), str(caught.value)))
-    assert len(thread_starts) == 1
+    assert len(thread_starts) == starts
     assert errors[0] == errors[1]
     assert errors[0][0] is NotPSDError and errors[0][1].startswith(f"{slot} is not")
+
+
+@pytest.mark.parametrize("n, starts", [(60, 0), (200, 1)], ids=["below-the-floor", "overlap"])
+def test_a_frame_solve_that_fails_is_redone_through_the_roots(
+        rng, monkeypatch, thread_starts, n, starts):
+    # an indefinite x fails geigen's tolerance in w's frame too (L' x L keeps x's inertia): the
+    # frame's error is dropped and the root route's, that of w passed factorized, is raised
+    a = rng.normal(size=(n, n))
+    x, w = a + a.T, random_spd(rng, n)
+    failed, real = [], kernel.tolerance_eigen
+
+    def eigen(m, tol=kernel.SQRT_EPS):
+        try:
+            return real(m, tol=tol)
+        except ComplexOrNegativeEigenvalueError:
+            failed.append(m.shape)
+            raise
+    monkeypatch.setattr(kernel, "tolerance_eigen", eigen)
+    before = threading.active_count()
+    with pytest.raises(ComplexOrNegativeEigenvalueError) as framed:
+        geigen(x, w=w)
+    assert threading.active_count() == before
+    assert (len(thread_starts), failed) == (starts, [(n, n)] * 2)
+    with pytest.raises(ComplexOrNegativeEigenvalueError) as roots:
+        geigen(x, w=constraints.factorize(w))
+    assert str(framed.value) == str(roots.value)
 
 
 @pytest.mark.parametrize("env, threads", [

@@ -7,7 +7,8 @@ made by ``git archive <rev> src | tar -x -C BASE``. Each tree runs the same
 corpus in a subprocess of its own, which imports that tree's ``src/`` only:
 
 - geigen, gsvd and gplssvd with dense metrics: the dense-metrics benchmark
-  calls, a k-run, a singular metric, small frames and dense row metrics;
+  calls, a k-run, a singular metric, small frames, and gplssvd with dense row
+  metrics and with row and column metrics of mixed kinds;
 - a gsvd and a geigen with a dense metric at each condition number 1e1-1e5;
 - every recipe, the four pca routes and rmca at omega 0, 1, 5 and 25;
 - every CLI command on small inputs, without and with ``--plot``.
@@ -109,6 +110,22 @@ def _calls():
         m = _conditioned(rng, 60, cond)
         calls[f"gsvd-cond-{cond:g}"] = lambda m=m: decomp.gsvd(cx, lw=m, rw=cs)
         calls[f"geigen-cond-{cond:g}"] = lambda m=m: decomp.geigen(cs, w=m[:40, :40])
+    # gplssvd with row and column metrics of mixed kinds, drawn after the cases above
+    xd, yd = rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 5)
+    rows = rng.uniform(0.5, 2.0, 30)
+    bx, by = rng.normal(size=(150, 120)), rng.normal(size=(150, 110))
+    big = [_spd(rng, n) for n in (150, 120, 150, 110)]
+    calls.update({
+        "gplssvd-one-dense-row": lambda: decomp.gplssvd(x, y, xlw=lw, xrw=rw, yrw=yrw),
+        "gplssvd-dense-rows-diagonal-columns": lambda: decomp.gplssvd(
+            x, y, xlw=lw, xrw=xd, ylw=lw, yrw=yd),
+        "gplssvd-diagonal-rows-dense-columns": lambda: decomp.gplssvd(
+            x, y, xlw=rows, xrw=rw, ylw=rows[::-1], yrw=yrw),
+        "gplssvd-singular-xlw": lambda: decomp.gplssvd(
+            x, y, xlw=basis @ basis.T, xrw=rw, ylw=lw, yrw=yrw),
+        "gplssvd-dense-rows-large": lambda: decomp.gplssvd(
+            bx, by, xlw=big[0], xrw=big[1], ylw=big[2], yrw=big[3]),
+    })
     return calls
 
 
