@@ -30,12 +30,11 @@ the only source of its roots, keeps a frame only when its smallest eigenvalue
 is at least the largest over _FRAME_COND; else, or with no Cholesky factor,
 the solve is redone through the roots, which all other metrics take.
 
-A second thread solves in the frames while the caller factorizes the dense
-metrics (or the last metrics, when one has no frame), and after the solve maps
-one side back while the caller maps the other; gplssvd first whitens its x
-table beside its y table. It starts only when 2 CPUs are available, BLAS runs
-one thread and both sides' work reaches a measured floor; for a fixed BLAS
-setting, the results are the same bits. The thread is joined before the call
+A second thread solves in the frames while the caller factorizes every metric
+in order, and after the solve maps one side back while the caller maps the
+other; gplssvd first whitens its x table beside its y table. It starts only
+when 2 CPUs are available, BLAS runs one thread and both sides' work reaches
+a measured floor; for a fixed BLAS setting, the results are the same bits. The thread is joined before the call
 returns; the error is the sequence's: a metric's own over its frame's, and
 the first of lw, rw or of xlw, ylw, xrw, yrw to fail.
 """
@@ -277,38 +276,29 @@ def _lift(h, vectors):
 
 
 def _solve(slots, names, solve, work):
-    """(factorized, halves, solve(*halves)) for `slots`, checked metrics factorized in place
-    (freeing each copy) and solved through their roots, unless BLAS runs one thread and a slot is
-    a dense matrix: then they are solved in their frames while the caller factorizes them in order
-    (on two threads when _side_by_side says), or from the last slot if one has no frame. A refused
-    frame becomes the root; then, or with none or no solve, the solve is redone."""
-    if not (_blas_one_thread() and any(isinstance(w, np.ndarray) for w in slots)):
+    """(factorized, halves, solve(*halves)) for `slots`, checked metrics the caller factorizes in
+    order and in place (freeing each copy), solved through their roots, unless BLAS runs one
+    thread and a slot is a dense matrix: then a second thread (when _side_by_side says) solves
+    them in their frames meanwhile. A refused frame becomes the root; then, or with none or no
+    solve, the solve is redone."""
+    def factorize_all():
         for i, name in enumerate(names):
             slots[i] = factorize(slots[i], name)
-        return slots, slots, solve(*slots)
-    mats, lock = list(slots), threading.Lock()
 
-    def factorize_from(order):  # each slot once, whichever thread claims it first
-        for i in order:
-            with lock:
-                if slots[i] is not mats[i]:
-                    continue
-                slots[i] = None
-            slots[i] = factorize(mats[i], names[i])
+    if not (_blas_one_thread() and any(isinstance(w, np.ndarray) for w in slots)):
+        factorize_all()
+        return slots, slots, solve(*slots)
+    mats = list(slots)
 
     def framed():
         with np.errstate(all="ignore"):  # a failure is redone, with its warnings, below
             halves = [_factor(w) if isinstance(w, np.ndarray) else w for w in mats]
-            unframed = any(h is None for h in halves)
             try:
-                out = None if unframed else solve(*halves)
+                return halves, None if any(h is None for h in halves) else solve(*halves)
             except GmdError:
-                out = None
-        if unframed:
-            factorize_from(reversed(range(len(mats))))
-        return halves, out
+                return halves, None
 
-    _, (tried, out) = _side_by_side(lambda: factorize_from(range(len(mats))), framed, work)
+    _, (tried, out) = _side_by_side(factorize_all, framed, work)
     halves = [h if isinstance(h, np.ndarray) and c.weights[-1] * _FRAME_COND >= c.weights[0]
               else c for h, c in zip(tried, slots)]
     if out is None or any(h is not t for h, t in zip(halves, tried)):
