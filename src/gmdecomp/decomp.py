@@ -34,13 +34,15 @@ A second thread solves in the frames while the caller factorizes every metric
 in order, and after the solve maps one side back while the caller maps the
 other; gplssvd first whitens its x table beside its y table. It starts only
 when 2 CPUs are available, BLAS runs one thread and both sides' work reaches
-a measured floor; for a fixed BLAS setting, the results are the same bits. The thread is joined before the call
-returns; the error is the sequence's: a metric's own over its frame's, and
-the first of lw, rw or of xlw, ylw, xrw, yrw to fail.
+a measured floor; for a fixed BLAS setting, the results are the same bits.
+The thread is joined before the call returns; the error is the sequence's: a
+metric's own over its frame's, and the first of lw, rw or of xlw, ylw, xrw,
+yrw to fail.
 """
 
 import operator
 import os
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -59,6 +61,7 @@ GPLSSVD = "gplssvd"
 # The lighter side's work, in multiply-adds, from which it gets a thread of its own: below it,
 # starting and joining one cost more than the overlap saved (2 vCPUs, BLAS on one thread).
 _OVERLAP_FLOOR = 5_000_000
+_PACKAGE = os.path.dirname(__file__)
 _OPENBLAS = "openblas" in str(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies"))
 # A frame is kept only when its metric's eigenvalues span at most this ratio. Against the root
 # route, relative to each field's largest entry and up to sign, frames moved a 60 x 40 gsvd by
@@ -143,23 +146,27 @@ class DecompositionResult:
 
 
 def _checked_k(k, tol):
-    """`k` as an int, once `k` is checked to be an integer and `tol` a threshold; a bad one
-    raises InvalidArgumentError naming it, before a decomposition does any work."""
+    """`k` as an int, once `k` is checked to be a nonnegative integer and `tol` a threshold; a
+    bad one raises InvalidArgumentError naming it, before a decomposition does any work."""
     kernel._threshold(tol)
     try:
-        return operator.index(k)
+        k = operator.index(k)
     except TypeError:
-        raise InvalidArgumentError(f"k must be an integer, got {k!r}") from None
+        raise InvalidArgumentError(f"k must be a nonnegative integer, got {k!r}") from None
+    if k < 0:
+        raise InvalidArgumentError(f"k must be a nonnegative integer, got {k}")
+    return k
 
 
 def _resolve_k(k, n_total):
-    if k <= 0 or k == n_total:
+    if k == 0 or k == n_total:
         return n_total
     if k > n_total:
-        warnings.warn(
-            f"requested k={k} exceeds the {n_total} retained components; clamping",
-            stacklevel=4,
-        )
+        level, frame = 1, sys._getframe()  # the warning points at the first frame outside gmdecomp
+        while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE:
+            level, frame = level + 1, frame.f_back
+        warnings.warn(f"requested k={k} exceeds the {n_total} retained components; clamping",
+                      stacklevel=level)
         return n_total
     return k
 
@@ -367,10 +374,16 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
         )
     xlw, xrw = check_constraint(xlw, x.shape[0], "xlw"), check_constraint(xrw, x.shape[1], "xrw")
     ylw, yrw = check_constraint(ylw, y.shape[0], "ylw"), check_constraint(yrw, y.shape[1], "yrw")
-    xl, yl = _side_by_side(lambda: apply_sqrt_metric(factorize(xlw, "xlw"), x),
-                           lambda: apply_sqrt_metric(factorize(ylw, "ylw"), y),
-                           min(_work(xlw, 2 * x.shape[1]), _work(ylw, 2 * y.shape[1])))
-    slots, xlw, xrw, ylw, yrw = [xrw, yrw], None, None, None, None  # frees the checked copies
+    # the lists hold the only references to the checked copies, each freed once it is factorized
+    rows, slots, xlw, xrw, ylw, yrw = [xlw, ylw], [xrw, yrw], None, None, None, None
+
+    def weighted(i, table, name):
+        rows[i] = factorize(rows[i], name)
+        return apply_sqrt_metric(rows[i], table)
+
+    xl, yl = _side_by_side(lambda: weighted(0, x, "xlw"), lambda: weighted(1, y, "ylw"),
+                           min(_work(rows[0], 2 * x.shape[1]), _work(rows[1], 2 * y.shape[1])))
+    rows = None
 
     def cross():
         c = xl.T @ yl

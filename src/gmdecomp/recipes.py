@@ -345,28 +345,23 @@ def pls(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     return gplssvd(xp, yp, k=k, tol=tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow in x'x is factorize's to raise
 def rrr(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Reduced rank regression (redundancy analysis): gplssvd with the
     pseudo-inverse of X'X as the column metric for x."""
-    xp, yp = _preprocess_pair(x, y, center, scale)
-    return gplssvd(xp, yp, xrw=pinv_constraint(xp.T @ xp, "xrw"), k=k, tol=tol)
+    # a with, not a decorator, so no numpy frame stands between the caller and the package
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow in x'x is factorize's
+        xp, yp = _preprocess_pair(x, y, center, scale)
+        return gplssvd(xp, yp, xrw=pinv_constraint(xp.T @ xp, "xrw"), k=k, tol=tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow in a Gram matrix is factorize's
 def cca(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Canonical correlation analysis: gplssvd with pseudo-inverse
     cross-product metrics on both column sides. The singular values are the
     canonical correlations."""
-    xp, yp = _preprocess_pair(x, y, center, scale)
-    return gplssvd(
-        xp,
-        yp,
-        xrw=pinv_constraint(xp.T @ xp, "xrw"),
-        yrw=pinv_constraint(yp.T @ yp, "yrw"),
-        k=k,
-        tol=tol,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a Gram matrix's overflow is factorize's
+        xp, yp = _preprocess_pair(x, y, center, scale)
+        return gplssvd(xp, yp, xrw=pinv_constraint(xp.T @ xp, "xrw"),
+                       yrw=pinv_constraint(yp.T @ yp, "yrw"), k=k, tol=tol)
 
 
 def canonical_correlations(result):

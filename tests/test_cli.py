@@ -514,6 +514,15 @@ def test_tol_that_is_not_a_threshold_exits_2_writing_nothing(tmp_path, rng, caps
         assert not out.exists()
 
 
+def test_a_negative_k_exits_2_with_one_line_writing_nothing(tmp_path, rng, capsys):
+    xp = write_matrix(tmp_path / "x.csv", rng.normal(size=(6, 3)))
+    out = tmp_path / "o"
+    assert cli.main(["gsvd", "--x", xp, "--k", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: k must be a nonnegative integer, got -1"]
+    assert not out.exists()
+
+
 def test_exit_code_bad_omega_is_usage_error(tmp_path, capsys):
     cat = [["a", "x"], ["b", "y"], ["a", "y"], ["b", "x"], ["a", "x"], ["b", "y"]]
     catp = write_csv(tmp_path / "cat.csv", cat)

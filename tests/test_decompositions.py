@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gmdecomp import kernel
+from gmdecomp import kernel, recipes
 from gmdecomp.decomp import geigen, gplssvd, gsvd
 from gmdecomp.errors import DimensionMismatchError, EmptyMatrixError
 
-from conftest import random_spd
+from conftest import mca_fixture, random_spd
 
 
 def test_geigen_hand_worked_diagonal():
@@ -125,6 +125,33 @@ def test_truncation_clamps_with_warning(rng):
     with pytest.warns(UserWarning):
         out = gsvd(x, k=10)
     assert out.n_retained == out.n_total_components == 3
+
+
+_X, _Y = np.random.default_rng(3).normal(size=(2, 12, 4))
+_DIST = np.abs(_X[:, None, 0] - _X[None, :, 0])
+_CATEGORIES = mca_fixture(n_rows=12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: geigen(_X.T @ _X, k=k),
+    lambda k: gsvd(_X, k=k),
+    lambda k: gplssvd(_X, _Y, k=k),
+    *(lambda k, route=route: recipes.pca(_X, route=route, k=k) for route in recipes.PCA_ROUTES),
+    lambda k: recipes.mds(_DIST, k=k),
+    lambda k: recipes.weighted_mds(_DIST, np.linspace(0.5, 2.0, 12), k=k),
+    lambda k: recipes.ca(np.abs(_X) + 1.0, k=k),
+    lambda k: recipes.mca(_CATEGORIES, k=k),
+    lambda k: recipes.rmca(recipes.disjunctive_coding(_CATEGORIES), 1.0, k=k),
+    lambda k: recipes.plsca(_CATEGORIES, [row[:2] for row in _CATEGORIES], k=k),
+    lambda k: recipes.pls(_X, _Y, k=k),
+    lambda k: recipes.rrr(_X, _Y, k=k),
+    lambda k: recipes.cca(_X, _Y, k=k),
+], ids=["geigen", "gsvd", "gplssvd", *(f"pca-{r}" for r in recipes.PCA_ROUTES), "mds",
+        "weighted_mds", "ca", "mca", "rmca", "plsca", "pls", "rrr", "cca"])
+def test_the_clamping_warning_points_at_the_callers_line(call):
+    with pytest.warns(UserWarning, match="clamping") as record:
+        call(50)
+    assert len(record) == 1 and record[0].filename == __file__
 
 
 def test_result_fields_per_method(rng):

@@ -265,8 +265,8 @@ def test_a_checked_copy_is_freed_before_the_solve_through_the_roots(
          **{"gplssvd-rows": lambda: gplssvd(x, y, xlw=random_spd(rng, 12), ylw=random_spd(rng, 12),
                                             yrw=random_spd(rng, 5))})[call]()
     assert alive[0] > 0 and alive[-1] == 0, alive
-    if call != "gplssvd-rows":  # each factorization frees its copy before the next one's eigh
-        assert alive == list(range(alive[0], -1, -1)), alive
+    # each factorization frees its copy before the next one's eigh
+    assert alive == list(range(alive[0], -1, -1)), alive
 
 
 @pytest.mark.parametrize("n, p, q", [(15, 4, 6), (150, 120, 110)])

@@ -200,6 +200,11 @@ def test_non_finite_result_is_numerical():
 def test_bad_arguments_raise_invalid_argument_error(rng):
     with pytest.raises(InvalidArgumentError, match="unknown PCA route"):
         recipes.pca(rng.normal(size=(10, 3)), route="nope")
+    x = rng.normal(size=(10, 3))
+    for call in (lambda: gsvd(x, k=-1), lambda: geigen(x.T @ x, k=-1),
+                 lambda: gplssvd(x, x, k=np.int64(-1)), lambda: recipes.pca(x, k=-1)):
+        with pytest.raises(InvalidArgumentError, match="^k must be a nonnegative integer, got -1$"):
+            call()
     table = recipes.disjunctive_coding(mca_fixture())
     for omega in (-1.0, float("nan"), float("inf")):
         with warnings.catch_warnings():

@@ -203,6 +203,39 @@ def test_a_frame_solve_that_fails_is_redone_through_the_roots(
     assert str(framed.value) == str(roots.value)
 
 
+@pytest.mark.parametrize("lw", ["rank-60", "cond-1e5"])
+def test_the_caller_factorizes_every_metric_in_order_and_the_thread_only_solves(
+        rng, monkeypatch, blas_one_thread, lw):
+    # lw has no frame: a rank-60 metric has no Cholesky factor, and one at condition number 1e5
+    # fails _factor's bound. The second thread tries both frames and leaves both metrics to the
+    # caller, which factorizes them in order, as in sequence
+    monkeypatch.setattr(decomp, "cpu_count", lambda: 2)
+    x, rw = rng.normal(size=(150, 120)), random_spd(rng, 120)
+    basis, q = rng.normal(size=(150, 60)), np.linalg.qr(rng.normal(size=(150, 150)))[0]
+    m = {"rank-60": basis @ basis.T / 60, "cond-1e5": (q * np.logspace(0, -5, 150)) @ q.T}[lw]
+    factorized, framed, tried = [], [], threading.Event()
+    factorize, factor = decomp.factorize, decomp._factor
+
+    def spy_factorize(w, name):  # waits, as a slow eigh would, until both frames are tried
+        factorized.append((name, threading.get_ident()))
+        tried.wait(timeout=10)
+        return factorize(w, name)
+
+    def spy_factor(w):
+        low = factor(w)
+        framed.append(threading.get_ident())
+        if len(framed) == 2:
+            tried.set()
+        return low
+
+    monkeypatch.setattr(decomp, "factorize", spy_factorize)
+    monkeypatch.setattr(decomp, "_factor", spy_factor)
+    gsvd(x, lw=(m + m.T) / 2, rw=rw)
+    caller = threading.get_ident()
+    assert factorized == [("lw", caller), ("rw", caller)]
+    assert len(framed) == 2 and caller not in framed
+
+
 @pytest.mark.parametrize("env, threads", [
     ({"OPENBLAS_NUM_THREADS": "1"}, 2),
     ({"OMP_NUM_THREADS": "1"}, 2),

@@ -7,9 +7,11 @@ made by ``git archive <rev> src | tar -x -C BASE``. Each tree runs the same
 corpus in a subprocess of its own, which imports that tree's ``src/`` only:
 
 - geigen, gsvd and gplssvd with dense metrics: the dense-metrics benchmark
-  calls, a k-run, a singular metric, small frames, and gplssvd with dense row
-  metrics and with row and column metrics of mixed kinds;
-- a gsvd and a geigen with a dense metric at each condition number 1e1-1e5;
+  calls, a k-run, a singular metric, small frames, gplssvd with dense row
+  metrics and with row and column metrics of mixed kinds, and, above the
+  overlap floor, singular and ill-conditioned metrics that take no frame and
+  gsvd with identity, diagonal and dense slots mixed;
+- a gsvd and a geigen with a dense metric at each condition number 1e1-1e7;
 - every recipe, the four pca routes and rmca at omega 0, 1, 5 and 25;
 - every CLI command on small inputs, without and with ``--plot``.
 
@@ -43,6 +45,12 @@ import numpy as np
 def _spd(rng, n):
     a = rng.normal(size=(n, n))
     return a @ a.T / n + 0.5 * np.eye(n)
+
+
+def _ranked(rng, n, rank):
+    """A dense PSD metric of the given rank."""
+    a = rng.normal(size=(n, rank))
+    return a @ a.T / rank
 
 
 def _conditioned(rng, n, cond):
@@ -106,10 +114,14 @@ def _calls():
         calls[f"pca-{route}"] = lambda route=route: recipes.pca(data, route=route)
     for omega in (0, 1, 5, 25):
         calls[f"rmca-omega-{omega}"] = lambda omega=omega: recipes.rmca(table, omega)
-    for cond in (1e1, 1e2, 1e3, 1e4, 1e5):
-        m = _conditioned(rng, 60, cond)
-        calls[f"gsvd-cond-{cond:g}"] = lambda m=m: decomp.gsvd(cx, lw=m, rw=cs)
-        calls[f"geigen-cond-{cond:g}"] = lambda m=m: decomp.geigen(cs, w=m[:40, :40])
+
+    def sweep(conds):
+        for cond in conds:
+            m = _conditioned(rng, 60, cond)
+            calls[f"gsvd-cond-{cond:g}"] = lambda m=m: decomp.gsvd(cx, lw=m, rw=cs)
+            calls[f"geigen-cond-{cond:g}"] = lambda m=m: decomp.geigen(cs, w=m[:40, :40])
+
+    sweep((1e1, 1e2, 1e3, 1e4, 1e5))
     # gplssvd with row and column metrics of mixed kinds, drawn after the cases above
     xd, yd = rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 5)
     rows = rng.uniform(0.5, 2.0, 30)
@@ -126,6 +138,19 @@ def _calls():
         "gplssvd-dense-rows-large": lambda: decomp.gplssvd(
             bx, by, xlw=big[0], xrw=big[1], ylw=big[2], yrw=big[3]),
     })
+    # dense metrics with no frame above the overlap floor, and gsvd with mixed slots there,
+    # drawn after the cases above; then the condition sweep's top
+    ranked = [_ranked(rng, 150, 60), _ranked(rng, 120, 50)]
+    unframed_lw, diagonal = _conditioned(rng, 150, 1e5), rng.uniform(0.5, 2.0, 150)
+    calls.update({
+        "gsvd-rank-60-lw-large": lambda: decomp.gsvd(bx, lw=ranked[0], rw=big[1]),
+        "gsvd-cond-1e5-lw-large": lambda: decomp.gsvd(bx, lw=unframed_lw, rw=big[1]),
+        "gplssvd-rank-50-xrw-large": lambda: decomp.gplssvd(bx, by, xrw=ranked[1], yrw=big[3]),
+        "gsvd-identity-lw-dense-rw": lambda: decomp.gsvd(bx, rw=big[1]),
+        "gsvd-diagonal-lw-dense-rw": lambda: decomp.gsvd(bx, lw=diagonal, rw=big[1]),
+        "gsvd-dense-lw-diagonal-rw": lambda: decomp.gsvd(bx, lw=big[0], rw=diagonal[:120]),
+    })
+    sweep((1e6, 1e7))
     return calls
 
 
