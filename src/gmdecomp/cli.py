@@ -9,7 +9,8 @@ plots, and last a summary.json that lists them; ``rmca`` with several
 ``--omega`` values writes one ``omega_<value>/`` directory per value.
 
 Exit codes: 0 success, 2 usage error, 3 data/validation error, 4 numerical
-failure.
+failure. Warnings and errors are printed to stderr one line each, as
+``warning: <message>`` and ``error: <message>``, the warnings first.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -56,26 +58,34 @@ class LabeledMatrix:
 
 def load_categorical_csv(path, has_header=False, has_rownames=False):
     """Read a CSV file as (rows of strings, row labels, column labels), the
-    first row/column consumed as labels when flagged. Every loader reads
-    its rows through this function."""
+    first row/column consumed as labels when flagged."""
+    return _read_csv(path, has_header, has_rownames)[:3]
+
+
+def _read_csv(path, has_header, has_rownames):
+    """:func:`load_categorical_csv`'s result and the line of the file each row ends on, blank
+    lines counted though their rows are skipped. Every loader reads its rows here."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            numbered = [(reader.line_num, row) for row in reader if row]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not rows:
+    if not numbered:
         raise ParseError(f"{path}: file is empty")
+    lines, rows = [n for n, _ in numbered], [row for _, row in numbered]
     col_labels = None
     if has_header:
         header = rows.pop(0)
+        del lines[0]
         if not rows:
             raise ParseError(f"{path}: no data rows below the header")
         if len(header) != len(rows[0]):
             raise RaggedRowsError(f"{path}: the header has {len(header)} values, "
-                                  f"line 2 has {len(rows[0])}")
+                                  f"line {lines[0]} has {len(rows[0])}")
         col_labels = header[1:] if has_rownames else header
     row_labels = [row.pop(0) for row in rows] if has_rownames else None
-    return rows, row_labels, col_labels
+    return rows, row_labels, col_labels, lines
 
 
 def load_matrix_csv(path, has_header=False, has_rownames=False):
@@ -84,15 +94,13 @@ def load_matrix_csv(path, has_header=False, has_rownames=False):
     The first row/column is consumed as labels when flagged. Numeric parse
     failures report the (row, column) coordinates of the offending cell.
     """
-    rows, row_labels, col_labels = load_categorical_csv(path, has_header, has_rownames)
+    rows, row_labels, col_labels, lines = _read_csv(path, has_header, has_rownames)
     width = len(rows[0])
     data = []
     for i, row in enumerate(rows):
         if len(row) != width:
             raise RaggedRowsError(
-                f"{path}: line {i + 1 + int(has_header)} has {len(row)} "
-                f"values, expected {width}"
-            )
+                f"{path}: line {lines[i]} has {len(row)} values, expected {width}")
         try:
             data.append(list(map(float, row)))
         except ValueError:  # find the cell float rejects, to name it
@@ -447,7 +455,13 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        _run(COMMANDS[args.command], args, "gmdecomp " + " ".join(argv))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                _run(COMMANDS[args.command], args, "gmdecomp " + " ".join(argv))
+            finally:  # one line each, like an error, and before it
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
     except (GmdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

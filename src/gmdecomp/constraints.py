@@ -81,9 +81,9 @@ def check_constraint(raw, dim, name="constraint"):
     Missing constraints are mathematically identity matrices. Vectors are
     diagonal weights; a diagonal matrix is demoted to its diagonal, and an
     all-ones diagonal to identity; a `Constraint` is kept as it is. Anything
-    else must be a symmetric matrix w of shape (dim, dim), returned as its one
-    exactly symmetric copy (w + w')/2 (NonFiniteError when w + w' overflows)
-    for :func:`factorize` and the Cholesky frame. `name` names the slot.
+    else must be a symmetric matrix w of shape (dim, dim), returned as its
+    float64 array, uncopied: the LAPACK calls that read it symmetrize it; a
+    w + w' that would overflow raises NonFiniteError. `name` names the slot.
     """
     dim = int(dim)
     if raw is None:
@@ -105,20 +105,18 @@ def check_constraint(raw, dim, name="constraint"):
             f"{name}: constraint matrix shape {arr.shape} != expected ({dim}, {dim})"
         )
     kernel.check_symmetric(arr, name)
-    with np.errstate(over="ignore"):  # an overflow raises below, with no warning
-        s = (arr + arr.T) / 2.0
-    if not np.all(np.isfinite(s)):
+    if max(arr.max(), -arr.min()) > np.finfo(np.float64).max / 2:  # w + w' would overflow
         raise NonFiniteError(f"{name} has entries too large to factorize")
-    return s
+    return arr
 
 
 def factorize(checked, name="constraint"):
-    """A :func:`check_constraint` result, or a Gram matrix, as a `Constraint`: a
-    matrix, which must be exactly symmetric, is eigendecomposed once, which checks it
+    """A :func:`check_constraint` result, or a Gram matrix, as a `Constraint`: a matrix,
+    :func:`kernel.symmetrized` for this call only, is eigendecomposed once, which checks it
     is PSD and gives its eigenpairs, eigenvalues descending and clipped at 0."""
     if isinstance(checked, Constraint):
         return checked
-    eig = kernel.tolerance_eigen(checked, tol=None)
+    eig = kernel.tolerance_eigen(kernel.symmetrized(checked), tol=None)
     lam = eig.values
     if lam.min() < -kernel.PSD_RTOL * max(lam[0], 0.0):
         raise NotPSDError(f"{name} is not positive semi-definite (min eigenvalue {lam.min():.6g})")

@@ -20,15 +20,16 @@ Rank truncation: ``k=0`` (the default) returns every retained component;
 outputs are computed on the full retained set and then sliced, so a k-run
 is bit-identical to the leading columns of a full run.
 
-A dense metric passed as a matrix is solved in its Cholesky frame (Golub &
-Van Loan 2013, section 8.7) whenever the BLAS setting gives one thread, with
-or without a second thread (below): with w = L L', gsvd takes the SVD of
-Ll' x Lr and geigen the eigh of L' x L; a side's standard vectors, generalized
-vectors and scores are then w^(-1/2) L U, w^(-1) L U and L U diag(d), and the
-final v gets the canonical signs. factorize, the metric's one PSD check and
-the only source of its roots, keeps a frame only when its smallest eigenvalue
-is at least the largest over _FRAME_COND; else, or with no Cholesky factor,
-the solve is redone through the roots, which all other metrics take.
+A dense metric passed as a matrix is solved in its Cholesky frame (Golub & Van
+Loan 2013, section 8.7) whenever the BLAS setting gives one thread, with or
+without a second thread (below): with w = L L', gsvd takes the SVD of Ll' x Lr
+and geigen the eigh of L' x L; a side's standard vectors, generalized vectors
+and scores are then w^(-1/2) L U, w^(-1) L U and L U diag(d), and the final v
+gets the canonical signs. factorize, the metric's one PSD check and the only
+source of its roots, keeps a frame only when its smallest eigenvalue is at least
+the largest over _FRAME_COND; else, or with no Cholesky factor, the solve is
+redone through the roots, which all other metrics take. Here w is (w + w')/2,
+which the Cholesky call and factorize's eigh each form for themselves.
 
 A second thread solves in the frames while the caller factorizes every metric
 in order, and after the solve maps one side back while the caller maps the
@@ -260,14 +261,14 @@ def _squares(d):
 
 
 def _factor(w):
-    """The frame of `w`, a checked dense matrix: its Cholesky factor L, or None when it has
-    none or a lower bound of its condition number exceeds _FRAME_COND. The bound is the largest
-    column norm of w, at most its largest eigenvalue, over the smallest pivot L_ii^2, at least
-    its smallest."""
-    low = kernel.cholesky(w)
+    """The frame of `w`, a checked dense matrix: the Cholesky factor L of its symmetrized s, or
+    None when s has none or when its condition number's lower bound, s's largest column norm (at
+    most its top eigenvalue) over the least pivot L_ii^2 (at least its least), tops _FRAME_COND."""
+    s = kernel.symmetrized(w)
+    low = kernel.cholesky(s)
     if low is None:
         return None
-    bound = np.sqrt(np.einsum("ij,ij->j", w, w).max()) / np.diag(low).min() ** 2
+    bound = np.sqrt(np.einsum("ij,ij->j", s, s).max()) / np.diag(low).min() ** 2
     return low if bound <= _FRAME_COND else None
 
 
@@ -284,33 +285,31 @@ def _lift(h, vectors):
 
 def _solve(slots, names, solve, work):
     """(factorized, halves, solve(*halves)) for `slots`, checked metrics the caller factorizes in
-    order and in place (freeing each copy), solved through their roots, unless BLAS runs one
-    thread and a slot is a dense matrix: then a second thread (when _side_by_side says) solves
-    them in their frames meanwhile. A refused frame becomes the root; then, or with none or no
-    solve, the solve is redone."""
+    order, solved through their roots, unless BLAS runs one thread and a slot is a dense matrix:
+    then a second thread (when _side_by_side says) solves them in their frames meanwhile. Each
+    factorization and each frame symmetrizes its metric itself, for its LAPACK call only. A
+    refused frame becomes the root; then, or with none or no solve, the solve is redone."""
     def factorize_all():
-        for i, name in enumerate(names):
-            slots[i] = factorize(slots[i], name)
+        return [factorize(w, name) for w, name in zip(slots, names)]
 
     if not (_blas_one_thread() and any(isinstance(w, np.ndarray) for w in slots)):
-        factorize_all()
-        return slots, slots, solve(*slots)
-    mats = list(slots)
+        factorized = factorize_all()
+        return factorized, factorized, solve(*factorized)
 
     def framed():
         with np.errstate(all="ignore"):  # a failure is redone, with its warnings, below
-            halves = [_factor(w) if isinstance(w, np.ndarray) else w for w in mats]
+            halves = [_factor(w) if isinstance(w, np.ndarray) else w for w in slots]
             try:
                 return halves, None if any(h is None for h in halves) else solve(*halves)
             except GmdError:
                 return halves, None
 
-    _, (tried, out) = _side_by_side(factorize_all, framed, work)
+    factorized, (tried, out) = _side_by_side(factorize_all, framed, work)
     halves = [h if isinstance(h, np.ndarray) and c.weights[-1] * _FRAME_COND >= c.weights[0]
-              else c for h, c in zip(tried, slots)]
+              else c for h, c in zip(tried, factorized)]
     if out is None or any(h is not t for h, t in zip(halves, tried)):
         out = solve(*halves)
-    return slots, halves, out
+    return factorized, halves, out
 
 
 def _gsvd_columns(form, shape, slots, names, tol, xl=None, yl=None):
@@ -374,16 +373,9 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
         )
     xlw, xrw = check_constraint(xlw, x.shape[0], "xlw"), check_constraint(xrw, x.shape[1], "xrw")
     ylw, yrw = check_constraint(ylw, y.shape[0], "ylw"), check_constraint(yrw, y.shape[1], "yrw")
-    # the lists hold the only references to the checked copies, each freed once it is factorized
-    rows, slots, xlw, xrw, ylw, yrw = [xlw, ylw], [xrw, yrw], None, None, None, None
-
-    def weighted(i, table, name):
-        rows[i] = factorize(rows[i], name)
-        return apply_sqrt_metric(rows[i], table)
-
-    xl, yl = _side_by_side(lambda: weighted(0, x, "xlw"), lambda: weighted(1, y, "ylw"),
-                           min(_work(rows[0], 2 * x.shape[1]), _work(rows[1], 2 * y.shape[1])))
-    rows = None
+    xl, yl = _side_by_side(lambda: apply_sqrt_metric(factorize(xlw, "xlw"), x),
+                           lambda: apply_sqrt_metric(factorize(ylw, "ylw"), y),
+                           min(_work(xlw, 2 * x.shape[1]), _work(ylw, 2 * y.shape[1])))
 
     def cross():
         c = xl.T @ yl
@@ -392,5 +384,5 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
         return c
 
     d_full, columns = _gsvd_columns(
-        cross, (x.shape[1], y.shape[1]), slots, ("xrw", "yrw"), tol, xl, yl)
+        cross, (x.shape[1], y.shape[1]), [xrw, yrw], ("xrw", "yrw"), tol, xl, yl)
     return _assemble(GPLSSVD, k, tol, d_full, _squares(d_full), **columns)

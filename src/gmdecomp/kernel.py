@@ -12,11 +12,11 @@ other value raises :class:`InvalidArgumentError` naming ``tol``. A NaN or
 Inf in the matrix they are given is an overflow, a :class:`NumericalError`.
 
 ``eigh`` and ``svd`` each have one call site, in the two workhorses, and
-``cholesky`` has one, in :func:`cholesky`, which gives a dense metric's
-Cholesky factor for ``decomp`` to solve in while the metric is eigendecomposed.
-A dense constraint metric is not checked here: :func:`constraints.factorize`
-calls :func:`tolerance_eigen` with the tolerance off and checks the spectrum
-is PSD; a failed Cholesky is not an error, only a metric without a factor.
+``cholesky`` has one, in :func:`cholesky`, which gives ``decomp`` a dense metric's
+Cholesky factor to solve in while the metric is eigendecomposed. Neither checks a
+metric: :func:`constraints.factorize` turns the tolerance off and checks the spectrum
+is PSD, a failed Cholesky is only a metric without a factor, and each reads its own
+:func:`symmetrized` copy of the metric, freed as its caller returns.
 """
 
 from dataclasses import dataclass
@@ -142,9 +142,17 @@ def _factorizable(s):
     return s
 
 
+def symmetrized(w):
+    """(w + w')/2 in one new array, the bits of (w + w.T) / 2.0; an overflow is left Inf."""
+    with np.errstate(over="ignore"):
+        s = w + w.T
+        s *= 0.5
+    return s
+
+
 def cholesky(w):
     """The lower Cholesky factor of `w`, an exactly symmetric finite matrix such as a dense
-    metric from :func:`constraints.check_constraint`, or None when it is not positive definite."""
+    metric's :func:`symmetrized` copy, or None when it is not positive definite."""
     try:
         return np.linalg.cholesky(w)
     except np.linalg.LinAlgError:

@@ -140,9 +140,7 @@ def double_centered_gram(dist, weights=None):
     d2 -= col
     d2 += w @ row
     d2 *= -0.5
-    b = d2 + d2.T
-    b *= 0.5  # the same bits as b / 2.0, a multiply being cheaper than a divide
-    return b
+    return kernel.symmetrized(d2)
 
 
 def mds(dist, k=0, tol=kernel.SQRT_EPS):

@@ -402,6 +402,22 @@ def test_a_recipe_whose_matrix_overflows_exits_4_with_one_line(tmp_path, argv):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_warning_is_printed_as_one_line_and_the_run_succeeds(tmp_path):
+    # a k past the retained components is clamped, which the run reports as errors are reported
+    xp = write_matrix(tmp_path / "x.csv", [[1.0, 2.0], [3.0, 4.0]])
+    out = tmp_path / "o"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "gmdecomp.cli", "gsvd", "--x", xp, "--k", "50", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0
+    assert run.stderr.splitlines() == [
+        "warning: requested k=50 exceeds the 2 retained components; clamping"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_retained"] == 2
+    assert sorted(p.name for p in out.iterdir()) == sorted(summary["files"] + ["summary.json"])
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["pca", "--route", "triplet_metric"], 4, "a column's sum of squares overflowed"),
     (["rrr", "--y", "y", "--no-scale"], 4,

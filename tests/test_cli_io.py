@@ -38,14 +38,18 @@ def reference_write_csv(path, value, row_labels=None):
 
 
 def reference_load_matrix_csv(path, has_header=False, has_rownames=False):
-    """One float call per cell, naming the first cell that fails."""
+    """One float call per cell, naming the first cell that fails, and a ragged row by the line
+    of the file it ends on, as its own csv.reader counts lines."""
     rows, row_labels, col_labels = cli.load_categorical_csv(path, has_header, has_rownames)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        lines = [reader.line_num for row in reader if row][int(has_header):]
     width = len(rows[0])
     data = []
     for i, row in enumerate(rows):
         if len(row) != width:
             raise RaggedRowsError(
-                f"{path}: line {i + 1 + int(has_header)} has {len(row)} "
+                f"{path}: line {lines[i]} has {len(row)} "
                 f"values, expected {width}"
             )
         parsed = []
@@ -162,6 +166,7 @@ def test_loader_matches_the_per_cell_reference(tmp_path, text, has_header, has_r
 @pytest.mark.parametrize("text, message", [
     ("1,2\n3,x\n4\n", "cannot parse 'x' at row 2, column 2"),
     ("1,2\n3\n4,x\n", "line 2 has 1 values, expected 2"),
+    ("1,2\n\n3,4\n5\n", "line 4 has 1 values, expected 2"),
 ])
 def test_loader_names_the_first_fault(tmp_path, text, message):
     path = tmp_path / "m.csv"

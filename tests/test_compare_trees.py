@@ -12,14 +12,15 @@ TOOL = ROOT / "tools" / "compare_trees.py"
 
 
 def test_a_tree_against_itself_is_identical():
-    cases = "^(gsvd-small|geigen-cond-1000|gplssvd-dense-rows|pca-eigen_cor|rmca-omega-5|cli-gsvd)$"
+    cases = ("^(gsvd-small|geigen-cond-1000|gplssvd-dense-rows|gplssvd-near-symmetric-small|"
+             "pca-eigen_cor|rmca-omega-5|cli-gsvd)$")
     run = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--cases", cases],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stdout + run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 1 + 6 + 2
-    assert all(": identical (" in line for line in lines[1:7]), lines
-    assert lines[7:] == ["fields: 46 identical, 0 differ", "CLI files: 13 identical, 0 differ"]
+    assert len(lines) == 1 + 7 + 2
+    assert all(": identical (" in line for line in lines[1:8]), lines
+    assert lines[8:] == ["fields: 58 identical, 0 differ", "CLI files: 13 identical, 0 differ"]
 
 
 def test_a_difference_is_reported_relative_to_the_largest_entry():

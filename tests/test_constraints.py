@@ -62,6 +62,12 @@ def test_dense_spd_accepted(rng):
     assert np.allclose((c.basis * c.weights) @ c.basis.T, m)
 
 
+def test_a_dense_matrix_is_checked_without_a_copy(rng):
+    # each LAPACK call that reads the metric forms (w + w')/2 for itself
+    w = random_spd(rng, 5)
+    assert constraints.check_constraint(w, 5, "lw") is w
+
+
 def test_rejects_negative_weights_and_indefinite():
     with pytest.raises(NotPSDError):
         canonical([1.0, -2.0], 2)

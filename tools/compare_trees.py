@@ -12,8 +12,11 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
   overlap floor, singular and ill-conditioned metrics that take no frame and
   gsvd with identity, diagonal and dense slots mixed;
 - a gsvd and a geigen with a dense metric at each condition number 1e1-1e7;
+- dense metrics off exact symmetry within the symmetry tolerance, as gsvd's lw,
+  geigen's w and gplssvd's xlw and xrw, below and above the overlap floor;
 - every recipe, the four pca routes and rmca at omega 0, 1, 5 and 25;
-- every CLI command on small inputs, without and with ``--plot``.
+- every CLI command on small inputs, and ``ca`` on a table large enough for
+  two writer processes, without and with ``--plot``.
 
 ``--blas pinned`` (the default) sets OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
 to 1 in both subprocesses, as the benchmark does; ``--blas default`` unsets
@@ -58,6 +61,12 @@ def _conditioned(rng, n, cond):
     q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     m = (q * np.logspace(0, -np.log10(cond), n)) @ q.T
     return (m + m.T) / 2
+
+
+def _nearly_symmetric(rng, n):
+    """A dense SPD metric off exact symmetry by 1e-13 (p - p'), inside SYMMETRY_RTOL."""
+    p = rng.normal(size=(n, n))
+    return _spd(rng, n) + 1e-13 * (p - p.T)
 
 
 def _distances(rng, n):
@@ -151,6 +160,20 @@ def _calls():
         "gsvd-dense-lw-diagonal-rw": lambda: decomp.gsvd(bx, lw=big[0], rw=diagonal[:120]),
     })
     sweep((1e6, 1e7))
+    # metrics off exact symmetry, which each LAPACK call reads symmetrized, drawn after the
+    # cases above: below the overlap floor, and above it
+    for size, tx, ty in (("small", x, y), ("large", bx, by)):
+        n, cols = tx.shape
+        near = dict(lw=_nearly_symmetric(rng, n), w=_nearly_symmetric(rng, cols),
+                    rw=_spd(rng, cols), s=_spd(rng, cols), ylw=_spd(rng, n),
+                    yrw=_spd(rng, ty.shape[1]), xrw=_nearly_symmetric(rng, cols))
+        calls.update({
+            f"gsvd-near-symmetric-lw-{size}": lambda t=tx, m=near: decomp.gsvd(
+                t, lw=m["lw"], rw=m["rw"]),
+            f"geigen-near-symmetric-w-{size}": lambda m=near: decomp.geigen(m["s"], w=m["w"]),
+            f"gplssvd-near-symmetric-{size}": lambda t=tx, o=ty, m=near: decomp.gplssvd(
+                t, o, xlw=m["lw"], xrw=m["xrw"], ylw=m["ylw"], yrw=m["yrw"]),
+        })
     return calls
 
 
@@ -161,7 +184,7 @@ def _write(path, rows):
 
 
 def _cli_inputs(rng, root):
-    """The CLI's input files, written under `root`, and each command's arguments."""
+    """The CLI's input files, written under `root`, and each case's command and arguments."""
     root.mkdir()
 
     def numbers(name, m):
@@ -172,7 +195,7 @@ def _cli_inputs(rng, root):
                   for name, levels in (("cat", (3, 2, 3)), ("cat_y", (2, 3))))
     dist = numbers("dist", _distances(rng, 10))
     spd4 = numbers("spd4", _spd(rng, 4))
-    return {
+    cases = {
         "geigen": ["--x", spd4, "--w", numbers("w", _spd(rng, 4))],
         "gsvd": ["--x", x, "--lw", numbers("lw", _spd(rng, 12)), "--rw", spd4],
         "gplssvd": ["--x", x, "--y", y, "--xrw", spd4],
@@ -187,6 +210,11 @@ def _cli_inputs(rng, root):
         "cca": ["--x", x, "--y", y],
         "plsca": ["--x", cat, "--y", cat_y],
     }
+    cases = {name: [name, *argv] for name, argv in cases.items()}
+    # drawn after the inputs above: a ca result of over 2 _CELLS_PER_PROCESS cells, which
+    # two writer processes write when 2 CPUs are available
+    cases["ca-large"] = ["ca", "--x", numbers("counts_large", rng.poisson(5.0, (200, 40)) + 1.0)]
+    return cases
 
 
 def _cli_run(cli, argv, out):
@@ -214,12 +242,12 @@ def _child(out_path, pattern):
                 results[name] = call().fields()
             except Exception as exc:  # a failed call is an outcome to compare
                 results[name] = {"error": f"{type(exc).__name__}: {exc}"}
-    commands = _cli_inputs(np.random.default_rng(7), Path("in"))
-    for command, argv in commands.items():
+    cases = _cli_inputs(np.random.default_rng(7), Path("in"))
+    for case, argv in cases.items():
         for plot in ([], ["--plot"]):
-            name = f"cli-{command}{'-plot' if plot else ''}"
-            if command in cli.COMMANDS and re.search(pattern, name):
-                results[name] = _cli_run(cli, [command, *argv, *plot], f"out/{name}")
+            name = f"cli-{case}{'-plot' if plot else ''}"
+            if argv[0] in cli.COMMANDS and re.search(pattern, name):
+                results[name] = _cli_run(cli, [*argv, *plot], f"out/{name}")
     with open(out_path, "wb") as fh:
         pickle.dump(results, fh)
 
