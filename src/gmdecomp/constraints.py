@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import DimensionMismatchError, NonFiniteError, NotPSDError, NumericalError
+from .errors import DimensionMismatchError, NotPSDError, NumericalError
 
 IDENTITY = "identity"
 DIAGONAL = "diagonal"
@@ -82,8 +82,8 @@ def check_constraint(raw, dim, name="constraint"):
     diagonal weights; a diagonal matrix is demoted to its diagonal, and an
     all-ones diagonal to identity; a `Constraint` is kept as it is. Anything
     else must be a symmetric matrix w of shape (dim, dim), returned as its
-    float64 array, uncopied: the LAPACK calls that read it symmetrize it; a
-    w + w' that would overflow raises NonFiniteError. `name` names the slot.
+    float64 array, uncopied: the LAPACK calls that read it symmetrize it.
+    `name` names the slot.
     """
     dim = int(dim)
     if raw is None:
@@ -104,20 +104,20 @@ def check_constraint(raw, dim, name="constraint"):
         raise DimensionMismatchError(
             f"{name}: constraint matrix shape {arr.shape} != expected ({dim}, {dim})"
         )
-    kernel.check_symmetric(arr, name)
-    if max(arr.max(), -arr.min()) > np.finfo(np.float64).max / 2:  # w + w' would overflow
-        raise NonFiniteError(f"{name} has entries too large to factorize")
-    return arr
+    return kernel.check_symmetric(arr, name)
 
 
 def factorize(checked, name="constraint"):
     """A :func:`check_constraint` result, or a Gram matrix, as a `Constraint`: a matrix,
     :func:`kernel.symmetrized` for this call only, is eigendecomposed once, which checks it
-    is PSD and gives its eigenpairs, eigenvalues descending and clipped at 0."""
+    is PSD and gives its eigenpairs, eigenvalues descending and clipped at 0. A finite matrix
+    whose spectrum overflows raises NumericalError naming the slot `name`."""
     if isinstance(checked, Constraint):
         return checked
     eig = kernel.tolerance_eigen(kernel.symmetrized(checked), tol=None)
     lam = eig.values
+    if not np.isfinite(lam[0]):  # a NaN sorts first too
+        raise NumericalError(f"{name}: its largest eigenvalue overflows")
     if lam.min() < -kernel.PSD_RTOL * max(lam[0], 0.0):
         raise NotPSDError(f"{name} is not positive semi-definite (min eigenvalue {lam.min():.6g})")
     return Constraint(lam.shape[0], np.clip(lam, 0.0, None), eig.vectors, name)
@@ -148,7 +148,7 @@ def _apply(c, x, powers):
     if c.weights is None:
         return [x for _ in powers]
     w, b = c.weights, c.basis
-    keep = w > w.max(initial=0.0) * w.shape[0] * kernel.EPS
+    keep = w > w.max(initial=0.0) * (w.shape[0] * kernel.EPS)
     kept = np.where(keep, w, 1.0)
     root = np.sqrt(kept)
     bx = x if b is None else b.T @ x

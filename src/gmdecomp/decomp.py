@@ -36,11 +36,12 @@ in order, and after the solve maps one side back while the caller maps the
 other; gplssvd first whitens its x table beside its y table. It starts only
 when 2 CPUs are available, BLAS runs one thread and both sides' work reaches
 a measured floor; for a fixed BLAS setting, the results are the same bits.
-The thread is joined before the call returns; the error is the sequence's: a
-metric's own over its frame's, and the first of lw, rw or of xlw, ylw, xrw,
-yrw to fail.
+The thread runs in a copy of the caller's context, so under the caller's numpy errstate, and
+is joined before the call returns; the error is the sequence's: a metric's own over its
+frame's, and the first of lw, rw or of xlw, ylw, xrw, yrw to fail.
 """
 
+import contextvars
 import operator
 import os
 import sys
@@ -92,7 +93,8 @@ def _blas_one_thread():
 
 
 def _side_by_side(first, second, work):
-    """(first(), second()), on two threads when the module says; `work` is the lighter side's."""
+    """(first(), second()), on two threads when the module says; `work` is the lighter side's.
+    second runs in a copy of the caller's context, so under its numpy errstate, as first does."""
     if work < _OVERLAP_FLOOR or cpu_count() < 2 or not _blas_one_thread():
         return first(), second()
     out = []
@@ -103,7 +105,7 @@ def _side_by_side(first, second, work):
         except BaseException as exc:  # raised in the calling thread below
             out.append(exc)
 
-    thread = threading.Thread(target=run)
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
     thread.start()
     try:
         a = first()
@@ -378,9 +380,14 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
                            min(_work(xlw, 2 * x.shape[1]), _work(ylw, 2 * y.shape[1])))
 
     def cross():
-        c = xl.T @ yl
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, unwarned
+            c = xl.T @ yl
         if not np.all(np.isfinite(c)):
             raise NumericalError("the cross-product xl' yl overflowed: it holds NaN or Inf entries")
+        # when the largest entries' product is below 2^-1022, every product in it is subnormal
+        top = [max(t.max(), -t.min()) for t in (xl, yl)]
+        if min(top) > 0 and np.log2(top[0]) + np.log2(top[1]) < -1022:
+            raise NumericalError("the cross-product xl' yl underflowed")
         return c
 
     d_full, columns = _gsvd_columns(

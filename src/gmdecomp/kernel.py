@@ -16,7 +16,8 @@ Inf in the matrix they are given is an overflow, a :class:`NumericalError`.
 Cholesky factor to solve in while the metric is eigendecomposed. Neither checks a
 metric: :func:`constraints.factorize` turns the tolerance off and checks the spectrum
 is PSD, a failed Cholesky is only a metric without a factor, and each reads its own
-:func:`symmetrized` copy of the metric, freed as its caller returns.
+:func:`symmetrized` copy of the metric, freed as its caller returns. That copy is the one
+place w + w' is formed, and where it would overflow, w/2 + w'/2 is formed instead.
 """
 
 from dataclasses import dataclass
@@ -143,10 +144,13 @@ def _factorizable(s):
 
 
 def symmetrized(w):
-    """(w + w')/2 in one new array, the bits of (w + w.T) / 2.0; an overflow is left Inf."""
-    with np.errstate(over="ignore"):
-        s = w + w.T
-        s *= 0.5
+    """(w + w')/2 in a new array: the bits of (w + w.T) / 2.0 when w + w' does not overflow."""
+    try:
+        with np.errstate(over="raise"):
+            s = w + w.T
+    except FloatingPointError:  # halving first is exact but for subnormals, and cannot overflow
+        return w * 0.5 + w.T * 0.5
+    s *= 0.5
     return s
 
 

@@ -41,7 +41,10 @@ _UNSET = object()
 def center_scale(data, center=True, scale=True):
     """Column-wise center and/or scale (unit variance, ddof=1)."""
     data = kernel.as_array(data, "data")
-    out = data - data.mean(axis=0) if center else data.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, unwarned
+        out = data - data.mean(axis=0) if center else data.copy()
+    if not np.all(np.isfinite(out)):  # else the decomposition would blame the caller's data
+        raise NumericalError("centring a column overflowed")
     if scale:
         if data.shape[0] < 2:
             raise DimensionMismatchError("scaling needs at least 2 rows")
@@ -82,7 +85,8 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
         raise DimensionMismatchError("PCA needs at least 2 rows")
     n = data.shape[0]
     dof = n - 1
-    centered = data - data.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # then sums of squares overflow, and raise
+        centered = data - data.mean(axis=0)
     eigen = route in ("eigen_cov", "eigen_cor")
     tol = (kernel.SQRT_EPS if eigen else kernel.EPS) if tol is _UNSET else tol  # geigen's, gsvd's
     # Every route but the covariance one scales a column by its variance.
@@ -90,22 +94,30 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is _geigen's to raise
             cov = centered.T @ centered / dof  # exactly symmetric: numpy forms a' a as one
             if route == "eigen_cor":
+                _check_variances(np.diag(cov), centered)
                 sd = np.sqrt(np.diag(cov))
-                if np.any(sd == 0):
-                    raise ZeroVarianceColumnError(f"column {np.argmin(sd)} has zero variance")
                 cov = cov / np.outer(sd, sd)
         return _geigen(cov, None, _checked_k(k, tol), tol)
     with np.errstate(over="ignore"):  # an overflow raises below, with no warning
         col_sumsq = np.sum(centered**2, axis=0)
     if not np.all(np.isfinite(col_sumsq)):
         raise NumericalError("a column's sum of squares overflowed")
-    if np.any(col_sumsq == 0):
-        raise ZeroVarianceColumnError(f"column {np.argmin(col_sumsq)} has zero variance")
+    _check_variances(col_sumsq / dof, centered)
     row_constraints = np.full(n, 1.0 / dof)
     if route == "triplet_scaled":  # the z-scores center_scale gives, from the work above
         return gsvd(centered / np.sqrt(col_sumsq / dof), lw=row_constraints, k=k, tol=tol)
     col_constraints = dof / col_sumsq
     return gsvd(centered, lw=row_constraints, rw=col_constraints, k=k, tol=tol)
+
+
+def _check_variances(variances, centered):
+    """Raise for the first column of `centered` whose variance is below the normal range:
+    ZeroVarianceColumnError when the column is 0, else NumericalError, for an underflow."""
+    small = np.flatnonzero(variances < np.finfo(np.float64).tiny)
+    if small.size:
+        if np.any(centered[:, small[0]]):
+            raise NumericalError("a column's sum of squares underflowed")
+        raise ZeroVarianceColumnError(f"column {small[0]} has zero variance")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +211,12 @@ def ca_preprocess(counts):
     counts = kernel.as_matrix(counts, "counts")
     if np.any(counts < 0):
         raise NegativeCountError("counts must be nonnegative")
-    total = counts.sum()
+    try:
+        with np.errstate(over="raise"):
+            total = counts.sum()
+    except FloatingPointError:  # a power of 2 cancels from counts / total, so no bit changes
+        counts = counts * 2.0**-64
+        total = counts.sum()
     if total <= 0:
         raise EmptyMarginError("grand total must be positive")
     observed = counts / total
@@ -343,13 +360,22 @@ def pls(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     return gplssvd(xp, yp, k=k, tol=tol)
 
 
+def _pinv_gram(a, name):
+    """The pseudo-inverse of a'a as the constraint `name`: NumericalError when a'a underflowed
+    to 0 while `a` is not 0, for that pseudo-inverse would be 0."""
+    gram = a.T @ a
+    if not gram.any() and a.any():
+        raise NumericalError(f"{name}: its Gram matrix underflowed")
+    return pinv_constraint(gram, name)
+
+
 def rrr(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Reduced rank regression (redundancy analysis): gplssvd with the
     pseudo-inverse of X'X as the column metric for x."""
     # a with, not a decorator, so no numpy frame stands between the caller and the package
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow in x'x is factorize's
         xp, yp = _preprocess_pair(x, y, center, scale)
-        return gplssvd(xp, yp, xrw=pinv_constraint(xp.T @ xp, "xrw"), k=k, tol=tol)
+        return gplssvd(xp, yp, xrw=_pinv_gram(xp, "xrw"), k=k, tol=tol)
 
 
 def cca(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
@@ -358,8 +384,7 @@ def cca(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     canonical correlations."""
     with np.errstate(over="ignore", invalid="ignore"):  # a Gram matrix's overflow is factorize's
         xp, yp = _preprocess_pair(x, y, center, scale)
-        return gplssvd(xp, yp, xrw=pinv_constraint(xp.T @ xp, "xrw"),
-                       yrw=pinv_constraint(yp.T @ yp, "yrw"), k=k, tol=tol)
+        return gplssvd(xp, yp, xrw=_pinv_gram(xp, "xrw"), yrw=_pinv_gram(yp, "yrw"), k=k, tol=tol)
 
 
 def canonical_correlations(result):

@@ -422,11 +422,11 @@ def test_a_warning_is_printed_as_one_line_and_the_run_succeeds(tmp_path):
     (["pca", "--route", "triplet_metric"], 4, "a column's sum of squares overflowed"),
     (["rrr", "--y", "y", "--no-scale"], 4,
      "the matrix to factorize overflowed: it holds NaN or Inf entries"),
-    (["gsvd", "--lw", "lw"], 3, "lw has entries too large to factorize"),
+    (["gsvd", "--lw", "lw"], 4, "lw: its largest eigenvalue overflows"),
 ], ids=["pca-triplet_metric", "rrr-unscaled", "gsvd-dense-lw"])
 def test_an_overflow_exits_with_one_line_and_no_warning(tmp_path, argv, code, message):
-    # finite data near 1e200 overflow in their sums of squares; a finite lw near 1e308 in
-    # lw + lw', which names its slot as bad input
+    # finite data near 1e200 overflow in their sums of squares; a finite lw near 1e308 in its
+    # largest eigenvalue, which names its slot
     rng = np.random.default_rng(8)
     files = dict(y=rng.normal(size=(8, 2)), lw=np.full((8, 8), 1e308))
     argv = [write_matrix(tmp_path / f"{a}.csv", files[a]) if a in files else a for a in argv]

@@ -23,6 +23,18 @@ def test_a_tree_against_itself_is_identical():
     assert lines[8:] == ["fields: 58 identical, 0 differ", "CLI files: 13 identical, 0 differ"]
 
 
+def test_a_gram_matrix_past_half_the_largest_double_is_decomposed():
+    # unscaled rrr on a table near 2.5e153: x'x has entries above DBL_MAX / 2, and all 12
+    # fields come out, where a failed call would give one
+    run = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT),
+                          "--cases", "^rrr-unscaled-huge$"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[1:] == [
+        "rrr-unscaled-huge: identical (12 fields)", "fields: 12 identical, 0 differ",
+        "CLI files: 0 identical, 0 differ"]
+
+
 def test_a_difference_is_reported_relative_to_the_largest_entry():
     spec = importlib.util.spec_from_file_location("compare_trees", TOOL)
     tool = importlib.util.module_from_spec(spec)

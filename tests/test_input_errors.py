@@ -18,7 +18,7 @@ from gmdecomp.errors import (
     ValidationError,
 )
 
-from conftest import mca_fixture, random_spd
+from conftest import align_signs, mca_fixture, random_spd
 
 
 @pytest.fixture
@@ -97,10 +97,16 @@ def test_a_dense_metric_is_checked_for_finiteness_once(rng, monkeypatch):
 
 
 def test_dense_metric_that_overflows_names_its_slot(rng):
-    # finite, symmetric and PSD, but w + w' overflows
-    w = np.full((2, 2), 1e308)
-    with pytest.raises(NonFiniteError, match=r"^lw "):
-        gsvd(rng.normal(size=(2, 3)), lw=w)
+    # finite, symmetric and PSD, but its largest eigenvalue, 2e308, overflows
+    x = rng.normal(size=(2, 3))
+    with pytest.raises(NumericalError, match=r"^lw: its largest eigenvalue overflows$"):
+        gsvd(x, lw=np.full((2, 2), 1e308))
+    # w + w' overflows, but the spectrum, 2^1023 times 1.42 and 0.78, is finite; so are d^2
+    # and the scores, at x / 16
+    x, m = x / 16, np.array([[1.2, 0.3], [0.3, 1.0]])
+    huge, base = gsvd(x, lw=m * 2.0**1023), gsvd(x, lw=m)
+    assert np.allclose(huge.d, base.d * 2**511.5, rtol=1e-13, atol=0)
+    assert np.allclose(align_signs(huge.p, base.p) * 2**511.5, base.p, rtol=0, atol=1e-13)
 
 
 def _unwrapped(call):

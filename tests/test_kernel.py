@@ -99,6 +99,18 @@ def test_is_symmetric_matches_the_magnitude_formula(rng):
     assert decisions == {True, False}
 
 
+def test_symmetrized_halves_first_only_when_the_sum_overflows(rng):
+    w = rng.uniform(-1.0, 1.0, size=(6, 6))
+    assert np.array_equal(kernel.symmetrized(w), (w + w.T) / 2.0)
+    # entries below 2^1024: w + w' overflows, and w/2 + w'/2, exact, is 2^1024 (w + w')/2
+    huge = np.ldexp(w, 1024)
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(huge + huge.T))
+    s = kernel.symmetrized(huge)
+    assert np.all(np.isfinite(s))
+    assert np.array_equal(s, np.ldexp((w + w.T) / 2.0, 1024))
+
+
 def test_tolerance_eigen_drops_below_threshold():
     out = kernel.tolerance_eigen(np.diag([3.0, 2.0, 1e-18]), tol=1e-12)
     assert np.allclose(out.values, [3.0, 2.0])

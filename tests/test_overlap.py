@@ -149,6 +149,21 @@ def test_no_thread_outlives_a_call(rng, thread_starts):
     assert len(thread_starts) == 4
 
 
+def test_the_second_thread_runs_under_the_callers_errstate(rng, monkeypatch, thread_starts):
+    # x near 1e290 under an rw near 1e20: the column scores overflow, on the second thread
+    # when there is one, and the caller's errstate makes that a FloatingPointError on both
+    x = 1e290 * rng.normal(size=(150, 120))
+    lw, rw = random_spd(rng, 150), 1e20 * random_spd(rng, 120)
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(decomp, "cpu_count", lambda: cpus)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as caught:
+            gsvd(x, lw=lw, rw=rw)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert len(thread_starts) == 2
+
+
 @pytest.mark.parametrize("bad, slot, starts", [
     (dict(lw=True, rw=True), "lw", 1),
     (dict(xrw=True, yrw=True), "xrw", 2),  # the rows' whitening, then the columns' frames

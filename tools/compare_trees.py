@@ -14,6 +14,9 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
 - a gsvd and a geigen with a dense metric at each condition number 1e1-1e7;
 - dense metrics off exact symmetry within the symmetry tolerance, as gsvd's lw,
   geigen's w and gplssvd's xlw and xrw, below and above the overlap floor;
+- the overflow range: rrr and cca with unscaled Gram matrices above DBL_MAX / 2,
+  and gsvd's lw and geigen's w with entries above DBL_MAX / 2 and a finite
+  spectrum, exactly symmetric and not, below and above the overlap floor;
 - every recipe, the four pca routes and rmca at omega 0, 1, 5 and 25;
 - every CLI command on small inputs, and ``ca`` on a table large enough for
   two writer processes, without and with ``--plot``.
@@ -67,6 +70,19 @@ def _nearly_symmetric(rng, n):
     """A dense SPD metric off exact symmetry by 1e-13 (p - p'), inside SYMMETRY_RTOL."""
     p = rng.normal(size=(n, n))
     return _spd(rng, n) + 1e-13 * (p - p.T)
+
+
+def _huge(rng, n, off=0.0):
+    """A dense SPD metric with entries above DBL_MAX / 2, where w + w' overflows, and a finite
+    spectrum: 2^1024 (0.6 I + 0.3 S), S symmetric with a zero diagonal and rows summing to at
+    most 1 in magnitude, has eigenvalues in 2^1024 [0.3, 0.9]; plus 2^1024 off (p - p')."""
+    s = np.triu(rng.normal(size=(n, n)), 1)
+    s += s.T
+    m = 0.6 * np.eye(n) + 0.3 * s / np.abs(s).sum(axis=1).max()
+    if off:
+        p = rng.normal(size=(n, n))
+        m += off * (p - p.T)
+    return np.ldexp(m, 1024)
 
 
 def _distances(rng, n):
@@ -174,6 +190,21 @@ def _calls():
             f"gplssvd-near-symmetric-{size}": lambda t=tx, o=ty, m=near: decomp.gplssvd(
                 t, o, xlw=m["lw"], xrw=m["xrw"], ylw=m["ylw"], yrw=m["yrw"]),
         })
+    # the overflow range, drawn after the cases above: rrr and cca with Gram matrices above
+    # DBL_MAX / 2, and metrics with entries above it, exactly symmetric and off symmetry by
+    # 1e-13 (p - p') of their scale, below the overlap floor and above it; their data are
+    # scaled by 2^-600, so that d^2 and the scores stay finite
+    gx, gy = rng.normal(size=(20, 3)) * 2.5e153, rng.normal(size=(20, 3))
+    calls["rrr-unscaled-huge"] = lambda: recipes.rrr(gx, gy, scale=False)
+    calls["cca-unscaled-huge"] = lambda: recipes.cca(gx, gy, scale=False)
+    for size, tx in (("small", x), ("large", bx)):
+        n, cols = tx.shape
+        sx = np.ldexp(_spd(rng, cols), -600)
+        for sym, off in (("", 0.0), ("-near-symmetric", 1e-13)):
+            huge_lw, huge_w = _huge(rng, n, off), _huge(rng, cols, off)
+            calls[f"gsvd-huge{sym}-lw-{size}"] = lambda t=tx, m=huge_lw: decomp.gsvd(
+                np.ldexp(t, -600), lw=m)
+            calls[f"geigen-huge{sym}-w-{size}"] = lambda t=sx, m=huge_w: decomp.geigen(t, w=m)
     return calls
 
 
@@ -279,7 +310,7 @@ def deviation(base, head):
     """None when `head` equals `base` bit for bit, else its largest deviation relative to the
     largest entry of base, with head's columns given base's signs (inf if shapes differ)."""
     if isinstance(base, (bytes, str)) or isinstance(head, (bytes, str)):
-        return None if base == head else np.inf
+        return None if type(base) is type(head) and base == head else np.inf
     if base.shape != head.shape:
         return np.inf
     if np.array_equal(base, head):
@@ -331,6 +362,8 @@ def compare(base, head):
             if dev is not None and largest.get(kind, (0,))[0] < dev < np.inf:
                 largest[kind] = dev, f"{name} {field}"
             text = "identical" if dev is None else "differs" if dev == np.inf else f"{dev:.2g}"
+            if field == "error" and dev is not None:  # a call failed in one tree or both
+                text = f"in BASE {a.get(field, 'none')!r}, in HEAD {b.get(field, 'none')!r}"
             parts.append(f"{field} {text}")
         if all(part.endswith(" identical") for part in parts):
             lines.append(f"{name}: identical ({len(parts)} {kind})")
