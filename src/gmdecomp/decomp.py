@@ -53,7 +53,7 @@ import numpy as np
 
 from . import kernel
 from .constraints import (
-    DENSE, DIAGONAL, apply_inverses, apply_roots, apply_sqrt_metric, check_constraint, factorize)
+    DENSE, apply_inverses, apply_roots, apply_sqrt_metric, check_constraint, factorize)
 from .errors import DimensionMismatchError, GmdError, InvalidArgumentError, NumericalError
 
 GEIGEN = "geigen"
@@ -220,17 +220,13 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
 
 def _geigen(x, w, k, tol):
     """geigen of `x`, a symmetric float64 matrix its caller checked or formed, for a checked `k`
-    and `tol`: only the metric `w` is checked here, and x's finiteness before LAPACK."""
+    and `tol`: only the metric `w` is checked here, and x's finiteness before LAPACK. Every kind
+    of metric is applied one way, its half on the left of x' and then of that product's
+    transpose, so no kind is tested here."""
     slots = [check_constraint(w, x.shape[0], "w")]
 
     def eigen(h):
-        if not isinstance(h, np.ndarray) and h.kind == DIAGONAL:  # s_i (s_j x_ij), one buffer
-            s = apply_sqrt_metric(h, np.ones((x.shape[0], 1)))  # the root's diagonal, a column
-            m = x * s.T
-            m *= s
-        else:
-            m = _half(h, _half(h, x.T).T)
-        eig = kernel.tolerance_eigen(m, tol=tol)
+        eig = kernel.tolerance_eigen(_half(h, _half(h, x.T).T), tol=tol)
         return eig, _lift(h, eig.vectors)
 
     (c,), (h,), (eig, lifted) = _solve(slots, ("w",), eigen, _work(slots[0], 0))
@@ -265,13 +261,18 @@ def _squares(d):
 def _factor(w):
     """The frame of `w`, a checked dense matrix: the Cholesky factor L of its symmetrized s, or
     None when s has none or when its condition number's lower bound, s's largest column norm (at
-    most its top eigenvalue) over the least pivot L_ii^2 (at least its least), tops _FRAME_COND."""
+    most its top eigenvalue) over the least pivot L_ii^2 (at least its least), tops _FRAME_COND.
+    Where a column's sum of squares overflows, the bound is taken on 2^-600 s and 2^-300 L,
+    whose powers of 2 cancel exactly, so whether s keeps its frame does not depend on its scale."""
     s = kernel.symmetrized(w)
     low = kernel.cholesky(s)
     if low is None:
         return None
-    bound = np.sqrt(np.einsum("ij,ij->j", s, s).max()) / np.diag(low).min() ** 2
-    return low if bound <= _FRAME_COND else None
+    top, pivot = np.einsum("ij,ij->j", s, s).max(), np.diag(low).min()
+    if top == np.inf:  # a sum of squares overflowed: the same bound, on s scaled down
+        s = s * 2.0**-600
+        top, pivot = np.einsum("ij,ij->j", s, s).max(), pivot * 2.0**-300
+    return low if np.sqrt(top) / pivot**2 <= _FRAME_COND else None
 
 
 def _half(h, x):
@@ -307,7 +308,7 @@ def _solve(slots, names, solve, work):
                 return halves, None
 
     factorized, (tried, out) = _side_by_side(factorize_all, framed, work)
-    halves = [h if isinstance(h, np.ndarray) and c.weights[-1] * _FRAME_COND >= c.weights[0]
+    halves = [h if isinstance(h, np.ndarray) and c.weights[-1] >= c.weights[0] / _FRAME_COND
               else c for h, c in zip(tried, factorized)]
     if out is None or any(h is not t for h, t in zip(halves, tried)):
         out = solve(*halves)
@@ -339,14 +340,17 @@ def _map_back(c, vectors, lifted, d, table):
     diag(d) and, given a table, latent variable scores table c^(1/2) standard, from the solve's
     `vectors`: the standard vectors themselves under a root, and under a frame L, whose
     `lifted` vectors L vectors are c^(1/2) standard, c^(-1/2) lifted. The scores scale
-    c^(1/2) standard in place, unless it is the standard vectors (c is the identity)."""
+    c^(1/2) standard in place, unless it is the standard vectors (c is the identity); an
+    overflow there is left to _assemble to raise."""
     if lifted is None:
         std, (inv, root) = vectors, apply_roots(c, vectors)
     else:
         root = lifted
         std, inv = apply_inverses(c, root)
     latent = None if table is None else table @ root  # before root is scaled
-    return std, inv, root * d if root is std else np.multiply(root, d, out=root), latent
+    with np.errstate(over="ignore"):
+        scores = root * d if root is std else np.multiply(root, d, out=root)
+    return std, inv, scores, latent
 
 
 def _signed(columns):

@@ -39,24 +39,36 @@ _UNSET = object()
 
 
 def center_scale(data, center=True, scale=True):
-    """Column-wise center and/or scale (unit variance, ddof=1)."""
+    """Column-wise center and/or scale (unit variance, ddof=1): a column is divided by the root
+    of its :func:`_sums_of_squares` over n - 1, the z-scores of ``pca``'s triplet_scaled route."""
     data = kernel.as_array(data, "data")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, unwarned
-        out = data - data.mean(axis=0) if center else data.copy()
+        centered = data - data.mean(axis=0)
+    out = centered if center else data.copy()
     if not np.all(np.isfinite(out)):  # else the decomposition would blame the caller's data
         raise NumericalError("centring a column overflowed")
     if scale:
         if data.shape[0] < 2:
             raise DimensionMismatchError("scaling needs at least 2 rows")
-        with np.errstate(over="ignore"):  # an overflow raises below, with no warning
-            sd = np.std(data, axis=0, ddof=1)
-        if not np.all(np.isfinite(sd)):
-            raise NumericalError("a column's sum of squares overflowed")
-        if np.any(sd == 0):
-            bad = int(np.flatnonzero(sd == 0)[0])
-            raise ZeroVarianceColumnError(f"column {bad} has zero variance")
-        out = out / sd
+        dof = data.shape[0] - 1
+        out = out / np.sqrt(_sums_of_squares(centered, dof) / dof)
     return out
+
+
+def _sums_of_squares(centered, dof):
+    """The sums of squares of the columns of `centered`, each checked to give a variance, over
+    `dof`, in the normal range: NumericalError when one overflowed, or underflowed while its
+    column is not 0, and ZeroVarianceColumnError for the first column that is 0."""
+    with np.errstate(over="ignore"):  # an overflow raises below, with no warning
+        sumsq = np.sum(centered**2, axis=0)
+    if not np.all(np.isfinite(sumsq)):
+        raise NumericalError("a column's sum of squares overflowed")
+    small = np.flatnonzero(sumsq / dof < np.finfo(np.float64).tiny)
+    if small.size:
+        if np.any(centered[:, small[0]]):
+            raise NumericalError("a column's sum of squares underflowed")
+        raise ZeroVarianceColumnError(f"column {small[0]} has zero variance")
+    return sumsq
 
 
 # ---------------------------------------------------------------------------
@@ -90,34 +102,19 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
     eigen = route in ("eigen_cov", "eigen_cor")
     tol = (kernel.SQRT_EPS if eigen else kernel.EPS) if tol is _UNSET else tol  # geigen's, gsvd's
     # Every route but the covariance one scales a column by its variance.
+    col_sumsq = None if route == "eigen_cov" else _sums_of_squares(centered, dof)
     if eigen:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is _geigen's to raise
             cov = centered.T @ centered / dof  # exactly symmetric: numpy forms a' a as one
             if route == "eigen_cor":
-                _check_variances(np.diag(cov), centered)
                 sd = np.sqrt(np.diag(cov))
                 cov = cov / np.outer(sd, sd)
         return _geigen(cov, None, _checked_k(k, tol), tol)
-    with np.errstate(over="ignore"):  # an overflow raises below, with no warning
-        col_sumsq = np.sum(centered**2, axis=0)
-    if not np.all(np.isfinite(col_sumsq)):
-        raise NumericalError("a column's sum of squares overflowed")
-    _check_variances(col_sumsq / dof, centered)
     row_constraints = np.full(n, 1.0 / dof)
-    if route == "triplet_scaled":  # the z-scores center_scale gives, from the work above
+    if route == "triplet_scaled":  # the z-scores center_scale gives
         return gsvd(centered / np.sqrt(col_sumsq / dof), lw=row_constraints, k=k, tol=tol)
     col_constraints = dof / col_sumsq
     return gsvd(centered, lw=row_constraints, rw=col_constraints, k=k, tol=tol)
-
-
-def _check_variances(variances, centered):
-    """Raise for the first column of `centered` whose variance is below the normal range:
-    ZeroVarianceColumnError when the column is 0, else NumericalError, for an underflow."""
-    small = np.flatnonzero(variances < np.finfo(np.float64).tiny)
-    if small.size:
-        if np.any(centered[:, small[0]]):
-            raise NumericalError("a column's sum of squares underflowed")
-        raise ZeroVarianceColumnError(f"column {small[0]} has zero variance")
 
 
 # ---------------------------------------------------------------------------

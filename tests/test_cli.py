@@ -457,6 +457,23 @@ def test_singular_values_whose_squares_overflow_exit_4_with_one_line(tmp_path):
     assert not out.exists()
 
 
+def test_scores_that_overflow_exit_4_with_one_line(tmp_path, rng):
+    # x near 1e290 under an rw near 1e20: d^2 and the column scores overflow, and the result's
+    # check raises alone, with no warning line before it
+    a = rng.normal(size=(12, 12))
+    xp = write_matrix(tmp_path / "x.csv", 1e290 * rng.normal(size=(20, 12)))
+    rwp = write_matrix(tmp_path / "rw.csv", 1e20 * (a @ a.T / 12 + 0.5 * np.eye(12)))
+    out = tmp_path / "o"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "gmdecomp.cli", "gsvd", "--x", xp, "--rw", rwp, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert run.returncode == 4
+    assert run.stderr.splitlines() == [
+        "error: gsvd: the result field l_full holds NaN or Inf values"]
+    assert not out.exists()
+
+
 def test_non_finite_rmca_result_names_its_omega(tmp_path, capsys, monkeypatch):
     real_rmca = cli.recipes.rmca
 

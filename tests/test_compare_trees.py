@@ -13,14 +13,14 @@ TOOL = ROOT / "tools" / "compare_trees.py"
 
 def test_a_tree_against_itself_is_identical():
     cases = ("^(gsvd-small|geigen-cond-1000|gplssvd-dense-rows|gplssvd-near-symmetric-small|"
-             "pca-eigen_cor|rmca-omega-5|cli-gsvd)$")
+             "pca-eigen_cor|rmca-omega-5|geigen-diagonal-w-small|cli-gsvd)$")
     run = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--cases", cases],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stdout + run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 1 + 7 + 2
-    assert all(": identical (" in line for line in lines[1:8]), lines
-    assert lines[8:] == ["fields: 58 identical, 0 differ", "CLI files: 13 identical, 0 differ"]
+    assert len(lines) == 1 + 8 + 2
+    assert all(": identical (" in line for line in lines[1:9]), lines
+    assert lines[9:] == ["fields: 65 identical, 0 differ", "CLI files: 13 identical, 0 differ"]
 
 
 def test_a_gram_matrix_past_half_the_largest_double_is_decomposed():
@@ -46,3 +46,6 @@ def test_a_difference_is_reported_relative_to_the_largest_entry():
     lines, differ = tool.compare(base, head)
     assert lines[:2] == ["case: d 1e-12, u 0", "cli-x: d.csv 2.2e-16"]
     assert differ == 3
+    # columns near 1e300 are given their signs with no overflow
+    fi = np.array([[1e300, -3e299], [-2e299, 1e300]])
+    assert tool.compare({"case": {"fi": fi}}, {"case": {"fi": -fi}})[0][0] == "case: fi 0"

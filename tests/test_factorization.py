@@ -112,6 +112,18 @@ def test_no_cholesky_without_a_dense_matrix_metric(rng, cholesky_calls):
     assert cholesky_calls == []
 
 
+def test_a_well_conditioned_metric_keeps_its_frame_at_every_scale(rng):
+    # 2^k (0.6 I + 0.3 S), S symmetric with a zero diagonal and rows summing to at most 1 in
+    # magnitude, has its eigenvalues in 2^k [0.3, 0.9] at every k where its largest entry is
+    # normal; from about k = 512 its columns' sums of squares overflow in _factor's bound
+    n = 150
+    s = np.triu(rng.normal(size=(n, n)), 1)
+    s += s.T
+    m = 0.6 * np.eye(n) + 0.3 * s / np.abs(s).sum(axis=1).max()
+    lost = [k for k in range(-1021, 1024) if decomp._factor(np.ldexp(m, k)) is None]
+    assert lost == []
+
+
 # ---------------------------------------------------------------------------
 # bit-identity with the decomposition written out by hand: a dense metric passed
 # as a matrix is solved in its Cholesky frame, the same metric passed factorized

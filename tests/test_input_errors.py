@@ -134,9 +134,9 @@ _Y = np.random.default_rng(7).normal(size=(6, 2))
      "the matrix to factorize overflowed"),
     (_unwrapped(lambda: recipes.pca(_HUGE, route="eigen_cov")),
      "the matrix to factorize overflowed"),
-    (_unwrapped(lambda: recipes.pca(_HUGE, route="eigen_cor")),
-     "the matrix to factorize overflowed"),
     # a column's sum of squares overflows in the scaling, or in triplet_metric's column metric
+    (_unwrapped(lambda: recipes.pca(_HUGE, route="eigen_cor")),
+     "a column's sum of squares overflowed"),
     (_unwrapped(lambda: recipes.pca(_HUGE, route="triplet_scaled")),
      "a column's sum of squares overflowed"),
     (_unwrapped(lambda: recipes.pca(_HUGE, route="triplet_metric")),

@@ -22,7 +22,7 @@ import pytest
 
 from gmdecomp import constraints, decomp, kernel, recipes
 from gmdecomp.decomp import geigen, gplssvd, gsvd
-from gmdecomp.errors import ComplexOrNegativeEigenvalueError, GmdError, NotPSDError
+from gmdecomp.errors import ComplexOrNegativeEigenvalueError, GmdError, NotPSDError, NumericalError
 
 from conftest import mca_fixture, random_spd
 
@@ -150,18 +150,30 @@ def test_no_thread_outlives_a_call(rng, thread_starts):
 
 
 def test_the_second_thread_runs_under_the_callers_errstate(rng, monkeypatch, thread_starts):
-    # x near 1e290 under an rw near 1e20: the column scores overflow, on the second thread
-    # when there is one, and the caller's errstate makes that a FloatingPointError on both
-    x = 1e290 * rng.normal(size=(150, 120))
-    lw, rw = random_spd(rng, 150), 1e20 * random_spd(rng, 120)
+    # y near 1e300 under a ylw near 1e20: weighting y by ylw's root overflows, on the second
+    # thread when there is one, and the caller's errstate makes that a FloatingPointError on both
+    x, y = rng.normal(size=(200, 120)), 1e300 * rng.normal(size=(200, 110))
+    xlw, ylw = random_spd(rng, 200), 1e20 * random_spd(rng, 200)
     errors = []
     for cpus in (1, 2):
         monkeypatch.setattr(decomp, "cpu_count", lambda: cpus)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError) as caught:
-            gsvd(x, lw=lw, rw=rw)
+            gplssvd(x, y, xlw=xlw, ylw=ylw)
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
-    assert len(thread_starts) == 2
+    assert len(thread_starts) == 1
+
+
+@pytest.mark.parametrize("shape, starts", [((20, 12), 0), ((150, 120), 2)],
+                         ids=["below-the-floor", "overlap"])
+def test_scores_that_overflow_raise_numerical_error_alone(rng, thread_starts, shape, starts):
+    # x near 1e290 under an rw near 1e20: d^2 and the column scores overflow, the scores on the
+    # second thread when there is one; the result's check raises, with no warning before it
+    x = 1e290 * rng.normal(size=shape)
+    lw, rw = random_spd(rng, shape[0]), 1e20 * random_spd(rng, shape[1])
+    with pytest.raises(NumericalError, match="^gsvd: the result field l_full holds NaN or Inf"):
+        gsvd(x, lw=lw, rw=rw)
+    assert len(thread_starts) == starts
 
 
 @pytest.mark.parametrize("bad, slot, starts", [

@@ -104,7 +104,7 @@ def _pca(route):
     return make, call, law[route], 1
 
 
-def _two_tables(method, law):
+def _two_tables(method, law, scale=False):
     # x's and y's centred column spaces meet only at 0, or canonical correlations of 1 would
     # leave their vectors unset; at 400 rows, both sides' map-back reaches the overlap floor
     def make(rng, big):
@@ -112,7 +112,7 @@ def _two_tables(method, law):
         return dict(x=rng.normal(size=(n, mx)), y=rng.normal(size=(n, my))), {}
 
     def call(data, metrics, _):
-        return method(data["x"], data["y"], scale=False, tol=None)
+        return method(data["x"], data["y"], scale=scale, tol=None)
     return make, call, law, 1
 
 
@@ -148,6 +148,9 @@ ENTRIES = {
     # x's column metric is pinv(x'x), whose roots scale by 2^-j; so is y's for cca
     "rrr": _two_tables(recipes.rrr, lambda j, i: _svd(j, -j, 0, (0, j))),
     "cca": _two_tables(recipes.cca, lambda j, i: _svd(0, -j, -j, (0, 0))),
+    # with their default scaling the three take z-scores, which do not scale at all
+    **{f"z-scored-{method.__name__}": _two_tables(method, lambda j, i: _svd(0, 0, 0, (0, 0)), True)
+       for method in (recipes.pls, recipes.rrr, recipes.cca)},
 }
 _SKIPPED = {"masses"}  # inputs that are not scaled
 

@@ -17,6 +17,9 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
 - the overflow range: rrr and cca with unscaled Gram matrices above DBL_MAX / 2,
   and gsvd's lw and geigen's w with entries above DBL_MAX / 2 and a finite
   spectrum, exactly symmetric and not, below and above the overlap floor;
+- geigen with a diagonal metric, below and above the overlap floor; pls, rrr
+  and cca, scaled, on data whose variances underflow; and gsvd with a
+  well-conditioned lw near 2^1000, whose columns' sums of squares overflow;
 - every recipe, the four pca routes and rmca at omega 0, 1, 5 and 25;
 - every CLI command on small inputs, and ``ca`` on a table large enough for
   two writer processes, without and with ``--plot``.
@@ -72,17 +75,18 @@ def _nearly_symmetric(rng, n):
     return _spd(rng, n) + 1e-13 * (p - p.T)
 
 
-def _huge(rng, n, off=0.0):
+def _huge(rng, n, off=0.0, exponent=1024):
     """A dense SPD metric with entries above DBL_MAX / 2, where w + w' overflows, and a finite
     spectrum: 2^1024 (0.6 I + 0.3 S), S symmetric with a zero diagonal and rows summing to at
-    most 1 in magnitude, has eigenvalues in 2^1024 [0.3, 0.9]; plus 2^1024 off (p - p')."""
+    most 1 in magnitude, has eigenvalues in 2^1024 [0.3, 0.9]; plus 2^1024 off (p - p'). Another
+    `exponent` replaces 1024."""
     s = np.triu(rng.normal(size=(n, n)), 1)
     s += s.T
     m = 0.6 * np.eye(n) + 0.3 * s / np.abs(s).sum(axis=1).max()
     if off:
         p = rng.normal(size=(n, n))
         m += off * (p - p.T)
-    return np.ldexp(m, 1024)
+    return np.ldexp(m, exponent)
 
 
 def _distances(rng, n):
@@ -205,6 +209,19 @@ def _calls():
             calls[f"gsvd-huge{sym}-lw-{size}"] = lambda t=tx, m=huge_lw: decomp.gsvd(
                 np.ldexp(t, -600), lw=m)
             calls[f"geigen-huge{sym}-w-{size}"] = lambda t=sx, m=huge_w: decomp.geigen(t, w=m)
+    # drawn after the cases above: geigen with a diagonal metric, below the overlap floor and
+    # above it, with a zero weight; the two-table recipes' default scaling on data whose
+    # variances underflow; and a well-conditioned lw whose columns' sums of squares overflow
+    for size, n in (("small", 7), ("large", 150)):
+        m, weights = _spd(rng, n), rng.uniform(0.5, 2.0, n)
+        if size == "large":
+            weights[n // 2] = 0.0
+        calls[f"geigen-diagonal-w-{size}"] = lambda m=m, w=weights: decomp.geigen(m, w=w)
+    tiny_x, tiny_y = np.ldexp(x, -600), np.ldexp(y, -600)
+    for method in (recipes.pls, recipes.rrr, recipes.cca):
+        calls[f"{method.__name__}-tiny"] = lambda f=method: f(tiny_x, tiny_y)
+    scaled_lw = _huge(rng, 150, exponent=1000)
+    calls["gsvd-overflowing-bound-lw-large"] = lambda: decomp.gsvd(bx, lw=scaled_lw)
     return calls
 
 
@@ -315,9 +332,10 @@ def deviation(base, head):
         return np.inf
     if np.array_equal(base, head):
         return None
-    if base.ndim == 2:
-        head = head * np.where((head * base).sum(axis=0) < 0, -1.0, 1.0)
-    return float(np.abs(head - base).max() / max(np.abs(base).max(), np.finfo(float).tiny))
+    largest = max(np.abs(base).max(), np.finfo(float).tiny)
+    if base.ndim == 2:  # base over its largest entry: no product outgrows its entry of head
+        head = head * np.where((head * (base / largest)).sum(axis=0) < 0, -1.0, 1.0)
+    return float(np.abs(head - base).max() / largest)
 
 
 def _csv_numbers(data):
