@@ -138,10 +138,12 @@ def pinv_constraint(gram, name="constraint"):
     return Constraint(c.dim, inv, c.basis, name)
 
 
-def _apply(c, x, powers):
+def _apply(c, x, powers, out=None):
     """B w^a B' x for each a in `powers`, 1/2, -1/2 or -1, with B' x formed once.
     A weight at or below max * n * eps counts as zero, so all three vanish
-    on the same directions and the inverse powers are pseudo-inverses."""
+    on the same directions and the inverse powers are pseudo-inverses. For one
+    power, a diagonal metric writes its product into `out` when given, which may
+    be x; identity and dense metrics leave it alone."""
     if c.dim != x.shape[0]:
         raise DimensionMismatchError(
             f"{c.name} dim {c.dim} does not conform to the rows of matrix {x.shape}")
@@ -151,15 +153,16 @@ def _apply(c, x, powers):
     keep = w > w.max(initial=0.0) * (w.shape[0] * kernel.EPS)
     kept = np.where(keep, w, 1.0)
     root = np.sqrt(kept)
-    bx = x if b is None else b.T @ x
-    out = [np.where(keep, root if a > 0 else 1.0 / (root if a > -1 else kept), 0.0)[:, None] * bx
-           for a in powers]
+    scales = [np.where(keep, root if a > 0 else 1.0 / (root if a > -1 else kept), 0.0)[:, None]
+              for a in powers]
+    bx, into = (x, out) if b is None else (b.T @ x, None)
+    out = [np.multiply(scale, bx, out=into) for scale in scales]
     return out if b is None else [b @ o for o in out]
 
 
-def apply_sqrt_metric(c, x):
-    """The metric's PSD square root times x."""
-    return _apply(c, x, (0.5,))[0]
+def apply_sqrt_metric(c, x, out=None):
+    """The metric's PSD square root times x, a diagonal one's written into `out` when given."""
+    return _apply(c, x, (0.5,), out)[0]
 
 
 def apply_roots(c, x):

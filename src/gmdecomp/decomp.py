@@ -38,7 +38,8 @@ when 2 CPUs are available, BLAS runs one thread and both sides' work reaches
 a measured floor; for a fixed BLAS setting, the results are the same bits.
 The thread runs in a copy of the caller's context, so under the caller's numpy errstate, and
 is joined before the call returns; the error is the sequence's: a metric's own over its
-frame's, and the first of lw, rw or of xlw, ylw, xrw, yrw to fail.
+frame's, and the first of lw, rw or of xlw, ylw, xrw, yrw to fail; but gplssvd checks xl' yl
+first, so its overflow raises NumericalError even where xrw or yrw is not PSD.
 """
 
 import contextvars
@@ -218,15 +219,17 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
     return _geigen(kernel.check_symmetric(kernel.as_matrix(x, "x"), "x"), w, k, tol)
 
 
-def _geigen(x, w, k, tol):
+def _geigen(x, w, k, tol, overwrite_x=False):
     """geigen of `x`, a symmetric float64 matrix its caller checked or formed, for a checked `k`
     and `tol`: only the metric `w` is checked here, and x's finiteness before LAPACK. Every kind
     of metric is applied one way, its half on the left of x' and then of that product's
-    transpose, so no kind is tested here."""
+    transpose, so no kind is tested here. A diagonal root scales in place, x itself when
+    `overwrite_x` (the caller formed x and gives it up), else the first product's new buffer."""
     slots = [check_constraint(w, x.shape[0], "w")]
 
     def eigen(h):
-        eig = kernel.tolerance_eigen(_half(h, _half(h, x.T).T), tol=tol)
+        y = _half(h, x.T, out=x.T if overwrite_x else None).T
+        eig = kernel.tolerance_eigen(_half(h, y, out=y), tol=tol)
         return eig, _lift(h, eig.vectors)
 
     (c,), (h,), (eig, lifted) = _solve(slots, ("w",), eigen, _work(slots[0], 0))
@@ -248,36 +251,33 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     k = _checked_k(k, tol)
     x = kernel.as_matrix(x, "x")
     slots = [check_constraint(lw, x.shape[0], "lw"), check_constraint(rw, x.shape[1], "rw")]
-    d_full, columns = _gsvd_columns(lambda: x, x.shape, slots, ("lw", "rw"), tol)
-    return _assemble(GSVD, k, tol, d_full, _squares(d_full), **columns)
-
-
-def _squares(d):
-    """d**2, where an overflow is left to _assemble to raise."""
-    with np.errstate(over="ignore"):
-        return d**2
+    d_full, l_full, columns = _gsvd_columns(x, slots, ("lw", "rw"), tol)
+    return _assemble(GSVD, k, tol, d_full, l_full, **columns)
 
 
 def _factor(w):
     """The frame of `w`, a checked dense matrix: the Cholesky factor L of its symmetrized s, or
     None when s has none or when its condition number's lower bound, s's largest column norm (at
     most its top eigenvalue) over the least pivot L_ii^2 (at least its least), tops _FRAME_COND.
-    Where a column's sum of squares overflows, the bound is taken on 2^-600 s and 2^-300 L,
-    whose powers of 2 cancel exactly, so whether s keeps its frame does not depend on its scale."""
+    Where the largest column sum of squares overflows, or falls below the normal range, the
+    bound is taken on 2^-600 s and 2^-300 L, or on 2^600 s and 2^300 L, whose powers of 2 cancel
+    exactly, so whether s keeps its frame does not depend on its scale."""
     s = kernel.symmetrized(w)
     low = kernel.cholesky(s)
     if low is None:
         return None
     top, pivot = np.einsum("ij,ij->j", s, s).max(), np.diag(low).min()
-    if top == np.inf:  # a sum of squares overflowed: the same bound, on s scaled down
-        s = s * 2.0**-600
-        top, pivot = np.einsum("ij,ij->j", s, s).max(), pivot * 2.0**-300
+    if not np.finfo(np.float64).tiny <= top < np.inf:  # the same bound, on s rescaled
+        e = -600 if top == np.inf else 600
+        s = s * 2.0**e
+        top, pivot = np.einsum("ij,ij->j", s, s).max(), pivot * 2.0 ** (e // 2)
     return low if np.sqrt(top) / pivot**2 <= _FRAME_COND else None
 
 
-def _half(h, x):
-    """H' x for a side's half H (w = H H'): its frame L, or a `Constraint`'s root."""
-    return h.T @ x if isinstance(h, np.ndarray) else apply_sqrt_metric(h, x)
+def _half(h, x, out=None):
+    """H' x for a side's half H (w = H H'): its frame L, or a `Constraint`'s root, a diagonal
+    one's written into `out` when given."""
+    return h.T @ x if isinstance(h, np.ndarray) else apply_sqrt_metric(h, x, out)
 
 
 def _lift(h, vectors):
@@ -315,15 +315,16 @@ def _solve(slots, names, solve, work):
     return factorized, halves, out
 
 
-def _gsvd_columns(form, shape, slots, names, tol, xl=None, yl=None):
-    """The unchecked d_full and column fields of the gsvd of form(), a matrix of `shape`, under
-    the checked column slots; given gplssvd's row-weighted tables xl and yl, also lx and ly."""
+def _gsvd_columns(x, slots, names, tol, xl=None, yl=None):
+    """The unchecked d_full, l_full = d_full^2 and column fields of the gsvd of `x`, a float64
+    matrix its caller checked or formed, under the checked slots; given gplssvd's row-weighted
+    tables xl and yl, also lx and ly. An overflow in l_full is left to _assemble to raise."""
     def svd(hl, hr):
-        sv = kernel.tolerance_svd(_half(hl, _half(hr, form().T).T), tol=tol)
+        sv = kernel.tolerance_svd(_half(hl, _half(hr, x.T).T), tol=tol)
         return sv, _lift(hl, sv.u), _lift(hr, sv.v)
 
     # the caller's eighs against the svd, which took as long as 25 m n min(m, n) multiply-adds
-    work = min(_work(slots[0], 0) + _work(slots[1], 0), 25 * shape[0] * shape[1] * min(shape))
+    work = min(_work(slots[0], 0) + _work(slots[1], 0), 25 * x.size * min(x.shape))
     (lc, rc), (hl, hr), (sv, ul, vl) = _solve(slots, names, svd, work)
     r = sv.d.shape[0]
     work = [_work(c, 3 * r) + (0 if t is None else t.size * r) for c, t in ((lc, xl), (rc, yl))]
@@ -332,7 +333,9 @@ def _gsvd_columns(form, shape, slots, names, tol, xl=None, yl=None):
         min(work))
     latent = {} if xl is None else dict(lx=lx, ly=ly)
     columns = dict(u=u, v=v, p=p, q=q, fi=fi, fj=fj, **latent)
-    return sv.d, _signed(columns) if isinstance(hr, np.ndarray) else columns
+    with np.errstate(over="ignore"):
+        l_full = sv.d**2
+    return sv.d, l_full, _signed(columns) if isinstance(hr, np.ndarray) else columns
 
 
 def _map_back(c, vectors, lifted, d, table):
@@ -369,6 +372,8 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
     cross-product xl^T yl under the column metrics: lw=xrw, rw=yrw. It
     shares that gsvd's u, d, v, p, q, fi and fj; the latent variable
     scores lx = xl xrw p and ly = yl yrw q have cross-product diagonal d.
+    The cross-product is formed once, and its overflow or underflow raises
+    NumericalError before xrw or yrw is factorized.
     """
     k = _checked_k(k, tol)
     x = kernel.as_matrix(x, "x")
@@ -383,17 +388,13 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
                            lambda: apply_sqrt_metric(factorize(ylw, "ylw"), y),
                            min(_work(xlw, 2 * x.shape[1]), _work(ylw, 2 * y.shape[1])))
 
-    def cross():
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, unwarned
-            c = xl.T @ yl
-        if not np.all(np.isfinite(c)):
-            raise NumericalError("the cross-product xl' yl overflowed: it holds NaN or Inf entries")
-        # when the largest entries' product is below 2^-1022, every product in it is subnormal
-        top = [max(t.max(), -t.min()) for t in (xl, yl)]
-        if min(top) > 0 and np.log2(top[0]) + np.log2(top[1]) < -1022:
-            raise NumericalError("the cross-product xl' yl underflowed")
-        return c
-
-    d_full, columns = _gsvd_columns(
-        cross, (x.shape[1], y.shape[1]), [xrw, yrw], ("xrw", "yrw"), tol, xl, yl)
-    return _assemble(GPLSSVD, k, tol, d_full, _squares(d_full), **columns)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, unwarned
+        cross = xl.T @ yl
+    if not np.all(np.isfinite(cross)):
+        raise NumericalError("the cross-product xl' yl overflowed: it holds NaN or Inf entries")
+    # when the largest entries' product is below 2^-1022, every product in it is subnormal
+    top = [max(t.max(), -t.min()) for t in (xl, yl)]
+    if min(top) > 0 and np.log2(top[0]) + np.log2(top[1]) < -1022:
+        raise NumericalError("the cross-product xl' yl underflowed")
+    d_full, l_full, columns = _gsvd_columns(cross, [xrw, yrw], ("xrw", "yrw"), tol, xl, yl)
+    return _assemble(GPLSSVD, k, tol, d_full, l_full, **columns)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel
 from .constraints import Constraint, pinv_constraint
-from .decomp import GSVD, _assemble, _checked_k, _geigen, gplssvd, gsvd
+from .decomp import GSVD, _assemble, _checked_k, _geigen, _gsvd_columns, gplssvd, gsvd
 from .errors import (
     DimensionMismatchError,
     EmptyMarginError,
@@ -109,7 +109,7 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
             if route == "eigen_cor":
                 sd = np.sqrt(np.diag(cov))
                 cov = cov / np.outer(sd, sd)
-        return _geigen(cov, None, _checked_k(k, tol), tol)
+        return _geigen(cov, None, _checked_k(k, tol), tol, overwrite_x=True)
     row_constraints = np.full(n, 1.0 / dof)
     if route == "triplet_scaled":  # the z-scores center_scale gives
         return gsvd(centered / np.sqrt(col_sumsq / dof), lw=row_constraints, k=k, tol=tol)
@@ -156,7 +156,7 @@ def mds(dist, k=0, tol=kernel.SQRT_EPS):
     """Classical (Torgerson) metric MDS via geigen of the double-centered
     squared distances. Component scores fj hold the coordinates."""
     dist = _check_distance_matrix(dist)
-    return _geigen(double_centered_gram(dist), None, _checked_k(k, tol), tol)
+    return _geigen(double_centered_gram(dist), None, _checked_k(k, tol), tol, overwrite_x=True)
 
 
 def weighted_mds(dist, row_weights, k=0):
@@ -173,7 +173,8 @@ def weighted_mds(dist, row_weights, k=0):
     w = Constraint(dist.shape[0], row_weights, name="row_weights")
     if np.any(w.weights == 0):
         raise NonPositiveWeightError("row weights must be strictly positive")
-    return _geigen(double_centered_gram(dist, w.weights), w, _checked_k(k, None), None)
+    gram = double_centered_gram(dist, w.weights)
+    return _geigen(gram, w, _checked_k(k, None), None, overwrite_x=True)
 
 
 def mds_score_sets(result):
@@ -313,9 +314,10 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     the column-centered indicator X under lw = I + omega * pinv(X X^T) and
     rw = pinv(diag(column sums) + omega * X^T pinv(X X^T) X), formed with no
     n x n matrix. With the thin SVD X = U S V^T, lw acts through U only
-    (Takane & Hwang 2006): the gsvd runs on diag(ridge * s) V^T, with ridge
-    sqrt(1 + omega / s^2) where s^2 > sqrt(eps) * s_1^2 (pinv's rank cutoff)
-    and 1 elsewhere, and u, p, fi are lifted back through U and the ridge.
+    (Takane & Hwang 2006): the gsvd core runs on the matrix diag(ridge * s) V^T
+    under lw = I and that rw, with ridge sqrt(1 + omega / s^2) where
+    s^2 > sqrt(eps) * s_1^2 (pinv's rank cutoff) and 1 elsewhere; u, p, fi
+    are lifted back through U and the ridge, and the result assembled once.
     omega = 0 reproduces standard MCA up to a per-component scaling factor.
     """
     k = _checked_k(k, tol)
@@ -335,9 +337,10 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     ridge = np.sqrt(1.0 + omega / np.where(keep, sv.d**2, np.inf))[:, None]
     v = sv.v[:, keep]
     rw = pinv_constraint(np.diag(indicator.sum(axis=0)) + omega * (v @ v.T), "rw")
-    r = gsvd(ridge * sv.d[:, None] * sv.v.T, rw=rw, tol=tol)
-    return _assemble(GSVD, k, tol, r.d_full, r.l_full, u=sv.u @ r.u, v=r.v, q=r.q, fj=r.fj,
-                     p=sv.u @ (r.u / ridge), fi=sv.u @ (ridge * r.fi))
+    reduced = ridge * sv.d[:, None] * sv.v.T
+    d_full, l_full, r = _gsvd_columns(reduced, [Constraint(len(reduced)), rw], ("lw", "rw"), tol)
+    return _assemble(GSVD, k, tol, d_full, l_full, u=sv.u @ r["u"], v=r["v"], q=r["q"],
+                     fj=r["fj"], p=sv.u @ (r["u"] / ridge), fi=sv.u @ (ridge * r["fi"]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,32 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_trees.py"
 
 
+def _tool():
+    spec = importlib.util.spec_from_file_location("compare_trees", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_a_tree_against_itself_is_identical():
     cases = ("^(gsvd-small|geigen-cond-1000|gplssvd-dense-rows|gplssvd-near-symmetric-small|"
-             "pca-eigen_cor|rmca-omega-5|geigen-diagonal-w-small|cli-gsvd)$")
+             "pca-eigen_cor|rmca-omega-5|geigen-diagonal-w-small|gsvd-huge-lw-small|cli-gsvd)$")
     run = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--cases", cases],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stdout + run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 1 + 8 + 2
-    assert all(": identical (" in line for line in lines[1:9]), lines
-    assert lines[9:] == ["fields: 65 identical, 0 differ", "CLI files: 13 identical, 0 differ"]
+    assert len(lines) == 1 + 9 + 2
+    assert all(": identical (" in line for line in lines[1:10]), lines
+    assert lines[10:] == ["fields: 75 identical, 0 differ", "CLI files: 13 identical, 0 differ"]
+
+
+def test_the_huge_metric_cases_keep_their_components():
+    # every singular value of the gsvd-huge cases is about 2^-88, below gsvd's default
+    # tolerance, so they run with it off: each case compares components, not empty results
+    calls = {name: call for name, call in _tool()._calls().items() if "-huge" in name}
+    assert len(calls) == 10
+    for name, call in calls.items():
+        assert call().d.size > 0, name
 
 
 def test_a_gram_matrix_past_half_the_largest_double_is_decomposed():
@@ -36,9 +52,7 @@ def test_a_gram_matrix_past_half_the_largest_double_is_decomposed():
 
 
 def test_a_difference_is_reported_relative_to_the_largest_entry():
-    spec = importlib.util.spec_from_file_location("compare_trees", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool()
     u = np.array([[2.0, -1.0], [1.0, 3.0]])
     base = {"case": {"d": np.array([4.0, 2.0]), "u": u}, "cli-x": {"d.csv": b"d\n4.0\n"}}
     head = {"case": {"d": np.array([4.0, 2.0 + 4e-12]), "u": -u},

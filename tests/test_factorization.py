@@ -13,6 +13,8 @@ the paper's invariants, with the scores as the metric times the generalized
 vectors, by a bounded property test over identity, diagonal (with zero
 weights), dense and singular-PSD constraints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -115,13 +117,26 @@ def test_no_cholesky_without_a_dense_matrix_metric(rng, cholesky_calls):
 def test_a_well_conditioned_metric_keeps_its_frame_at_every_scale(rng):
     # 2^k (0.6 I + 0.3 S), S symmetric with a zero diagonal and rows summing to at most 1 in
     # magnitude, has its eigenvalues in 2^k [0.3, 0.9] at every k where its largest entry is
-    # normal; from about k = 512 its columns' sums of squares overflow in _factor's bound
+    # normal; from about k = 512 its columns' sums of squares overflow in _factor's bound, and
+    # below about k = -511 they fall below the normal range
     n = 150
     s = np.triu(rng.normal(size=(n, n)), 1)
     s += s.T
     m = 0.6 * np.eye(n) + 0.3 * s / np.abs(s).sum(axis=1).max()
     lost = [k for k in range(-1021, 1024) if decomp._factor(np.ldexp(m, k)) is None]
     assert lost == []
+
+
+def test_an_ill_conditioned_metric_is_refused_before_its_solve_at_every_scale(rng):
+    # eigenvalues 2^k [1e-5, 1]: _factor's bound refuses its frame at both ends of the range,
+    # where the columns' sums of squares overflow (k above about 512) or underflow (k below
+    # about -537, where an unscaled bound kept the frame)
+    n = 150
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    m = (q * np.logspace(0, -5, n)) @ q.T
+    m = (m + m.T) / 2
+    kept = [k for k in range(-1021, 1024) if decomp._factor(np.ldexp(m, k)) is not None]
+    assert kept == []
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +353,9 @@ def _psd_root(lam, vec, inverse=False):
     return (s + s.T) / 2.0
 
 
-def _root_matrix_apply(c, x, powers, eigen_apply=constraints._apply):
+def _root_matrix_apply(c, x, powers, out=None, eigen_apply=constraints._apply):
     if c.kind != constraints.DENSE:
-        return eigen_apply(c, x, powers)
+        return eigen_apply(c, x, powers, out)
     return [_psd_root(c.weights, c.basis, inverse=a < 0) @ np.asarray(x, dtype=np.float64)
             for a in powers]
 
@@ -610,6 +625,44 @@ def test_mds_checks_its_distances_once_and_makes_one_eigh(
     assert checked == [((12, 12), True)]
     assert eigh_calls == [(12, 12)]
     assert cholesky_calls == []
+
+
+def test_weighted_mds_whitens_its_matrix_in_place(rng, monkeypatch):
+    # traced bytes, never time: when eigh starts, the only n x n array left is the
+    # double-centred matrix, whitened in place (2.01 n^2 doubles when it was whitened into
+    # new buffers)
+    n = 200
+    dist, w = _distances(rng, n), rng.uniform(0.5, 1.5, n)
+    real, seen = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(
+        tracemalloc.get_traced_memory()[0]) or real(a))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        recipes.weighted_mds(dist, w)
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == 1 and seen[0] - base <= 1.1 * n * n * 8
+
+
+@pytest.mark.parametrize("frames", [True, False], ids=["frames", "roots"])
+def test_geigen_leaves_its_x_unchanged(rng, frames):
+    x = random_spd(rng, 6)
+    kept = x.copy()
+    with blas_threads(frames):
+        for w in (None, rng.uniform(0.5, 2.0, 6), np.diag(rng.uniform(0.5, 2.0, 6)),
+                  random_spd(rng, 6)):
+            geigen(x, w=w)
+            assert np.array_equal(x, kept)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0, 5.0, 25.0])
+def test_rmca_k_runs_are_prefixes_of_the_full_run(omega):
+    tab = recipes.disjunctive_coding(categorical_table(np.random.default_rng(5), 80, (3, 4, 5)))
+    full = recipes.rmca(tab, omega)
+    assert full.n_retained > 2
+    for kk in range(1, full.n_retained):
+        _check_prefix(full, recipes.rmca(tab, omega, k=kk), kk)
 
 
 def test_weighted_mds_forms_its_matrices_in_few_buffers(rng, traced_peak):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gmdecomp import recipes
+from gmdecomp import decomp, recipes
 from gmdecomp.decomp import geigen, gplssvd, gsvd
 from gmdecomp.errors import (
     DimensionMismatchError,
@@ -13,12 +13,13 @@ from gmdecomp.errors import (
     GmdError,
     InvalidArgumentError,
     NonFiniteError,
+    NotPSDError,
     NotSymmetricError,
     NumericalError,
     ValidationError,
 )
 
-from conftest import align_signs, mca_fixture, random_spd
+from conftest import align_signs, blas_threads, mca_fixture, random_spd
 
 
 @pytest.fixture
@@ -201,6 +202,21 @@ def test_non_finite_result_is_numerical():
     with np.errstate(over="ignore"), pytest.raises(
             NumericalError, match=r"^gplssvd: the result field l_full holds NaN or Inf"):
         gplssvd([[1e154, 0], [0, 1]], [[1e154, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("one", [True, False], ids=["blas-pinned", "blas-default"])
+def test_an_overflowing_cross_product_is_raised_before_a_column_metric_is_factorized(
+        rng, monkeypatch, one):
+    # gplssvd checks xl' yl before it factorizes xrw and yrw, so its overflow wins over a yrw
+    # that is not PSD, whichever route the dense metrics take
+    monkeypatch.setattr(decomp, "_OPENBLAS", True)
+    x, y = rng.normal(size=(20, 3)) * 1e160, rng.normal(size=(20, 4)) * 1e160
+    yrw = random_spd(rng, 4) - 10.0 * np.eye(4)
+    with blas_threads(one):
+        with pytest.raises(NumericalError, match=r"^the cross-product xl' yl overflowed"):
+            gplssvd(x, y, xrw=random_spd(rng, 3), yrw=yrw)
+        with pytest.raises(NotPSDError, match=r"^yrw is not positive semi-definite"):
+            gplssvd(x * 1e-160, y * 1e-160, xrw=random_spd(rng, 3), yrw=yrw)
 
 
 def test_bad_arguments_raise_invalid_argument_error(rng):

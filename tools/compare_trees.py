@@ -15,8 +15,9 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
 - dense metrics off exact symmetry within the symmetry tolerance, as gsvd's lw,
   geigen's w and gplssvd's xlw and xrw, below and above the overlap floor;
 - the overflow range: rrr and cca with unscaled Gram matrices above DBL_MAX / 2,
-  and gsvd's lw and geigen's w with entries above DBL_MAX / 2 and a finite
-  spectrum, exactly symmetric and not, below and above the overlap floor;
+  and gsvd's lw (with the tolerance off) and geigen's w with entries above
+  DBL_MAX / 2 and a finite spectrum, exactly symmetric and not, below and
+  above the overlap floor;
 - geigen with a diagonal metric, below and above the overlap floor; pls, rrr
   and cca, scaled, on data whose variances underflow; and gsvd with a
   well-conditioned lw near 2^1000, whose columns' sums of squares overflow;
@@ -197,7 +198,8 @@ def _calls():
     # the overflow range, drawn after the cases above: rrr and cca with Gram matrices above
     # DBL_MAX / 2, and metrics with entries above it, exactly symmetric and off symmetry by
     # 1e-13 (p - p') of their scale, below the overlap floor and above it; their data are
-    # scaled by 2^-600, so that d^2 and the scores stay finite
+    # scaled by 2^-600, so that d^2 and the scores stay finite, and gsvd's tolerance is off,
+    # since every singular value (about 2^-88) is below its default
     gx, gy = rng.normal(size=(20, 3)) * 2.5e153, rng.normal(size=(20, 3))
     calls["rrr-unscaled-huge"] = lambda: recipes.rrr(gx, gy, scale=False)
     calls["cca-unscaled-huge"] = lambda: recipes.cca(gx, gy, scale=False)
@@ -207,7 +209,7 @@ def _calls():
         for sym, off in (("", 0.0), ("-near-symmetric", 1e-13)):
             huge_lw, huge_w = _huge(rng, n, off), _huge(rng, cols, off)
             calls[f"gsvd-huge{sym}-lw-{size}"] = lambda t=tx, m=huge_lw: decomp.gsvd(
-                np.ldexp(t, -600), lw=m)
+                np.ldexp(t, -600), lw=m, tol=None)
             calls[f"geigen-huge{sym}-w-{size}"] = lambda t=sx, m=huge_w: decomp.geigen(t, w=m)
     # drawn after the cases above: geigen with a diagonal metric, below the overlap floor and
     # above it, with a zero weight; the two-table recipes' default scaling on data whose
