@@ -71,6 +71,8 @@ def _read_csv(path, has_header, has_rownames):
             numbered = [(reader.line_num, row) for row in reader if row]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not numbered:
         raise ParseError(f"{path}: file is empty")
     lines, rows = [n for n, _ in numbered], [row for _, row in numbered]
@@ -277,10 +279,12 @@ def _xml_text(label):
 
 def _scatter_svg(scores, labels=None):
     width, height, pad = 480, 480, 40
-    xs, ys = scores[:, 0], scores[:, 1]
+    # halved, so that no difference overflows: halving is exact for normal values, so the
+    # ratios below, and the floor (half of 1e-300), are those of the scores as they are
+    xs, ys = scores[:, 0] / 2, scores[:, 1] / 2
     x0, y0 = xs.min(), ys.min()
-    span_x = max(xs.max() - x0, 1e-300)
-    span_y = max(ys.max() - y0, 1e-300)
+    span_x = max(xs.max() - x0, 5e-301)
+    span_y = max(ys.max() - y0, 5e-301)
     body = [f'<rect width="{width}" height="{height}" fill="white"/>\n']
     for i in range(scores.shape[0]):
         px = pad + (xs[i] - x0) / span_x * (width - 2 * pad)

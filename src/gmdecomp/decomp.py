@@ -256,22 +256,14 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
 
 
 def _factor(w):
-    """The frame of `w`, a checked dense matrix: the Cholesky factor L of its symmetrized s, or
-    None when s has none or when its condition number's lower bound, s's largest column norm (at
-    most its top eigenvalue) over the least pivot L_ii^2 (at least its least), tops _FRAME_COND.
-    Where the largest column sum of squares overflows, or falls below the normal range, the
-    bound is taken on 2^-600 s and 2^-300 L, or on 2^600 s and 2^300 L, whose powers of 2 cancel
-    exactly, so whether s keeps its frame does not depend on its scale."""
-    s = kernel.symmetrized(w)
-    low = kernel.cholesky(s)
+    """The frame of `w`, a checked dense matrix: the Cholesky factor L of its symmetrized copy, or
+    None when that has none or when its condition number's lower bound, w's largest diagonal
+    entry (at most its top eigenvalue) over the least pivot L_ii^2 (at least its least), tops
+    _FRAME_COND. The bound squares no entry of w, so w's scale does not decide it."""
+    low = kernel.cholesky(kernel.symmetrized(w))
     if low is None:
         return None
-    top, pivot = np.einsum("ij,ij->j", s, s).max(), np.diag(low).min()
-    if not np.finfo(np.float64).tiny <= top < np.inf:  # the same bound, on s rescaled
-        e = -600 if top == np.inf else 600
-        s = s * 2.0**e
-        top, pivot = np.einsum("ij,ij->j", s, s).max(), pivot * 2.0 ** (e // 2)
-    return low if np.sqrt(top) / pivot**2 <= _FRAME_COND else None
+    return low if np.diag(w).max() / np.diag(low).min() ** 2 <= _FRAME_COND else None
 
 
 def _half(h, x, out=None):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -581,3 +582,17 @@ def test_scatter_svg_escapes_labels():
     texts = minidom.parseString(svg).getElementsByTagName("text")
     assert [t.firstChild.data for t in texts] == labels
     assert 'font-size="10">plain</text>' in svg
+
+
+def test_scores_whose_range_overflows_are_plotted_at_finite_coordinates(tmp_path, capsys):
+    # lw = 1e308 gives fi a column from about -9e307 to 9e307, whose max - min overflows
+    xp = write_csv(tmp_path / "x.csv", [["0.9", "0.0"], ["-0.9", "0.1"]])
+    lw = write_csv(tmp_path / "lw.csv", [["1e308"], ["1e308"]])
+    out = tmp_path / "o"
+    assert cli.main(["gsvd", "--x", xp, "--lw", lw, "--plot", "--out", str(out)]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    svgs = sorted(out.glob("*.svg"))
+    assert [p.name for p in svgs] == ["scores_fi.svg", "scores_fj.svg", "scree.svg"]
+    for path in svgs:
+        values = re.findall(r' (?:c?[xy]|x[12]|y[12]|width|height)="([^"]*)"', path.read_text())
+        assert values and all(np.isfinite(float(v)) for v in values), path.name

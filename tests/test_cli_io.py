@@ -175,6 +175,16 @@ def test_loader_names_the_first_fault(tmp_path, text, message):
         cli.load_matrix_csv(path)
 
 
+@pytest.mark.parametrize("load", [cli.load_matrix_csv, cli.load_categorical_csv],
+                         ids=["matrix", "categorical"])
+def test_a_cell_past_the_field_limit_is_a_parse_error_naming_its_line(tmp_path, load):
+    # csv.reader refuses a cell longer than csv.field_size_limit() (131 072 characters)
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n3," + "4" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line 2: field larger than")):
+        load(path)
+
+
 def test_loader_skips_a_byte_order_mark(tmp_path):
     # spreadsheet tools save CSV as UTF-8 with a leading BOM
     path = tmp_path / "m.csv"

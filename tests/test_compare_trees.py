@@ -63,3 +63,18 @@ def test_a_difference_is_reported_relative_to_the_largest_entry():
     # columns near 1e300 are given their signs with no overflow
     fi = np.array([[1e300, -3e299], [-2e299, 1e300]])
     assert tool.compare({"case": {"fi": fi}}, {"case": {"fi": -fi}})[0][0] == "case: fi 0"
+
+
+def test_a_case_with_no_components_in_either_tree_is_reported_empty():
+    tool = _tool()
+    none = {"d": np.zeros(0), "u": np.zeros((3, 0))}
+    some = {"d": np.array([1.0]), "u": np.ones((3, 1))}
+    base = {"kept": some, "lost": none, "cli-x": {"d.csv": b"d\n"}}
+    lines, differ = tool.compare(base, {name: dict(r) for name, r in base.items()})
+    assert lines == ["cli-x: identical (1 CLI files)", "kept: identical (2 fields)",
+                     "lost: empty (2 fields)", "fields: 4 identical, 0 differ, 1 empty case",
+                     "CLI files: 1 identical, 0 differ"]
+    assert differ == 0
+    # empty in one tree only is a difference, reported field by field
+    lines, differ = tool.compare({"case": some}, {"case": none})
+    assert lines[0] == "case: d differs, u differs" and differ == 2

@@ -114,27 +114,31 @@ def test_no_cholesky_without_a_dense_matrix_metric(rng, cholesky_calls):
     assert cholesky_calls == []
 
 
+def _spanning(rng, n, cond):
+    """A dense SPD metric whose eigenvalues are log-spaced from 1 down to 1 / cond."""
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    m = (q * np.logspace(0, -np.log10(cond), n)) @ q.T
+    return (m + m.T) / 2
+
+
 def test_a_well_conditioned_metric_keeps_its_frame_at_every_scale(rng):
     # 2^k (0.6 I + 0.3 S), S symmetric with a zero diagonal and rows summing to at most 1 in
     # magnitude, has its eigenvalues in 2^k [0.3, 0.9] at every k where its largest entry is
-    # normal; from about k = 512 its columns' sums of squares overflow in _factor's bound, and
-    # below about k = -511 they fall below the normal range
+    # normal; and a metric whose eigenvalues span 999 sits just inside _FRAME_COND. _factor's
+    # bound, the largest diagonal entry over the least squared pivot, is at most the condition
+    # number and squares no entry, so both keep their frames at both ends of the range
     n = 150
     s = np.triu(rng.normal(size=(n, n)), 1)
     s += s.T
-    m = 0.6 * np.eye(n) + 0.3 * s / np.abs(s).sum(axis=1).max()
-    lost = [k for k in range(-1021, 1024) if decomp._factor(np.ldexp(m, k)) is None]
-    assert lost == []
+    for m in (0.6 * np.eye(n) + 0.3 * s / np.abs(s).sum(axis=1).max(), _spanning(rng, n, 999)):
+        lost = [k for k in range(-1021, 1024) if decomp._factor(np.ldexp(m, k)) is None]
+        assert lost == []
 
 
 def test_an_ill_conditioned_metric_is_refused_before_its_solve_at_every_scale(rng):
-    # eigenvalues 2^k [1e-5, 1]: _factor's bound refuses its frame at both ends of the range,
-    # where the columns' sums of squares overflow (k above about 512) or underflow (k below
-    # about -537, where an unscaled bound kept the frame)
-    n = 150
-    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
-    m = (q * np.logspace(0, -5, n)) @ q.T
-    m = (m + m.T) / 2
+    # eigenvalues 2^k [1e-5, 1]: _factor's bound refuses its frame at every k, from where the
+    # least eigenvalue is subnormal up to where the largest is 2^1023
+    m = _spanning(rng, 150, 1e5)
     kept = [k for k in range(-1021, 1024) if decomp._factor(np.ldexp(m, k)) is not None]
     assert kept == []
 

@@ -20,7 +20,9 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
   above the overlap floor;
 - geigen with a diagonal metric, below and above the overlap floor; pls, rrr
   and cca, scaled, on data whose variances underflow; and gsvd with a
-  well-conditioned lw near 2^1000, whose columns' sums of squares overflow;
+  well-conditioned lw near 2^1000, which keeps its frame (the case
+  gsvd-overflowing-bound-lw-large is named for an earlier frame bound, whose
+  column sums of squares overflowed at that scale);
 - every recipe, the four pca routes and rmca at omega 0, 1, 5 and 25;
 - every CLI command on small inputs, and ``ca`` on a table large enough for
   two writer processes, without and with ``--plot``.
@@ -31,9 +33,11 @@ them. ``--cases`` keeps the cases whose name the regular expression matches.
 
 Each array field is reported "identical" or by its largest deviation relative
 to the field's largest entry, after the columns of HEAD's are given the signs
-of BASE's. Each CLI file, the exit code and stderr are reported "identical" or
-"differs", and a failed call by its error's type and message. The exit status
-is 0 when every field and file is identical and 1 otherwise.
+of BASE's. A case whose fields are all identical is reported "empty" instead
+when it kept no component in either tree, and the summary counts such cases.
+Each CLI file, the exit code and stderr are reported "identical" or "differs",
+and a failed call by its error's type and message. The exit status is 0 when
+every field and file is identical and 1 otherwise.
 """
 
 import argparse
@@ -213,7 +217,7 @@ def _calls():
             calls[f"geigen-huge{sym}-w-{size}"] = lambda t=sx, m=huge_w: decomp.geigen(t, w=m)
     # drawn after the cases above: geigen with a diagonal metric, below the overlap floor and
     # above it, with a zero weight; the two-table recipes' default scaling on data whose
-    # variances underflow; and a well-conditioned lw whose columns' sums of squares overflow
+    # variances underflow; and a well-conditioned lw near 2^1000, which keeps its frame
     for size, n in (("small", 7), ("large", 150)):
         m, weights = _spd(rng, n), rng.uniform(0.5, 2.0, n)
         if size == "large":
@@ -366,7 +370,7 @@ def _file_deviation(name, base, head):
 
 def compare(base, head):
     """Report lines for the two trees' results, and how many fields and files differ."""
-    lines, counts, largest = [], Counter(), {}
+    lines, counts, largest, empty = [], Counter(), {}, 0
     for name in sorted(set(base) | set(head)):
         if name not in base or name not in head:
             lines.append(f"{name}: only in {'HEAD' if name in head else 'BASE'}")
@@ -386,11 +390,17 @@ def compare(base, head):
                 text = f"in BASE {a.get(field, 'none')!r}, in HEAD {b.get(field, 'none')!r}"
             parts.append(f"{field} {text}")
         if all(part.endswith(" identical") for part in parts):
-            lines.append(f"{name}: identical ({len(parts)} {kind})")
+            if kind == "fields" and all(np.size(r.get("d", 1)) == 0 for r in (a, b)):
+                empty += 1
+                lines.append(f"{name}: empty ({len(parts)} {kind})")
+            else:
+                lines.append(f"{name}: identical ({len(parts)} {kind})")
         else:
             lines.append(f"{name}: " + ", ".join(parts))
     for kind in ("fields", "CLI files"):
         most = f" (largest {largest[kind][0]:.2g}, {largest[kind][1]})" if kind in largest else ""
+        if kind == "fields" and empty:
+            most += f", {empty} empty case{'s' * (empty > 1)}"
         lines.append(f"{kind}: {counts[kind, False]} identical, {counts[kind, True]} differ{most}")
     return lines, sum(n for (_, differs), n in counts.items() if differs)
 
