@@ -18,12 +18,12 @@ weights all three treat as zero, for diagonal and dense metrics alike.
 :func:`pinv_constraint` is :func:`factorize` with the weights inverted.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernel
-from .errors import DimensionMismatchError, NotPSDError, NumericalError
+from .errors import DimensionMismatchError, NotPSDError
 
 IDENTITY = "identity"
 DIAGONAL = "diagonal"
@@ -80,44 +80,43 @@ def check_constraint(raw, dim, name="constraint"):
 
     Missing constraints are mathematically identity matrices. Vectors are
     diagonal weights; a diagonal matrix is demoted to its diagonal, and an
-    all-ones diagonal to identity; a `Constraint` is kept as it is. Anything
+    all-ones diagonal to identity; a `Constraint` keeps its basis. Anything
     else must be a symmetric matrix w of shape (dim, dim), returned as its
-    float64 array, uncopied: the LAPACK calls that read it symmetrize it.
-    `name` names the slot.
+    float64 array, uncopied when e is 0: the LAPACK calls that read it symmetrize it.
+    `name` names the slot. Returns (c, e): c is 4^-e times the metric (:func:`kernel.normalized`).
     """
     dim = int(dim)
     if raw is None:
-        return Constraint(dim)
+        return Constraint(dim), 0
     if isinstance(raw, Constraint):
         if raw.dim != dim:
             raise DimensionMismatchError(
                 f"{name}: constraint dim {raw.dim} does not match expected {dim}"
             )
-        return raw
-    arr = kernel.as_array(raw, name)
+        weights, e = kernel.normalized(np.ones(0) if raw.weights is None else raw.weights, 2)
+        return (replace(raw, weights=weights) if e else raw), e
+    arr, e = kernel.normalized(kernel.as_array(raw, name), 2)
     if arr.shape == (dim, dim) and np.array_equal(arr, np.diag(np.diag(arr))):
         arr = np.diag(arr).copy()
     if arr.ndim == 1:
         c = Constraint(dim, arr, name=name)
-        return Constraint(dim) if np.all(arr == 1.0) else c
+        return (Constraint(dim) if np.all(arr == 1.0) else c), e
     if arr.shape != (dim, dim):
         raise DimensionMismatchError(
             f"{name}: constraint matrix shape {arr.shape} != expected ({dim}, {dim})"
         )
-    return kernel.check_symmetric(arr, name)
+    return kernel.check_symmetric(arr, name), e
 
 
 def factorize(checked, name="constraint"):
     """A :func:`check_constraint` result, or a Gram matrix, as a `Constraint`: a matrix,
     :func:`kernel.symmetrized` for this call only, is eigendecomposed once, which checks it
     is PSD and gives its eigenpairs, eigenvalues descending and clipped at 0. A finite matrix
-    whose spectrum overflows raises NumericalError naming the slot `name`."""
+    that is not PSD raises NotPSDError naming the slot `name`."""
     if isinstance(checked, Constraint):
         return checked
     eig = kernel.tolerance_eigen(kernel.symmetrized(checked), tol=None)
     lam = eig.values
-    if not np.isfinite(lam[0]):  # a NaN sorts first too
-        raise NumericalError(f"{name}: its largest eigenvalue overflows")
     if lam.min() < -kernel.PSD_RTOL * max(lam[0], 0.0):
         raise NotPSDError(f"{name} is not positive semi-definite (min eigenvalue {lam.min():.6g})")
     return Constraint(lam.shape[0], np.clip(lam, 0.0, None), eig.vectors, name)
@@ -126,15 +125,11 @@ def factorize(checked, name="constraint"):
 def pinv_constraint(gram, name="constraint"):
     """The pseudo-inverse of the PSD Gram matrix `gram` (Björck & Golub 1973): its
     :func:`factorize` eigenpairs, with eigenvalues at or below sqrt(eps) times the largest
-    counted as zero and the others inverted; NumericalError if an inverse overflows."""
+    counted as zero and the others inverted; `gram` is normalized, so none overflows."""
     c = factorize(gram, name)
     lam = c.weights
     keep = lam > kernel.SQRT_EPS * lam[0]
-    with np.errstate(over="ignore"):
-        inv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
-    if not np.all(np.isfinite(inv)):
-        raise NumericalError(f"{name}: the pseudo-inverse of its Gram matrix overflows "
-                             f"(eigenvalue {lam[keep].min():.6g})")
+    inv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
     return Constraint(c.dim, inv, c.basis, name)
 
 

@@ -38,8 +38,8 @@ when 2 CPUs are available, BLAS runs one thread and both sides' work reaches
 a measured floor; for a fixed BLAS setting, the results are the same bits.
 The thread runs in a copy of the caller's context, so under the caller's numpy errstate, and
 is joined before the call returns; the error is the sequence's: a metric's own over its
-frame's, and the first of lw, rw or of xlw, ylw, xrw, yrw to fail; but gplssvd checks xl' yl
-first, so its overflow raises NumericalError even where xrw or yrw is not PSD.
+frame's, and the first of lw, rw or of xlw, ylw, xrw, yrw to fail. Inputs are normalized by
+powers of 2 (:func:`kernel.normalized`), and _assemble scales each output back.
 """
 
 import contextvars
@@ -175,13 +175,19 @@ def _resolve_k(k, n_total):
     return k
 
 
-def _assemble(method, k, tol, d_full, l_full, **columns):
-    """Pack a result: per-component outputs, computed on the full retained
-    set, are sliced to the first k columns so a k-run is a bit-identical
-    prefix of the full run. A NaN or Inf in any output raises NumericalError."""
-    for name, m in dict(d_full=d_full, l_full=l_full, **columns).items():
+def _assemble(method, k, tol, d_full, l_full, scale, **columns):
+    """Pack a result: outputs computed on the full retained set are scaled back by their powers
+    of 2 (`scale`: d's, the metric roots', then lx's and ly's), checked for NaN or Inf (a
+    NumericalError) and sliced to the first k columns, so a k-run is a bit-identical prefix."""
+    s, a, b, *latent = scale
+    powers = dict(zip(("d_full", "l_full", "p", "q", "fi", "fj", "lx", "ly"),
+                      (s, 2 * s, -a, -b, a + s, b + s, *latent)))
+    columns = {name: kernel.scaled(m, powers.get(name, 0))
+               for name, m in dict(d_full=d_full, l_full=l_full, **columns).items()}
+    for name, m in columns.items():
         if not np.isfinite(m).all():
             raise NumericalError(f"{method}: the result field {name} holds NaN or Inf values")
+    d_full, l_full = columns.pop("d_full"), columns.pop("l_full")
     n_total = d_full.shape[0]
     kk = _resolve_k(k, n_total)
     return DecompositionResult(
@@ -216,43 +222,48 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
         dropped; None disables the tolerance and keeps negative eigenvalues.
     """
     k = _checked_k(k, tol)
-    return _geigen(kernel.check_symmetric(kernel.as_matrix(x, "x"), "x"), w, k, tol)
+    x, e = kernel.normalized(kernel.check_symmetric(kernel.as_matrix(x, "x"), "x"), 2)
+    return _geigen(x, w, k, tol, overwrite_x=e != 0, ex=e)
 
 
-def _geigen(x, w, k, tol, overwrite_x=False):
+def _geigen(x, w, k, tol, overwrite_x=False, ex=0):
     """geigen of `x`, a symmetric float64 matrix its caller checked or formed, for a checked `k`
     and `tol`: only the metric `w` is checked here, and x's finiteness before LAPACK. Every kind
     of metric is applied one way, its half on the left of x' and then of that product's
     transpose, so no kind is tested here. A diagonal root scales in place, x itself when
-    `overwrite_x` (the caller formed x and gives it up), else the first product's new buffer."""
-    slots = [check_constraint(w, x.shape[0], "w")]
+    `overwrite_x` (the caller formed x and gives it up), else the first product's new buffer;
+    x is 4^-ex times the caller's."""
+    w, ew = check_constraint(w, x.shape[0], "w")
 
     def eigen(h):
         y = _half(h, x.T, out=x.T if overwrite_x else None).T
-        eig = kernel.tolerance_eigen(_half(h, y, out=y), tol=tol)
+        eig = kernel.tolerance_eigen(_half(h, y, out=y), tol=tol, scale=2 * (ex + ew))
         return eig, _lift(h, eig.vectors)
 
-    (c,), (h,), (eig, lifted) = _solve(slots, ("w",), eigen, _work(slots[0], 0))
+    (c,), (h,), (eig, lifted) = _solve([w], ("w",), eigen, _work(w, 0))
     l_full = eig.values
     d_full = np.sqrt(np.clip(l_full, 0.0, None))
     v, q, fj, _ = _map_back(c, eig.vectors, lifted, d_full, None)
     columns = dict(v=v, q=q, fj=fj)
-    return _assemble(GEIGEN, k, tol, d_full, l_full,
+    return _assemble(GEIGEN, k, tol, d_full, l_full, (ex + ew, 0, ew),
                      **(_signed(columns) if isinstance(h, np.ndarray) else columns))
 
 
-def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
+def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS, *, _shift=(0, 0, 0)):
     """Generalized SVD of a rectangular matrix under row/column metrics.
 
     Decomposes x = P diag(d) Q^T with P^T lw P = I = Q^T rw Q by taking the
     SVD of lw^(1/2) x rw^(1/2). Row scores fi = lw P diag(d), column scores
-    fj = rw Q diag(d).
+    fj = rw Q diag(d). For a recipe, x, lw and rw are 2^-_shift[0], 4^-_shift[1] and
+    4^-_shift[2] times its caller's.
     """
     k = _checked_k(k, tol)
-    x = kernel.as_matrix(x, "x")
-    slots = [check_constraint(lw, x.shape[0], "lw"), check_constraint(rw, x.shape[1], "rw")]
-    d_full, l_full, columns = _gsvd_columns(x, slots, ("lw", "rw"), tol)
-    return _assemble(GSVD, k, tol, d_full, l_full, **columns)
+    x, ex = kernel.normalized(kernel.as_matrix(x, "x"))
+    lw, a = check_constraint(lw, x.shape[0], "lw")
+    rw, b = check_constraint(rw, x.shape[1], "rw")
+    s, a, b = ex + a + b + sum(_shift), a + _shift[1], b + _shift[2]
+    d_full, l_full, columns = _gsvd_columns(x, [lw, rw], ("lw", "rw"), tol, s)
+    return _assemble(GSVD, k, tol, d_full, l_full, (s, a, b), **columns)
 
 
 def _factor(w):
@@ -307,12 +318,12 @@ def _solve(slots, names, solve, work):
     return factorized, halves, out
 
 
-def _gsvd_columns(x, slots, names, tol, xl=None, yl=None):
+def _gsvd_columns(x, slots, names, tol, scale=0, xl=None, yl=None):
     """The unchecked d_full, l_full = d_full^2 and column fields of the gsvd of `x`, a float64
-    matrix its caller checked or formed, under the checked slots; given gplssvd's row-weighted
-    tables xl and yl, also lx and ly. An overflow in l_full is left to _assemble to raise."""
+    matrix its caller checked or formed, under the checked slots, d in the caller's units being
+    2^scale d_full; given gplssvd's row-weighted tables xl and yl, also lx and ly."""
     def svd(hl, hr):
-        sv = kernel.tolerance_svd(_half(hl, _half(hr, x.T).T), tol=tol)
+        sv = kernel.tolerance_svd(_half(hl, _half(hr, x.T).T), tol=tol, scale=scale)
         return sv, _lift(hl, sv.u), _lift(hr, sv.v)
 
     # the caller's eighs against the svd, which took as long as 25 m n min(m, n) multiply-adds
@@ -325,9 +336,7 @@ def _gsvd_columns(x, slots, names, tol, xl=None, yl=None):
         min(work))
     latent = {} if xl is None else dict(lx=lx, ly=ly)
     columns = dict(u=u, v=v, p=p, q=q, fi=fi, fj=fj, **latent)
-    with np.errstate(over="ignore"):
-        l_full = sv.d**2
-    return sv.d, l_full, _signed(columns) if isinstance(hr, np.ndarray) else columns
+    return sv.d, sv.d**2, _signed(columns) if isinstance(hr, np.ndarray) else columns
 
 
 def _map_back(c, vectors, lifted, d, table):
@@ -335,16 +344,14 @@ def _map_back(c, vectors, lifted, d, table):
     diag(d) and, given a table, latent variable scores table c^(1/2) standard, from the solve's
     `vectors`: the standard vectors themselves under a root, and under a frame L, whose
     `lifted` vectors L vectors are c^(1/2) standard, c^(-1/2) lifted. The scores scale
-    c^(1/2) standard in place, unless it is the standard vectors (c is the identity); an
-    overflow there is left to _assemble to raise."""
+    c^(1/2) standard in place, unless it is the standard vectors (c is the identity)."""
     if lifted is None:
         std, (inv, root) = vectors, apply_roots(c, vectors)
     else:
         root = lifted
         std, inv = apply_inverses(c, root)
     latent = None if table is None else table @ root  # before root is scaled
-    with np.errstate(over="ignore"):
-        scores = root * d if root is std else np.multiply(root, d, out=root)
+    scores = root * d if root is std else np.multiply(root, d, out=root)
     return std, inv, scores, latent
 
 
@@ -357,36 +364,30 @@ def _signed(columns):
     return columns
 
 
-def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
+def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS, *, _shift=(0,) * 4):
     """Generalized PLS-SVD of the relationship between two data matrices.
 
     With xl = xlw^(1/2) x and yl = ylw^(1/2) y, this is the gsvd of the
     cross-product xl^T yl under the column metrics: lw=xrw, rw=yrw. It
     shares that gsvd's u, d, v, p, q, fi and fj; the latent variable
     scores lx = xl xrw p and ly = yl yrw q have cross-product diagonal d.
-    The cross-product is formed once, and its overflow or underflow raises
-    NumericalError before xrw or yrw is factorized.
+    The cross-product is formed once. `_shift` is as for gsvd, for x, y, xrw and yrw.
     """
     k = _checked_k(k, tol)
-    x = kernel.as_matrix(x, "x")
-    y = kernel.as_matrix(y, "y")
+    x, ex = kernel.normalized(kernel.as_matrix(x, "x"))
+    y, ey = kernel.normalized(kernel.as_matrix(y, "y"))
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatchError(
             f"x and y must share rows: {x.shape[0]} vs {y.shape[0]}"
         )
-    xlw, xrw = check_constraint(xlw, x.shape[0], "xlw"), check_constraint(xrw, x.shape[1], "xrw")
-    ylw, yrw = check_constraint(ylw, y.shape[0], "ylw"), check_constraint(yrw, y.shape[1], "yrw")
+    xlw, a = check_constraint(xlw, x.shape[0], "xlw")
+    xrw, c = check_constraint(xrw, x.shape[1], "xrw")
+    ylw, b = check_constraint(ylw, y.shape[0], "ylw")
+    yrw, d = check_constraint(yrw, y.shape[1], "yrw")
+    ex, ey, c, d = (e + f for e, f in zip((ex, ey, c, d), _shift))
     xl, yl = _side_by_side(lambda: apply_sqrt_metric(factorize(xlw, "xlw"), x),
                            lambda: apply_sqrt_metric(factorize(ylw, "ylw"), y),
                            min(_work(xlw, 2 * x.shape[1]), _work(ylw, 2 * y.shape[1])))
-
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, unwarned
-        cross = xl.T @ yl
-    if not np.all(np.isfinite(cross)):
-        raise NumericalError("the cross-product xl' yl overflowed: it holds NaN or Inf entries")
-    # when the largest entries' product is below 2^-1022, every product in it is subnormal
-    top = [max(t.max(), -t.min()) for t in (xl, yl)]
-    if min(top) > 0 and np.log2(top[0]) + np.log2(top[1]) < -1022:
-        raise NumericalError("the cross-product xl' yl underflowed")
-    d_full, l_full, columns = _gsvd_columns(cross, [xrw, yrw], ("xrw", "yrw"), tol, xl, yl)
-    return _assemble(GPLSSVD, k, tol, d_full, l_full, **columns)
+    s = ex + ey + a + b + c + d
+    d_full, l_full, columns = _gsvd_columns(xl.T @ yl, [xrw, yrw], ("xrw", "yrw"), tol, s, xl, yl)
+    return _assemble(GPLSSVD, k, tol, d_full, l_full, (s, c, d, ex + a + c, ey + b + d), **columns)

@@ -16,8 +16,7 @@ Inf in the matrix they are given is an overflow, a :class:`NumericalError`.
 Cholesky factor to solve in while the metric is eigendecomposed. Neither checks a
 metric: :func:`constraints.factorize` turns the tolerance off and checks the spectrum
 is PSD, a failed Cholesky is only a metric without a factor, and each reads its own
-:func:`symmetrized` copy of the metric, freed as its caller returns. That copy is the one
-place w + w' is formed, and where it would overflow, w/2 + w'/2 is formed instead.
+:func:`symmetrized` copy of the metric, freed as its caller returns.
 """
 
 from dataclasses import dataclass
@@ -43,6 +42,11 @@ SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 # Relative floors for symmetry and PSD checks.
 SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-10
+
+# Inputs whose largest |entry| has a frexp exponent within +-_WINDOW are used as they are: then
+# the largest intermediate, gplssvd's LAPACK input x' y under four metric halves, summed over up
+# to 2^64 terms, lies in 2^+-448, where dgesdd (2^+-459) and dsyevd (2^+-485) rescale nothing.
+_WINDOW = 96
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,20 @@ def as_array(a, name):
     return a
 
 
+def normalized(a, power=1):
+    """(a / 2^(power e), e): e brings a's largest |entry| into [1/2, 2), or is 0, keeping `a`,
+    within +-_WINDOW. `power` is 2 for a metric, or a matrix whose roots are taken."""
+    e = int(np.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))[1])
+    e = 0 if abs(e) <= _WINDOW else e // power
+    return (np.ldexp(a, -power * e) if e else a), e
+
+
+def scaled(a, e):
+    """a * 2^e, or `a` itself when e is 0; past DBL_MAX, an Inf, unwarned."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(a, e) if e else a
+
+
 def as_matrix(a, name):
     """:func:`as_array`, checked to be a non-empty 2-d matrix."""
     a = as_array(a, name)
@@ -115,9 +133,12 @@ def is_symmetric(s):
     """Symmetry test of a non-empty square matrix, with an absolute
     allowance of SYMMETRY_RTOL * max|entry|."""
     # s - s' is exactly antisymmetric, so its largest entry is its largest
-    # magnitude; neither maximum needs an |.| pass over the matrix.
+    # magnitude; neither maximum needs an |.| pass over the matrix. It is formed
+    # a block of about 65 536 entries at a time, so no n x n array is.
     scale = max(s.max(), -s.min())
-    return bool((s - s.T).max() <= SYMMETRY_RTOL * max(scale, 1e-300))
+    rows = max(1, 65536 // s.shape[0])
+    top = max((s[i:i + rows] - s[:, i:i + rows].T).max() for i in range(0, s.shape[0], rows))
+    return bool(top <= SYMMETRY_RTOL * max(scale, 1e-300))
 
 
 def canonical_signs(vectors):
@@ -144,12 +165,8 @@ def _factorizable(s):
 
 
 def symmetrized(w):
-    """(w + w')/2 in a new array: the bits of (w + w.T) / 2.0 when w + w' does not overflow."""
-    try:
-        with np.errstate(over="raise"):
-            s = w + w.T
-    except FloatingPointError:  # halving first is exact but for subnormals, and cannot overflow
-        return w * 0.5 + w.T * 0.5
+    """(w + w')/2 in a new array: the bits of (w + w.T) / 2.0."""
+    s = w + w.T
     s *= 0.5
     return s
 
@@ -163,9 +180,9 @@ def cholesky(w):
         return None
 
 
-def tolerance_eigen(s, tol=SQRT_EPS):
+def tolerance_eigen(s, tol=SQRT_EPS, scale=0):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending,
-    that drops eigenvalues at or below `tol`.
+    that drops eigenvalues whose value times 2^scale is at or below `tol`.
 
     Columns of the returned vectors follow the deterministic sign
     convention (largest-magnitude entry positive). With an active
@@ -185,17 +202,17 @@ def tolerance_eigen(s, tol=SQRT_EPS):
     canonical_signs(vectors)
     if tol is None:
         return EigenOutput(values=values, vectors=vectors)
-    if values.min() < -tol:
+    if (caller := scaled(values, scale)).min() < -tol:
         raise ComplexOrNegativeEigenvalueError(
             "eigenvalues are not all positive within tolerance "
-            f"(min={values.min():.6g}); disable the tolerance to proceed"
+            f"(min={caller.min():.6g}); disable the tolerance to proceed"
         )
-    keep = values > tol
+    keep = caller > tol
     return EigenOutput(values=values[keep], vectors=vectors[:, keep])
 
 
-def tolerance_svd(x, tol=EPS):
-    """SVD that drops singular values at or below `tol`.
+def tolerance_svd(x, tol=EPS, scale=0):
+    """SVD that drops singular values whose value times 2^scale is at or below `tol`.
 
     Sign convention: each right singular vector has its largest-magnitude
     entry positive; the matching left vector is flipped jointly so the
@@ -213,8 +230,7 @@ def tolerance_svd(x, tol=EPS):
         # Both the singular values and their squares (the eigenvalues) must
         # clear the threshold; collinear data leaves near-null singular
         # values whose squares are far below any sensible cutoff.
-        with np.errstate(over="ignore"):  # an infinite square is kept, and _assemble rejects it
-            keep = (d > tol) & (d * d > tol)
+        keep = (scaled(d, scale) > tol) & (scaled(d * d, 2 * scale) > tol)
         u, d, v = u[:, keep], d[keep], v[:, keep]
     return SvdOutput(u=u, d=d, v=v)
 

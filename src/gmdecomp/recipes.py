@@ -42,27 +42,32 @@ def center_scale(data, center=True, scale=True):
     """Column-wise center and/or scale (unit variance, ddof=1): a column is divided by the root
     of its :func:`_sums_of_squares` over n - 1, the z-scores of ``pca``'s triplet_scaled route."""
     data = kernel.as_array(data, "data")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, unwarned
-        centered = data - data.mean(axis=0)
-    out = centered if center else data.copy()
-    if not np.all(np.isfinite(out)):  # else the decomposition would blame the caller's data
+    out, e = _prepared(data, center, scale)
+    out = kernel.scaled(out.copy() if out is data else out, e)
+    if not np.all(np.isfinite(out)):  # centred data past DBL_MAX
         raise NumericalError("centring a column overflowed")
+    return out
+
+
+def _prepared(data, center, scale):
+    """(t, e): `data` centred and/or scaled as :func:`center_scale` says, t * 2^e in the caller's
+    units (0 for z-scores), normalized before centring and, as that may cancel, after it."""
+    table, e = kernel.normalized(data)
+    centered = table - table.mean(axis=0)
     if scale:
         if data.shape[0] < 2:
             raise DimensionMismatchError("scaling needs at least 2 rows")
         dof = data.shape[0] - 1
-        out = out / np.sqrt(_sums_of_squares(centered, dof) / dof)
-    return out
+        return (centered if center else table) / np.sqrt(_sums_of_squares(centered, dof) / dof), 0
+    centered, again = kernel.normalized(centered) if center else (table, 0)
+    return centered, e + again
 
 
 def _sums_of_squares(centered, dof):
     """The sums of squares of the columns of `centered`, each checked to give a variance, over
-    `dof`, in the normal range: NumericalError when one overflowed, or underflowed while its
-    column is not 0, and ZeroVarianceColumnError for the first column that is 0."""
-    with np.errstate(over="ignore"):  # an overflow raises below, with no warning
-        sumsq = np.sum(centered**2, axis=0)
-    if not np.all(np.isfinite(sumsq)):
-        raise NumericalError("a column's sum of squares overflowed")
+    `dof`, in the normal range: NumericalError when one underflowed while its column, far below
+    the table's scale, is not 0, and ZeroVarianceColumnError for the first column that is 0."""
+    sumsq = np.sum(centered**2, axis=0)
     small = np.flatnonzero(sumsq / dof < np.finfo(np.float64).tiny)
     if small.size:
         if np.any(centered[:, small[0]]):
@@ -97,24 +102,22 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
         raise DimensionMismatchError("PCA needs at least 2 rows")
     n = data.shape[0]
     dof = n - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # then sums of squares overflow, and raise
-        centered = data - data.mean(axis=0)
+    centered, e = _prepared(data, True, False)
     eigen = route in ("eigen_cov", "eigen_cor")
     tol = (kernel.SQRT_EPS if eigen else kernel.EPS) if tol is _UNSET else tol  # geigen's, gsvd's
     # Every route but the covariance one scales a column by its variance.
     col_sumsq = None if route == "eigen_cov" else _sums_of_squares(centered, dof)
     if eigen:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is _geigen's to raise
-            cov = centered.T @ centered / dof  # exactly symmetric: numpy forms a' a as one
-            if route == "eigen_cor":
-                sd = np.sqrt(np.diag(cov))
-                cov = cov / np.outer(sd, sd)
-        return _geigen(cov, None, _checked_k(k, tol), tol, overwrite_x=True)
+        cov = centered.T @ centered / dof  # exactly symmetric: numpy forms a' a as one
+        if route == "eigen_cor":
+            sd = np.sqrt(np.diag(cov))
+            cov = cov / np.outer(sd, sd)
+        return _geigen(cov, None, _checked_k(k, tol), tol, True, e if route == "eigen_cov" else 0)
     row_constraints = np.full(n, 1.0 / dof)
     if route == "triplet_scaled":  # the z-scores center_scale gives
         return gsvd(centered / np.sqrt(col_sumsq / dof), lw=row_constraints, k=k, tol=tol)
-    col_constraints = dof / col_sumsq
-    return gsvd(centered, lw=row_constraints, rw=col_constraints, k=k, tol=tol)
+    col_constraints = dof / col_sumsq  # 4^e times the caller's
+    return gsvd(centered, lw=row_constraints, rw=col_constraints, k=k, tol=tol, _shift=(e, 0, -e))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +158,8 @@ def double_centered_gram(dist, weights=None):
 def mds(dist, k=0, tol=kernel.SQRT_EPS):
     """Classical (Torgerson) metric MDS via geigen of the double-centered
     squared distances. Component scores fj hold the coordinates."""
-    dist = _check_distance_matrix(dist)
-    return _geigen(double_centered_gram(dist), None, _checked_k(k, tol), tol, overwrite_x=True)
+    dist, e = kernel.normalized(_check_distance_matrix(dist))
+    return _geigen(double_centered_gram(dist), None, _checked_k(k, tol), tol, True, e)
 
 
 def weighted_mds(dist, row_weights, k=0):
@@ -169,12 +172,12 @@ def weighted_mds(dist, row_weights, k=0):
     unless the weights sum to one, the doubly centered matrix is not PSD
     and the trailing eigenvalues are negative.
     """
-    dist = _check_distance_matrix(dist)
+    dist, e = kernel.normalized(_check_distance_matrix(dist))
     w = Constraint(dist.shape[0], row_weights, name="row_weights")
     if np.any(w.weights == 0):
         raise NonPositiveWeightError("row weights must be strictly positive")
     gram = double_centered_gram(dist, w.weights)
-    return _geigen(gram, w, _checked_k(k, None), None, overwrite_x=True)
+    return _geigen(gram, w, _checked_k(k, None), None, True, e)
 
 
 def mds_score_sets(result):
@@ -209,12 +212,8 @@ def ca_preprocess(counts):
     counts = kernel.as_matrix(counts, "counts")
     if np.any(counts < 0):
         raise NegativeCountError("counts must be nonnegative")
-    try:
-        with np.errstate(over="raise"):
-            total = counts.sum()
-    except FloatingPointError:  # a power of 2 cancels from counts / total, so no bit changes
-        counts = counts * 2.0**-64
-        total = counts.sum()
+    counts, _ = kernel.normalized(counts)  # a power of 2 cancels from counts / total
+    total = counts.sum()
     if total <= 0:
         raise EmptyMarginError("grand total must be positive")
     observed = counts / total
@@ -336,11 +335,12 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     keep = sv.d**2 > kernel.SQRT_EPS * sv.d[0] ** 2
     ridge = np.sqrt(1.0 + omega / np.where(keep, sv.d**2, np.inf))[:, None]
     v = sv.v[:, keep]
-    rw = pinv_constraint(np.diag(indicator.sum(axis=0)) + omega * (v @ v.T), "rw")
-    reduced = ridge * sv.d[:, None] * sv.v.T
-    d_full, l_full, r = _gsvd_columns(reduced, [Constraint(len(reduced)), rw], ("lw", "rw"), tol)
-    return _assemble(GSVD, k, tol, d_full, l_full, u=sv.u @ r["u"], v=r["v"], q=r["q"],
-                     fj=r["fj"], p=sv.u @ (r["u"] / ridge), fi=sv.u @ (ridge * r["fi"]))
+    gram, e = kernel.normalized(np.diag(indicator.sum(axis=0)) + omega * (v @ v.T), 2)
+    reduced, a = kernel.normalized(ridge * sv.d[:, None] * sv.v.T)  # 2^-a times the caller's
+    lw, rw = Constraint(len(reduced)), pinv_constraint(gram, "rw")  # rw: 4^e times the caller's
+    d_full, l_full, r = _gsvd_columns(reduced, [lw, rw], ("lw", "rw"), tol, a - e)
+    return _assemble(GSVD, k, tol, d_full, l_full, (a - e, 0, -e), u=sv.u @ r["u"], v=r["v"],
+                     q=r["q"], fj=r["fj"], p=sv.u @ (r["u"] / ridge), fi=sv.u @ (ridge * r["fi"]))
 
 
 # ---------------------------------------------------------------------------
@@ -348,43 +348,33 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
 
 
 def _preprocess_pair(x, y, center, scale):
-    """Check, then center/scale both tables."""
-    return (center_scale(kernel.as_matrix(x, "x"), center, scale),
-            center_scale(kernel.as_matrix(y, "y"), center, scale))
+    """Check, then center/scale both tables: (xp, ex), (yp, ey) as :func:`_prepared` gives."""
+    return (_prepared(kernel.as_matrix(x, "x"), center, scale),
+            _prepared(kernel.as_matrix(y, "y"), center, scale))
 
 
 def pls(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Partial least squares SVD: gplssvd of the two (preprocessed) data
     matrices with identity constraints."""
-    xp, yp = _preprocess_pair(x, y, center, scale)
-    return gplssvd(xp, yp, k=k, tol=tol)
-
-
-def _pinv_gram(a, name):
-    """The pseudo-inverse of a'a as the constraint `name`: NumericalError when a'a underflowed
-    to 0 while `a` is not 0, for that pseudo-inverse would be 0."""
-    gram = a.T @ a
-    if not gram.any() and a.any():
-        raise NumericalError(f"{name}: its Gram matrix underflowed")
-    return pinv_constraint(gram, name)
+    (xp, ex), (yp, ey) = _preprocess_pair(x, y, center, scale)
+    return gplssvd(xp, yp, k=k, tol=tol, _shift=(ex, ey, 0, 0))
 
 
 def rrr(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Reduced rank regression (redundancy analysis): gplssvd with the
     pseudo-inverse of X'X as the column metric for x."""
-    # a with, not a decorator, so no numpy frame stands between the caller and the package
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow in x'x is factorize's
-        xp, yp = _preprocess_pair(x, y, center, scale)
-        return gplssvd(xp, yp, xrw=_pinv_gram(xp, "xrw"), k=k, tol=tol)
+    (xp, ex), (yp, ey) = _preprocess_pair(x, y, center, scale)
+    xrw = pinv_constraint(xp.T @ xp, "xrw")  # 4^ex times the caller's
+    return gplssvd(xp, yp, xrw=xrw, k=k, tol=tol, _shift=(ex, ey, -ex, 0))
 
 
 def cca(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Canonical correlation analysis: gplssvd with pseudo-inverse
     cross-product metrics on both column sides. The singular values are the
     canonical correlations."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a Gram matrix's overflow is factorize's
-        xp, yp = _preprocess_pair(x, y, center, scale)
-        return gplssvd(xp, yp, xrw=_pinv_gram(xp, "xrw"), yrw=_pinv_gram(yp, "yrw"), k=k, tol=tol)
+    (xp, ex), (yp, ey) = _preprocess_pair(x, y, center, scale)
+    xrw, yrw = pinv_constraint(xp.T @ xp, "xrw"), pinv_constraint(yp.T @ yp, "yrw")
+    return gplssvd(xp, yp, xrw=xrw, yrw=yrw, k=k, tol=tol, _shift=(ex, ey, -ex, -ey))
 
 
 def canonical_correlations(result):

@@ -246,6 +246,23 @@ def test_every_file_of_a_run_is_renamed_into_place_summary_last(tmp_path, monkey
     assert replaced[-1] == out / "summary.json" and len(replaced) == 14  # 10 CSV, 3 SVG files
 
 
+def test_a_rerun_renames_no_file_over_an_existing_one(tmp_path, monkeypatch):
+    # each old file is unlinked before its new one is renamed into place: from the third run
+    # on, a rename over a file that had itself replaced one waited tens of ms on ext4
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    x = write_matrix(tmp_path / "x.csv", np.random.default_rng(5).normal(size=(8, 4)))
+    argv = ["gsvd", "--x", x, "--out", str(tmp_path / "o"), "--plot"]
+    assert cli.main(argv) == 0
+    replace, over = os.replace, []
+    monkeypatch.setattr(os, "replace", lambda src, dst: over.append(os.path.lexists(dst))
+                        or replace(src, dst))
+    for _ in range(2):
+        first = sorted((tmp_path / "o").iterdir())
+        assert cli.main(argv) == 0
+        assert sorted((tmp_path / "o").iterdir()) == first
+    assert len(over) == 2 * 14 and not any(over)
+
+
 def test_summary_lists_the_files_of_its_own_run(tmp_path):
     x = write_matrix(tmp_path / "x.csv", np.random.default_rng(6).normal(size=(8, 4)))
     out = tmp_path / "o"
@@ -388,8 +405,9 @@ def test_non_finite_result_exits_4_writing_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["mds"], ["wmds", "--w", "weights"], ["pca", "--route", "eigen_cov"]],
     ids=["mds", "wmds", "pca-eigen_cov"])
-def test_a_recipe_whose_matrix_overflows_exits_4_with_one_line(tmp_path, argv):
-    # every entry is finite, but its square overflows: a numerical failure, not bad input
+def test_a_recipe_whose_eigenvalues_overflow_exits_4_with_one_line(tmp_path, argv):
+    # every entry is finite, but the eigenvalues, of the entries' squares, overflow: a numerical
+    # failure, not bad input
     xp = write_matrix(tmp_path / "x.csv", 1e200 * (1.0 - np.eye(3)))
     argv = [write_matrix(tmp_path / "w.csv", np.ones((3, 1))) if a == "weights" else a
             for a in argv]
@@ -399,7 +417,7 @@ def test_a_recipe_whose_matrix_overflows_exits_4_with_one_line(tmp_path, argv):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
     assert run.returncode == 4
     assert run.stderr.splitlines() == [
-        "error: the matrix to factorize overflowed: it holds NaN or Inf entries"]
+        "error: geigen: the result field l_full holds NaN or Inf values"]
     assert not (tmp_path / "o").exists()
 
 
@@ -420,14 +438,14 @@ def test_a_warning_is_printed_as_one_line_and_the_run_succeeds(tmp_path):
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    (["pca", "--route", "triplet_metric"], 4, "a column's sum of squares overflowed"),
-    (["rrr", "--y", "y", "--no-scale"], 4,
-     "the matrix to factorize overflowed: it holds NaN or Inf entries"),
-    (["gsvd", "--lw", "lw"], 4, "lw: its largest eigenvalue overflows"),
+    (["pca", "--route", "triplet_metric"], 0, None),
+    (["rrr", "--y", "y", "--no-scale"], 0, None),
+    (["gsvd", "--lw", "lw"], 4, "gsvd: the result field d_full holds NaN or Inf values"),
 ], ids=["pca-triplet_metric", "rrr-unscaled", "gsvd-dense-lw"])
-def test_an_overflow_exits_with_one_line_and_no_warning(tmp_path, argv, code, message):
-    # finite data near 1e200 overflow in their sums of squares; a finite lw near 1e308 in its
-    # largest eigenvalue, which names its slot
+def test_data_near_1e200_exit_with_an_answer_or_one_line_and_no_warning(
+        tmp_path, argv, code, message):
+    # finite data near 1e200 are normalized first: pca's triplet_metric and rrr give a d that
+    # does not depend on their scale, but under a finite lw near 1e308, d overflows
     rng = np.random.default_rng(8)
     files = dict(y=rng.normal(size=(8, 2)), lw=np.full((8, 8), 1e308))
     argv = [write_matrix(tmp_path / f"{a}.csv", files[a]) if a in files else a for a in argv]
@@ -437,8 +455,8 @@ def test_an_overflow_exits_with_one_line_and_no_warning(tmp_path, argv, code, me
         [sys.executable, "-m", "gmdecomp.cli", *argv, "--x", xp, "--out", str(tmp_path / "o")],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
     assert run.returncode == code
-    assert run.stderr.splitlines() == [f"error: {message}"]
-    assert not (tmp_path / "o").exists()
+    assert run.stderr.splitlines() == ([f"error: {message}"] if message else [])
+    assert (tmp_path / "o").exists() == (message is None)
 
 
 def test_singular_values_whose_squares_overflow_exit_4_with_one_line(tmp_path):
@@ -491,25 +509,24 @@ def test_non_finite_rmca_result_names_its_omega(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_overflow_in_a_formed_matrix_exits_4_writing_nothing(tmp_path, capsys):
-    # w^(1/2) x w^(1/2) overflows at 1e10 * 1e300, although both inputs are finite
+def test_geigen_eigenvalues_that_overflow_exit_4_writing_nothing(tmp_path, capsys):
+    # the eigenvalue 1e10 * 1e300 overflows, although both inputs are finite
     xp = write_matrix(tmp_path / "x.csv", np.diag([1e300, 1.0]))
     wp = write_csv(tmp_path / "w.csv", [["1e10"], ["1"]])
     out = tmp_path / "o"
-    with np.errstate(over="ignore"):
-        code = cli.main(["geigen", "--x", xp, "--w", wp, "--out", str(out)])
-    assert code == 4
-    assert "the matrix to factorize overflowed" in capsys.readouterr().err
+    assert cli.main(["geigen", "--x", xp, "--w", wp, "--out", str(out)]) == 4
+    assert "geigen: the result field l_full holds NaN or Inf" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_pseudo_inverse_that_overflows_exits_4_writing_nothing(tmp_path, capsys, rng):
-    xp = write_matrix(tmp_path / "x.csv", rng.normal(size=(10, 3)) * 1e-160)
-    yp = write_matrix(tmp_path / "y.csv", rng.normal(size=(10, 2)))
-    out = tmp_path / "o"
-    assert cli.main(["rrr", "--x", xp, "--y", yp, "--no-scale", "--out", str(out)]) == 4
-    assert "xrw: the pseudo-inverse of its Gram matrix overflows" in capsys.readouterr().err
-    assert not out.exists()
+def test_unscaled_rrr_of_a_table_whose_gram_matrix_underflows_writes_its_d(tmp_path, rng):
+    # near 2^-532, x'x underflows; x is normalized first, and d does not depend on its scale
+    x, y = rng.normal(size=(10, 3)), write_matrix(tmp_path / "y.csv", rng.normal(size=(10, 2)))
+    for name, table in (("tiny", np.ldexp(x, -532)), ("x", x)):
+        xp = write_matrix(tmp_path / f"{name}.csv", table)
+        assert cli.main(["rrr", "--x", xp, "--y", y, "--no-scale", "--out",
+                         str(tmp_path / name)]) == 0
+    assert (tmp_path / "tiny" / "d.csv").read_bytes() == (tmp_path / "x" / "d.csv").read_bytes()
 
 
 def test_exit_code_asymmetric_geigen_input(tmp_path, capsys):

@@ -9,6 +9,7 @@ and message, on every input.
 """
 
 import csv
+import itertools
 import re
 
 import numpy as np
@@ -89,8 +90,14 @@ def fields(draw):
     return value, labels
 
 
+# each Hypothesis example writes new files: rewriting one file in place made each example wait
+# for the filesystem
+_FRESH = itertools.count()
+
+
 def assert_same_bytes(tmp_path, value, labels):
-    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    n = next(_FRESH)
+    want, got = tmp_path / f"want{n}.csv", tmp_path / f"got{n}.csv"
     reference_write_csv(want, value, labels)
     cli._write_csv(got, value, labels)
     assert got.read_bytes() == want.read_bytes()
@@ -157,7 +164,7 @@ def outcome(load, path, has_header, has_rownames):
 @example(text="\ufeff1,2\n\n 3 ,1_000\n", has_header=False, has_rownames=False)
 @example(text='"",a\nr," nan "\n', has_header=True, has_rownames=True)
 def test_loader_matches_the_per_cell_reference(tmp_path, text, has_header, has_rownames):
-    path = tmp_path / "m.csv"
+    path = tmp_path / f"m{next(_FRESH)}.csv"
     path.write_bytes(text.encode("utf-8"))
     assert (outcome(cli.load_matrix_csv, path, has_header, has_rownames)
             == outcome(reference_load_matrix_csv, path, has_header, has_rownames))

@@ -20,14 +20,15 @@ def _tool():
 
 def test_a_tree_against_itself_is_identical():
     cases = ("^(gsvd-small|geigen-cond-1000|gplssvd-dense-rows|gplssvd-near-symmetric-small|"
-             "pca-eigen_cor|rmca-omega-5|geigen-diagonal-w-small|gsvd-huge-lw-small|cli-gsvd)$")
+             r"pca-eigen_cor|rmca-omega-5|geigen-diagonal-w-small|gsvd-huge-lw-small|cli-gsvd|"
+             r"pls-at-2\^-1000)$")
     run = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--cases", cases],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stdout + run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 1 + 9 + 2
-    assert all(": identical (" in line for line in lines[1:10]), lines
-    assert lines[10:] == ["fields: 75 identical, 0 differ", "CLI files: 13 identical, 0 differ"]
+    assert len(lines) == 1 + 10 + 2
+    assert all(": identical (" in line for line in lines[1:11]), lines
+    assert lines[11:] == ["fields: 87 identical, 0 differ", "CLI files: 13 identical, 0 differ"]
 
 
 def test_the_huge_metric_cases_keep_their_components():

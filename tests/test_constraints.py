@@ -22,7 +22,7 @@ def dense_left_product(m, x):
 
 def canonical(raw, dim, name="constraint"):
     """A raw constraint checked and factorized, as the decompositions take it."""
-    return constraints.factorize(constraints.check_constraint(raw, dim, name), name)
+    return constraints.factorize(constraints.check_constraint(raw, dim, name)[0], name)
 
 
 def eigenpairs(m):
@@ -65,7 +65,7 @@ def test_dense_spd_accepted(rng):
 def test_a_dense_matrix_is_checked_without_a_copy(rng):
     # each LAPACK call that reads the metric forms (w + w')/2 for itself
     w = random_spd(rng, 5)
-    assert constraints.check_constraint(w, 5, "lw") is w
+    assert constraints.check_constraint(w, 5, "lw")[0] is w
 
 
 def test_rejects_negative_weights_and_indefinite():

@@ -1,5 +1,6 @@
 """Bad inputs raise typed errors that name the slot at fault."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -97,17 +98,19 @@ def test_a_dense_metric_is_checked_for_finiteness_once(rng, monkeypatch):
     assert sum(seen) == 1
 
 
-def test_dense_metric_that_overflows_names_its_slot(rng):
-    # finite, symmetric and PSD, but its largest eigenvalue, 2e308, overflows
-    x = rng.normal(size=(2, 3))
-    with pytest.raises(NumericalError, match=r"^lw: its largest eigenvalue overflows$"):
-        gsvd(x, lw=np.full((2, 2), 1e308))
-    # w + w' overflows, but the spectrum, 2^1023 times 1.42 and 0.78, is finite; so are d^2
-    # and the scores, at x / 16
-    x, m = x / 16, np.array([[1.2, 0.3], [0.3, 1.0]])
-    huge, base = gsvd(x, lw=m * 2.0**1023), gsvd(x, lw=m)
-    assert np.allclose(huge.d, base.d * 2**511.5, rtol=1e-13, atol=0)
-    assert np.allclose(align_signs(huge.p, base.p) * 2**511.5, base.p, rtol=0, atol=1e-13)
+def test_a_dense_metric_past_the_range_gives_the_fields_of_its_normalized_copy(rng):
+    # finite, symmetric and PSD: in 2^1022 full(1.5), the largest eigenvalue, 4.5 * 2^1022,
+    # overflows; in 2^1022 (2 m), w + w' does. Each is normalized by 4^-511, so every field is
+    # the unscaled metric's times its power of 2, bit for bit, with d^2 and the scores finite
+    # (the tolerance is off: tol is in the caller's units, and would keep more at 2^1022)
+    x = rng.normal(size=(3, 2)) / 16
+    a = rng.normal(size=(3, 3))
+    for m in (np.full((3, 3), 1.5), 2 * (a @ a.T / 3 + np.eye(3)) / np.abs(a @ a.T / 3).max()):
+        huge = gsvd(x, lw=np.ldexp(m, 1022), tol=None).fields()
+        base = gsvd(x, lw=m, tol=None).fields()
+        powers = dict(d=511, d_full=511, l=1022, l_full=1022, p=-511, fi=1022, fj=511)
+        assert {k: a.tobytes() for k, a in huge.items()} == {
+            k: np.ldexp(a, powers.get(k, 0)).tobytes() for k, a in base.items()}
 
 
 def _unwrapped(call):
@@ -119,57 +122,47 @@ def _unwrapped(call):
     return run
 
 
-# finite distances near 1e200 overflow in dist**2, finite data near 1e200 in centered' centered
+# finite distances near 1e200 give eigenvalues past DBL_MAX, as do finite data near 1e200 in a
+# covariance; the routes whose d does not depend on the data's scale answer
 _FAR = 1e200 * (1.0 - np.eye(4))
 _HUGE = 1e200 * np.random.default_rng(6).normal(size=(6, 3))
 _Y = np.random.default_rng(7).normal(size=(6, 2))
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: geigen(np.diag([1e300, 1.0]), w=[1e10, 1.0]), "the matrix to factorize overflowed"),
-    (lambda: gsvd(np.diag([1e300, 1.0]), lw=[1e20, 1.0]), "the matrix to factorize overflowed"),
+    (lambda: geigen(np.diag([1e300, 1.0]), w=[1e10, 1.0]), "geigen: the result field l_full"),
+    (lambda: gsvd(np.diag([1e300, 1.0]), lw=[1e20, 1.0]), "gsvd: the result field d_full"),
     (lambda: gplssvd(np.full((3, 2), 1e200), np.full((3, 2), 1e200)),
-     "the cross-product xl' yl overflowed"),
-    (_unwrapped(lambda: recipes.mds(_FAR)), "the matrix to factorize overflowed"),
-    (_unwrapped(lambda: recipes.weighted_mds(_FAR, np.ones(4))),
-     "the matrix to factorize overflowed"),
-    (_unwrapped(lambda: recipes.pca(_HUGE, route="eigen_cov")),
-     "the matrix to factorize overflowed"),
-    # a column's sum of squares overflows in the scaling, or in triplet_metric's column metric
-    (_unwrapped(lambda: recipes.pca(_HUGE, route="eigen_cor")),
-     "a column's sum of squares overflowed"),
-    (_unwrapped(lambda: recipes.pca(_HUGE, route="triplet_scaled")),
-     "a column's sum of squares overflowed"),
-    (_unwrapped(lambda: recipes.pca(_HUGE, route="triplet_metric")),
-     "a column's sum of squares overflowed"),
-    (_unwrapped(lambda: recipes.pls(_HUGE, _Y)), "a column's sum of squares overflowed"),
-    (_unwrapped(lambda: recipes.rrr(_HUGE, _Y)), "a column's sum of squares overflowed"),
-    (_unwrapped(lambda: recipes.cca(_Y, _HUGE)), "a column's sum of squares overflowed"),
-    # unscaled, x'x overflows
-    (_unwrapped(lambda: recipes.rrr(_HUGE, _Y, scale=False)),
-     "the matrix to factorize overflowed"),
-    (_unwrapped(lambda: recipes.cca(_Y, _HUGE, scale=False)),
-     "the matrix to factorize overflowed"),
-], ids=["geigen", "gsvd", "gplssvd", "mds", "weighted_mds", "pca-eigen_cov", "pca-eigen_cor",
-        "pca-triplet_scaled", "pca-triplet_metric", "pls", "rrr", "cca", "rrr-unscaled",
-        "cca-unscaled"])
-def test_overflow_in_a_formed_matrix_is_numerical(call, message):
-    # every input is finite: the overflow is in the matrix the library forms
-    with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"^{message}"):
-        call()
+     "gplssvd: the result field d_full"),
+    (lambda: recipes.mds(_FAR), "geigen: the result field l_full"),
+    (lambda: recipes.weighted_mds(_FAR, np.ones(4)), "geigen: the result field l_full"),
+    (lambda: recipes.pca(_HUGE, route="eigen_cov"), "geigen: the result field l_full"),
+], ids=["geigen", "gsvd", "gplssvd", "mds", "weighted_mds", "pca-eigen_cov"])
+def test_a_result_field_past_dbl_max_is_numerical_with_no_warning(call, message):
+    # every input is finite, and so is every matrix the library forms from its normalized
+    # copies: only the result, scaled back, overflows
+    with pytest.raises(NumericalError, match=f"^{message} holds NaN or Inf values"):
+        _unwrapped(call)()
 
 
-@pytest.mark.parametrize("call, slot", [
-    (lambda x, y: recipes.rrr(x * 1e-160, y, scale=False), "xrw"),
-    (lambda x, y: recipes.cca(x * 1e-160, y, scale=False), "xrw"),
-    (lambda x, y: recipes.cca(x, y * 1e-160, scale=False), "yrw"),
-], ids=["rrr", "cca-x", "cca-y"])
-def test_pseudo_inverse_that_overflows_is_numerical(rng, call, slot):
-    # the Gram matrix's eigenvalues are near 1e-320: their inverses overflow, with no warning
-    x, y = rng.normal(size=(10, 3)), rng.normal(size=(10, 2))
-    with pytest.raises(NumericalError, match=f"^{slot}: the pseudo-inverse of its Gram matrix "
-                                             "overflows"):
-        call(x, y)
+@pytest.mark.parametrize("call, j", [
+    (lambda x, y: recipes.pca(x, route="eigen_cor"), 664),
+    (lambda x, y: recipes.pca(x, route="triplet_scaled"), 664),
+    (lambda x, y: recipes.pca(x, route="triplet_metric"), 664),
+    (recipes.pls, 664), (recipes.rrr, 664), (lambda x, y: recipes.cca(y, x), 664),
+    (functools.partial(recipes.rrr, scale=False), 664),
+    (lambda x, y: recipes.cca(y, x, scale=False), 664),
+    # near 2^-532, x'x underflows: its pseudo-inverse is taken from normalized data
+    (functools.partial(recipes.rrr, scale=False), -532),
+    (functools.partial(recipes.cca, scale=False), -532),
+    (lambda x, y: recipes.cca(y, x, scale=False), -532),
+], ids=["pca-eigen_cor", "pca-triplet_scaled", "pca-triplet_metric", "pls", "rrr", "cca",
+        "rrr-unscaled", "cca-unscaled", "rrr-tiny", "cca-x-tiny", "cca-y-tiny"])
+def test_a_d_that_does_not_depend_on_the_data_scale_is_given_at_its_ends(call, j):
+    # _HUGE is 2^664 times a table x in the normal range: at x 2^j, d is x's, bit for bit
+    x = np.ldexp(_HUGE, -664)
+    want = _unwrapped(lambda: call(x, _Y))().d
+    assert _unwrapped(lambda: call(np.ldexp(x, j), _Y))().d.tobytes() == want.tobytes()
 
 
 def test_inf_in_each_gplssvd_constraint_names_its_slot(rng, no_eigh):
@@ -205,18 +198,26 @@ def test_non_finite_result_is_numerical():
 
 
 @pytest.mark.parametrize("one", [True, False], ids=["blas-pinned", "blas-default"])
-def test_an_overflowing_cross_product_is_raised_before_a_column_metric_is_factorized(
+def test_a_column_metric_that_is_not_psd_is_named_whatever_the_data_scale(
         rng, monkeypatch, one):
-    # gplssvd checks xl' yl before it factorizes xrw and yrw, so its overflow wins over a yrw
-    # that is not PSD, whichever route the dense metrics take
+    # near 1e160, x' y would overflow, but x and y are normalized first: a yrw that is not PSD
+    # is named, whichever route the dense metrics take; a PSD one gives a d past DBL_MAX
     monkeypatch.setattr(decomp, "_OPENBLAS", True)
     x, y = rng.normal(size=(20, 3)) * 1e160, rng.normal(size=(20, 4)) * 1e160
-    yrw = random_spd(rng, 4) - 10.0 * np.eye(4)
+    xrw, yrw = random_spd(rng, 3), random_spd(rng, 4)
     with blas_threads(one):
-        with pytest.raises(NumericalError, match=r"^the cross-product xl' yl overflowed"):
-            gplssvd(x, y, xrw=random_spd(rng, 3), yrw=yrw)
-        with pytest.raises(NotPSDError, match=r"^yrw is not positive semi-definite"):
-            gplssvd(x * 1e-160, y * 1e-160, xrw=random_spd(rng, 3), yrw=yrw)
+        for scale in (1.0, 1e-160):
+            with pytest.raises(NotPSDError, match=r"^yrw is not positive semi-definite"):
+                gplssvd(x * scale, y * scale, xrw=xrw, yrw=yrw - 10.0 * np.eye(4))
+        with pytest.raises(NumericalError, match=r"^gplssvd: the result field d_full holds"):
+            gplssvd(x, y, xrw=xrw, yrw=yrw)
+
+
+def test_a_cross_product_that_underflows_through_zero_row_weights_keeps_no_component():
+    # x and y have their largest rows where the row metrics weigh 0, and their other rows near
+    # 2^-600: xl' yl underflows to 0, as d does in the caller's units, and the tolerance drops it
+    x = y = np.array([[1.0], [2.0**-600]])
+    assert gplssvd(x, y, xlw=[0.0, 1.0], ylw=[0.0, 1.0]).n_retained == 0
 
 
 def test_bad_arguments_raise_invalid_argument_error(rng):

@@ -99,16 +99,37 @@ def test_is_symmetric_matches_the_magnitude_formula(rng):
     assert decisions == {True, False}
 
 
-def test_symmetrized_halves_first_only_when_the_sum_overflows(rng):
+def test_is_symmetric_forms_no_n_by_n_array(rng, traced_peak):
+    # s - s' is formed a block of about 65 536 entries at a time: 0.5 MiB, not 7.6 MiB
+    a = rng.normal(size=(1000, 1000))
+    s = (a + a.T) / 2
+    assert traced_peak(kernel.is_symmetric, s) < 2**20
+    # an entry off symmetry in the last block decides, inside the allowance and past it
+    for off, symmetric in ((1e-12, True), (1e-8, False)):
+        t = s.copy()
+        t[999, 3] += off * np.abs(s).max()
+        assert kernel.is_symmetric(t) is symmetric
+
+
+def test_symmetrized_gives_the_bits_of_the_mean_of_w_and_its_transpose(rng):
     w = rng.uniform(-1.0, 1.0, size=(6, 6))
-    assert np.array_equal(kernel.symmetrized(w), (w + w.T) / 2.0)
-    # entries below 2^1024: w + w' overflows, and w/2 + w'/2, exact, is 2^1024 (w + w')/2
-    huge = np.ldexp(w, 1024)
-    with np.errstate(over="ignore"):
-        assert not np.all(np.isfinite(huge + huge.T))
-    s = kernel.symmetrized(huge)
-    assert np.all(np.isfinite(s))
-    assert np.array_equal(s, np.ldexp((w + w.T) / 2.0, 1024))
+    s = kernel.symmetrized(w)
+    assert s is not w and np.array_equal(s, (w + w.T) / 2.0)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_normalized_brings_the_largest_entry_near_1_outside_the_window_only(rng, power):
+    a = rng.normal(size=(5, 4))
+    top = np.abs(a).max()
+    for j in (0, 40, -47, 60, -300, 500):
+        scaled = np.ldexp(a, power * j)
+        out, e = kernel.normalized(scaled, power)
+        exponent = np.frexp(top * 2.0 ** (power * j))[1]
+        if abs(exponent) <= kernel._WINDOW:
+            assert out is scaled and e == 0
+        else:
+            assert 0.5 <= np.abs(out).max() < 2 and np.array_equal(np.ldexp(out, power * e), scaled)
+    assert kernel.normalized(np.zeros((2, 3)), power)[1] == 0
 
 
 def test_tolerance_eigen_drops_below_threshold():
@@ -199,7 +220,7 @@ def test_tolerance_svd_empty_errors():
 
 def canonical(raw, dim):
     """A raw constraint checked and factorized, as the decompositions take it."""
-    return constraints.factorize(constraints.check_constraint(raw, dim))
+    return constraints.factorize(constraints.check_constraint(raw, dim)[0])
 
 
 def sqrt_psd(m):

@@ -150,10 +150,19 @@ def test_no_thread_outlives_a_call(rng, thread_starts):
 
 
 def test_the_second_thread_runs_under_the_callers_errstate(rng, monkeypatch, thread_starts):
-    # y near 1e300 under a ylw near 1e20: weighting y by ylw's root overflows, on the second
-    # thread when there is one, and the caller's errstate makes that a FloatingPointError on both
-    x, y = rng.normal(size=(200, 120)), 1e300 * rng.normal(size=(200, 110))
-    xlw, ylw = random_spd(rng, 200), 1e20 * random_spd(rng, 200)
+    # an overflow while y is weighted by ylw's root, on the second thread when there is one, is
+    # a FloatingPointError on both under the caller's errstate; inputs are normalized, so the
+    # weighting itself no longer overflows, and a wrapper makes one
+    x, y = rng.normal(size=(200, 120)), rng.normal(size=(200, 110))
+    xlw, ylw = random_spd(rng, 200), random_spd(rng, 200)
+    real = decomp.apply_sqrt_metric
+
+    def weighted(c, t, out=None):
+        if t is y:
+            np.multiply(1e300, 1e300)
+        return real(c, t, out)
+
+    monkeypatch.setattr(decomp, "apply_sqrt_metric", weighted)
     errors = []
     for cpus in (1, 2):
         monkeypatch.setattr(decomp, "cpu_count", lambda: cpus)
@@ -213,9 +222,9 @@ def test_a_frame_solve_that_fails_is_redone_through_the_roots(
     x, w = a + a.T, random_spd(rng, n)
     failed, real = [], kernel.tolerance_eigen
 
-    def eigen(m, tol=kernel.SQRT_EPS):
+    def eigen(m, tol=kernel.SQRT_EPS, **kw):
         try:
-            return real(m, tol=tol)
+            return real(m, tol=tol, **kw)
         except ComplexOrNegativeEigenvalueError:
             failed.append(m.shape)
             raise

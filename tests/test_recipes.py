@@ -15,6 +15,11 @@ from gmdecomp.errors import (
 
 from conftest import align_signs, chi_square_over_n, mca_fixture
 
+# the oracles below do not depend on the scale of the data, which the recipes take at the ends of
+# the range too
+RANGE_ENDS = pytest.mark.parametrize("j", [0, 540, -540, 1000, -1000],
+                                     ids=lambda j: f"2^{j}")
+
 
 # ---------------------------------------------------------------------------
 # preprocessing helpers
@@ -73,8 +78,9 @@ def test_pca_eigen_cov_matches_covariance_spectrum(rng):
     assert np.isclose(out.l_full.sum(), np.trace(cov))
 
 
-def test_pca_cor_and_scaled_triplet_agree(rng):
-    data = rng.normal(size=(40, 5))
+@RANGE_ENDS
+def test_pca_cor_and_scaled_triplet_agree(rng, j):
+    data = np.ldexp(rng.normal(size=(40, 5)), j)
     a = recipes.pca(data, route="eigen_cor")
     b = recipes.pca(data, route="triplet_scaled")
     assert np.allclose(a.l_full, b.l_full, atol=1e-9)
@@ -238,7 +244,7 @@ def test_pca_hands_its_eigen_route_an_exactly_symmetric_matrix(rng, monkeypatch,
     seen = []
     real = kernel.tolerance_eigen
     monkeypatch.setattr(kernel, "tolerance_eigen",
-                        lambda s, tol: seen.append(s.copy()) or real(s, tol=tol))
+                        lambda s, tol, **kw: seen.append(s.copy()) or real(s, tol=tol, **kw))
     for shape in ((10, 3), (60, 12), (8, 11), (500, 40)):
         for order in "CF":
             data = np.asarray(rng.normal(size=shape) * rng.uniform(0.5, 5.0, shape[1]), order=order)
@@ -257,9 +263,10 @@ def test_mds_score_sets_keys(rng):
 # correspondence analysis family
 
 
-def test_ca_inertia_equals_chi_square_over_n(rng):
+@RANGE_ENDS
+def test_ca_inertia_equals_chi_square_over_n(rng, j):
     counts = rng.integers(1, 50, size=(7, 5)).astype(float)
-    out = recipes.ca(counts)
+    out = recipes.ca(np.ldexp(counts, j))
     assert np.isclose(out.l_full.sum(), chi_square_over_n(counts), atol=1e-12)
 
 
@@ -350,10 +357,11 @@ def test_rmca_rejects_negative_omega():
 # two-table methods
 
 
-def test_pls_crossproduct_spectrum(rng):
+@RANGE_ENDS
+def test_pls_crossproduct_spectrum(rng, j):
     x = rng.normal(size=(30, 4))
     y = rng.normal(size=(30, 3))
-    out = recipes.pls(x, y)
+    out = recipes.pls(np.ldexp(x, j), np.ldexp(y, j))
     zx = recipes.center_scale(x)
     zy = recipes.center_scale(y)
     ref = np.linalg.svd(zx.T @ zy, compute_uv=False)
@@ -371,15 +379,30 @@ def classical_canonical_correlations(x, y):
     return np.sqrt(np.clip(lam, 0.0, None))
 
 
-def test_cca_matches_classical_oracle(rng):
+@RANGE_ENDS
+def test_cca_matches_classical_oracle(rng, j):
     x = rng.normal(size=(40, 4))
     y = rng.normal(size=(40, 3))
-    out = recipes.cca(x, y)
+    out = recipes.cca(np.ldexp(x, j), np.ldexp(y, j))
     ref = classical_canonical_correlations(
         recipes.center_scale(x), recipes.center_scale(y)
     )
     assert np.allclose(out.d_full, ref[: out.d_full.size], atol=1e-8)
     assert np.all(out.d <= 1.0 + 1e-10)
+
+
+@RANGE_ENDS
+def test_rrr_d_is_the_spectrum_of_the_x_basis_times_y(rng, j):
+    # with Q the thin QR factor of the centred x, d is the spectrum of Q' z(y), z(y) y's z-scores.
+    # x's last column repeats its first: x'x is singular, and pinv_constraint's sqrt(eps) cutoff
+    # must drop the null direction; Q is taken from the distinct columns, which span x's space
+    x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 2))
+    out = recipes.rrr(np.ldexp(np.column_stack([x, x[:, 0]]), j), np.ldexp(y, j))
+    q = np.linalg.qr(x - x.mean(axis=0))[0]
+    zy = (y - y.mean(axis=0)) / y.std(axis=0, ddof=1)
+    ref = np.linalg.svd(q.T @ zy, compute_uv=False)
+    assert out.d_full.shape == ref.shape
+    assert np.allclose(out.d_full, ref, rtol=0, atol=1e-10 * ref.max())
 
 
 def test_cca_coefficients_reproduce_latent_scores(rng):

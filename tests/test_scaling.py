@@ -2,11 +2,13 @@
 power of 2 (the idea behind Anderson 2017, "Algorithm 978: Safe Scaling in the Level 1 BLAS").
 
 Each entry point is called on its data times 2^j and its metrics times 4^i, whose roots then
-scale by 2^i, for exponents drawn over the whole range where the scaled input and the expected
-fields are finite and normal. A tolerance is passed scaled as the values it is compared with,
-or None. Each call must return the unscaled call's fields, each rescaled by its power of 2,
-within 1e-10 of the field's largest entry and up to column sign, or raise NumericalError: never
-another error that blames a finite input, and never a NaN. The categorical recipes have nothing
+scale by 2^i, for exponents drawn over the whole range where the scaled input and each expected
+field's largest entry are finite and normal, and just past each end of that range. A tolerance
+is passed scaled as the values it is compared with, or None. Inside the range, each call must
+return the unscaled call's fields, each times its power of 2: bit for bit where every entry of
+that is normal, else within 1e-10 of the field's largest entry. Past its upper end, where a
+field overflows, the call must raise NumericalError; past its lower end it may, or return. No
+call may raise another error that blames a finite input. The categorical recipes have nothing
 to scale. Each entry point runs below ``decomp._OVERLAP_FLOOR`` with BLAS unpinned, and above
 it pinned, where a second thread may take part."""
 
@@ -161,10 +163,12 @@ def _normal(a, powers):
     return (powers >= -1021 - e.min()) & (powers <= 1024 - e.max())
 
 
-def _draw(rng, data, metrics, base, law, step, extreme=None):
+def _draw(rng, data, metrics, base, law, step, extreme=None, past=False):
     """(j, i): a data exponent and a metric exponent where the scaled inputs and each field's
     largest entry are normal and finite: drawn uniformly, or, if `extreme` is max or min, the
-    metric exponent furthest that way that leaves a data exponent, and the furthest of those."""
+    metric exponent furthest that way that leaves a data exponent, and the furthest of those;
+    with `past`, the next data exponent beyond that one, where the inputs are still normal and
+    finite, or None."""
     dense = [m for m in metrics.values() if m is not None]
     metric_ok = _EXPONENTS == 0
     if dense:
@@ -185,8 +189,17 @@ def _draw(rng, data, metrics, base, law, step, extreme=None):
                 ok &= _normal(largest, twice[name] * _EXPONENTS // 2 + offset[name])
         if np.any(ok):
             j = rng.choice(_EXPONENTS[ok]) if extreme is None else extreme(_EXPONENTS[ok])
+            if past:
+                j += step if extreme is max else -step
+                return (int(j), int(i)) if data_ok[_EXPONENTS == j].any() else None
             return int(j), int(i)
     raise AssertionError("no exponents to draw")
+
+
+def _all_normal(a):
+    """Whether every nonzero entry of `a` is normal and finite."""
+    a = np.abs(a[a != 0])
+    return bool(np.all((a >= np.finfo(float).tiny) & np.isfinite(a)))
 
 
 @pytest.fixture(params=["below-the-floor", "above-the-floor"])
@@ -207,33 +220,58 @@ def test_scaling_by_a_power_of_2_scales_each_field_or_raises_numerical_error(nam
     rng = np.random.default_rng(sorted(ENTRIES).index(name))
     data, metrics = make(rng, big)
     base = call(data, metrics, law(0, 0)).fields()
-    returned = 0
-    for extreme in (max, min) + (None,) * DRAWS:  # both ends, then uniformly
-        j, i = _draw(rng, data, metrics, base, law, step, extreme)
+    # both ends, just past them, then uniformly
+    draws = [(extreme, past) for past in (False, True) for extreme in (max, min)]
+    for extreme, past in draws + [(None, False)] * DRAWS:
+        drawn = _draw(rng, data, metrics, base, law, step, extreme, past)
+        if drawn is None:  # past that end, an input leaves the normal range
+            continue
+        j, i = drawn
         powers = law(j, i)
         scaled = {k: a if k in _SKIPPED else np.ldexp(a, j) for k, a in data.items()}
         weighted = {k: None if m is None else np.ldexp(m, 2 * i) for k, m in metrics.items()}
+        with np.errstate(over="ignore"):
+            want = {field: np.ldexp(f, powers[field]) for field, f in base.items()}
+        overflows = not all(np.all(np.isfinite(f)) for f in want.values())
         try:
             out = call(scaled, weighted, powers).fields()
         except NumericalError as exc:
-            assert type(exc) is NumericalError, (j, i, exc)
+            assert type(exc) is NumericalError and past, (j, i, exc)
+            continue
+        assert not overflows, (j, i)
+        if past:  # below the range, a field underflows
             continue
         assert out.keys() == base.keys()
-        for field, want in base.items():
-            got = np.ldexp(out[field], -powers[field])
-            assert got.shape == want.shape, (j, i, field)
+        for field, expected in want.items():
+            got = out[field]
+            assert got.shape == expected.shape, (j, i, field)
+            if _all_normal(expected):
+                assert got.tobytes() == expected.tobytes(), (j, i, field)
+                continue
             if got.ndim == 2:
-                got = align_signs(got, want)
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), (j, i, field)
-        returned += 1
-    assert returned, "every draw raised NumericalError"
+                got = align_signs(got, expected)
+            largest = np.abs(expected).max()
+            assert np.abs(got - expected).max() <= 1e-10 * largest, (j, i, field)
 
 
-def test_unscaled_rrr_and_cca_take_gram_matrices_past_half_the_largest_double():
-    # x'x has entries above DBL_MAX / 2: exactly symmetric, it is halved before it is added
-    x = np.random.default_rng(0).normal(size=(20, 3)) * 2.5e153
+def test_unscaled_rrr_and_cca_answer_whatever_the_scale_of_x():
+    # near 2^510, x'x has entries above DBL_MAX / 2; near 2^-540, it underflows; x is normalized
+    # first, and d does not depend on x's scale
+    x = np.random.default_rng(0).normal(size=(20, 3))
     y = np.random.default_rng(1).normal(size=(20, 3))
-    assert recipes.rrr(x, y, scale=False).d.tolist() == [
-        1.2660262855048017, 0.7790271014937515, 0.09531943211589161]
-    assert recipes.cca(x, y, scale=False).d.tolist() == [
-        0.31291028322042097, 0.1884989566477156, 0.04200366110484282]
+    for method in (recipes.rrr, recipes.cca):
+        want = method(x, y, scale=False).d
+        for j in (510, -540, 1000, -1000):
+            assert method(np.ldexp(x, j), y, scale=False).d.tobytes() == want.tobytes(), j
+
+
+@pytest.mark.parametrize("name", ["pca-eigen_cor", "pca-triplet_scaled", "z-scored-pls",
+                                  "z-scored-rrr", "z-scored-cca"])
+@pytest.mark.parametrize("j", [540, -540, 1000, -1000])
+def test_a_scale_free_route_gives_the_unscaled_answer_at_the_ends_of_the_range(name, j):
+    # the table is normalized by one power of 2, which correlations and z-scores do not see
+    make, call, _, _ = ENTRIES[name]
+    data, _ = make(np.random.default_rng(31), False)
+    want = call(data, {}, _eig(0)).fields()
+    got = call({k: np.ldexp(a, j) for k, a in data.items()}, {}, _eig(0)).fields()
+    assert {k: a.tobytes() for k, a in got.items()} == {k: a.tobytes() for k, a in want.items()}

@@ -24,6 +24,9 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
   gsvd-overflowing-bound-lw-large is named for an earlier frame bound, whose
   column sums of squares overflowed at that scale);
 - every recipe, the four pca routes and rmca at omega 0, 1, 5 and 25;
+- the routes whose answer does not depend on the data's scale (pca's eigen_cor and
+  triplet_scaled, and pls, rrr and cca with their default scaling) on data at 2^540, 2^-540,
+  2^1000 and 2^-1000, where every case is an answer only where inputs are normalized at entry;
 - every CLI command on small inputs, and ``ca`` on a table large enough for
   two writer processes, without and with ``--plot``.
 
@@ -228,6 +231,14 @@ def _calls():
         calls[f"{method.__name__}-tiny"] = lambda f=method: f(tiny_x, tiny_y)
     scaled_lw = _huge(rng, 150, exponent=1000)
     calls["gsvd-overflowing-bound-lw-large"] = lambda: decomp.gsvd(bx, lw=scaled_lw)
+    # drawn after the cases above: the scale-free routes on data at the ends of the range
+    ex, ey = rng.normal(size=(30, 7)), rng.normal(size=(30, 5))
+    for j in (540, -540, 1000, -1000):
+        sx, sy = np.ldexp(ex, j), np.ldexp(ey, j)
+        for route in ("eigen_cor", "triplet_scaled"):
+            calls[f"pca-{route}-at-2^{j}"] = lambda r=route, t=sx: recipes.pca(t, route=r)
+        for method in (recipes.pls, recipes.rrr, recipes.cca):
+            calls[f"{method.__name__}-at-2^{j}"] = lambda f=method, a=sx, b=sy: f(a, b)
     return calls
 
 
