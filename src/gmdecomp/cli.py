@@ -160,7 +160,10 @@ def _field_labels(result, xm, ym):
 def _write_whole(path, write, *args):
     """Write `path` as `write(tmp, *args)`, renamed to `path` once whole. The old `path` is
     unlinked first: a rename over a file that had itself replaced one took 57-91 ms (ext4,
-    2 vCPUs), an unlink and a rename 0.03 ms. A crash between the two leaves no `path`."""
+    2 vCPUs), an unlink and a rename 0.03 ms. A process killed between the two leaves no
+    `path`. The wait was most likely ext4's auto_da_alloc writing the new file's data out
+    before such a rename; nothing is fsynced, so after a power loss `path`, even one that
+    summary.json lists, may be missing, empty or cut short."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         write(tmp, *args)

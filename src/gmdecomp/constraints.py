@@ -95,17 +95,18 @@ def check_constraint(raw, dim, name="constraint"):
             )
         weights, e = kernel.normalized(np.ones(0) if raw.weights is None else raw.weights, 2)
         return (replace(raw, weights=weights) if e else raw), e
-    arr, e = kernel.normalized(kernel.as_array(raw, name), 2)
+    arr = kernel.as_array(raw, name)
     if arr.shape == (dim, dim) and np.array_equal(arr, np.diag(np.diag(arr))):
         arr = np.diag(arr).copy()
     if arr.ndim == 1:
+        arr, e = kernel.normalized(arr, 2)
         c = Constraint(dim, arr, name=name)
         return (Constraint(dim) if np.all(arr == 1.0) else c), e
     if arr.shape != (dim, dim):
         raise DimensionMismatchError(
             f"{name}: constraint matrix shape {arr.shape} != expected ({dim}, {dim})"
         )
-    return kernel.check_symmetric(arr, name), e
+    return kernel.check_symmetric(arr, name)
 
 
 def factorize(checked, name="constraint"):

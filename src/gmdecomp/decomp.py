@@ -39,7 +39,8 @@ a measured floor; for a fixed BLAS setting, the results are the same bits.
 The thread runs in a copy of the caller's context, so under the caller's numpy errstate, and
 is joined before the call returns; the error is the sequence's: a metric's own over its
 frame's, and the first of lw, rw or of xlw, ylw, xrw, yrw to fail. Inputs are normalized by
-powers of 2 (:func:`kernel.normalized`), and _assemble scales each output back.
+powers of 2 (:func:`kernel.normalized`), as is each matrix formed from them for LAPACK
+(_formed), and _assemble scales each output back.
 """
 
 import contextvars
@@ -71,6 +72,12 @@ _OPENBLAS = "openblas" in str(getattr(np.__config__, "CONFIG", {}).get("Build De
 # at most 5.2e-13 at condition number 1e3 and 2.3e-12 at 1e4, and a 40 x 40 geigen by 1.1e-11
 # and 9.3e-11 (25 metrics each; a 200 x 200 geigen: 2.8e-11 and 3.4e-10).
 _FRAME_COND = 1e3
+# A product that underflows errs by at most 2^-1075, so a matrix whose entries each sum n
+# products is within eps of its largest entry when that is at least n times the smallest normal
+# number. Below that, it is formed again with one input raised by 2^_HEADROOM, after which only
+# products below 2^-2074 of their inputs' largest entries underflow to 0 (an intermediate past
+# DBL_MAX would be an Inf, which kernel._factorizable refuses).
+_HEADROOM = 1000
 
 
 def cpu_count():
@@ -175,6 +182,23 @@ def _resolve_k(k, n_total):
     return k
 
 
+def _formed(form, terms, power=1, spent=False):
+    """(m, e): m = 2^(-power e) form(0), normalized (:func:`kernel.normalized`). form(t) forms a
+    matrix from normalized inputs, one of them raised by 2^t, each entry a sum of up to `terms`
+    products. When form(0) is below `terms` times the smallest normal number, form(_HEADROOM) is
+    taken instead, unless `spent` (form(0) overwrote its input); one still below that, but not 0,
+    raises NumericalError."""
+    m, t, floor = form(0), 0, terms * float(np.finfo(np.float64).tiny)
+    top = kernel.magnitude(m)
+    if top < floor and not spent:
+        m, t = form(_HEADROOM), _HEADROOM
+        top = kernel.magnitude(m)
+    if 0 < top < floor:
+        raise NumericalError("the matrix formed from the normalized inputs underflowed")
+    m, e = kernel.normalized(m, power, top)
+    return m, e - t // power
+
+
 def _assemble(method, k, tol, d_full, l_full, scale, **columns):
     """Pack a result: outputs computed on the full retained set are scaled back by their powers
     of 2 (`scale`: d's, the metric roots', then lx's and ly's), checked for NaN or Inf (a
@@ -222,8 +246,8 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
         dropped; None disables the tolerance and keeps negative eigenvalues.
     """
     k = _checked_k(k, tol)
-    x, e = kernel.normalized(kernel.check_symmetric(kernel.as_matrix(x, "x"), "x"), 2)
-    return _geigen(x, w, k, tol, overwrite_x=e != 0, ex=e)
+    x, e = kernel.check_symmetric(kernel.as_matrix(x, "x"), "x")
+    return _geigen(x, w, k, tol, ex=e)
 
 
 def _geigen(x, w, k, tol, overwrite_x=False, ex=0):
@@ -236,16 +260,20 @@ def _geigen(x, w, k, tol, overwrite_x=False, ex=0):
     w, ew = check_constraint(w, x.shape[0], "w")
 
     def eigen(h):
-        y = _half(h, x.T, out=x.T if overwrite_x else None).T
-        eig = kernel.tolerance_eigen(_half(h, y, out=y), tol=tol, scale=2 * (ex + ew))
-        return eig, _lift(h, eig.vectors)
+        def form(t):
+            y = _half(h, kernel.scaled(x.T, t), out=x.T if overwrite_x else None).T
+            return _half(h, y, out=y)
 
-    (c,), (h,), (eig, lifted) = _solve([w], ("w",), eigen, _work(w, 0))
+        m, e = _formed(form, x.size, 2, overwrite_x)
+        eig = kernel.tolerance_eigen(m, tol=tol, scale=2 * (ex + ew + e))
+        return eig, e, _lift(h, eig.vectors)
+
+    (c,), (h,), (eig, e, lifted) = _solve([w], ("w",), eigen, _work(w, 0))
     l_full = eig.values
     d_full = np.sqrt(np.clip(l_full, 0.0, None))
     v, q, fj, _ = _map_back(c, eig.vectors, lifted, d_full, None)
     columns = dict(v=v, q=q, fj=fj)
-    return _assemble(GEIGEN, k, tol, d_full, l_full, (ex + ew, 0, ew),
+    return _assemble(GEIGEN, k, tol, d_full, l_full, (ex + ew + e, 0, ew),
                      **(_signed(columns) if isinstance(h, np.ndarray) else columns))
 
 
@@ -262,7 +290,7 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS, *, _shift=(0, 0, 0)):
     lw, a = check_constraint(lw, x.shape[0], "lw")
     rw, b = check_constraint(rw, x.shape[1], "rw")
     s, a, b = ex + a + b + sum(_shift), a + _shift[1], b + _shift[2]
-    d_full, l_full, columns = _gsvd_columns(x, [lw, rw], ("lw", "rw"), tol, s)
+    d_full, l_full, columns, s = _gsvd_columns(x, [lw, rw], ("lw", "rw"), tol, s)
     return _assemble(GSVD, k, tol, d_full, l_full, (s, a, b), **columns)
 
 
@@ -320,15 +348,17 @@ def _solve(slots, names, solve, work):
 
 def _gsvd_columns(x, slots, names, tol, scale=0, xl=None, yl=None):
     """The unchecked d_full, l_full = d_full^2 and column fields of the gsvd of `x`, a float64
-    matrix its caller checked or formed, under the checked slots, d in the caller's units being
-    2^scale d_full; given gplssvd's row-weighted tables xl and yl, also lx and ly."""
+    matrix its caller checked or formed, under the checked slots, and s: d in the caller's units
+    is 2^s d_full when the gsvd's d is 2^scale times the caller's (the solve normalizes the
+    matrix it forms); given gplssvd's row-weighted tables xl and yl, also lx and ly."""
     def svd(hl, hr):
-        sv = kernel.tolerance_svd(_half(hl, _half(hr, x.T).T), tol=tol, scale=scale)
-        return sv, _lift(hl, sv.u), _lift(hr, sv.v)
+        m, e = _formed(lambda t: _half(hl, _half(hr, kernel.scaled(x.T, t)).T), x.size)
+        sv = kernel.tolerance_svd(m, tol=tol, scale=scale + e)
+        return sv, e, _lift(hl, sv.u), _lift(hr, sv.v)
 
     # the caller's eighs against the svd, which took as long as 25 m n min(m, n) multiply-adds
     work = min(_work(slots[0], 0) + _work(slots[1], 0), 25 * x.size * min(x.shape))
-    (lc, rc), (hl, hr), (sv, ul, vl) = _solve(slots, names, svd, work)
+    (lc, rc), (hl, hr), (sv, e, ul, vl) = _solve(slots, names, svd, work)
     r = sv.d.shape[0]
     work = [_work(c, 3 * r) + (0 if t is None else t.size * r) for c, t in ((lc, xl), (rc, yl))]
     (u, p, fi, lx), (v, q, fj, ly) = _side_by_side(
@@ -336,7 +366,7 @@ def _gsvd_columns(x, slots, names, tol, scale=0, xl=None, yl=None):
         min(work))
     latent = {} if xl is None else dict(lx=lx, ly=ly)
     columns = dict(u=u, v=v, p=p, q=q, fi=fi, fj=fj, **latent)
-    return sv.d, sv.d**2, _signed(columns) if isinstance(hr, np.ndarray) else columns
+    return sv.d, sv.d**2, _signed(columns) if isinstance(hr, np.ndarray) else columns, scale + e
 
 
 def _map_back(c, vectors, lifted, d, table):
@@ -371,7 +401,8 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS, *
     cross-product xl^T yl under the column metrics: lw=xrw, rw=yrw. It
     shares that gsvd's u, d, v, p, q, fi and fj; the latent variable
     scores lx = xl xrw p and ly = yl yrw q have cross-product diagonal d.
-    The cross-product is formed once. `_shift` is as for gsvd, for x, y, xrw and yrw.
+    The cross-product is formed once, and normalized. `_shift` is as for gsvd, for x, y, xrw
+    and yrw.
     """
     k = _checked_k(k, tol)
     x, ex = kernel.normalized(kernel.as_matrix(x, "x"))
@@ -388,6 +419,7 @@ def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS, *
     xl, yl = _side_by_side(lambda: apply_sqrt_metric(factorize(xlw, "xlw"), x),
                            lambda: apply_sqrt_metric(factorize(ylw, "ylw"), y),
                            min(_work(xlw, 2 * x.shape[1]), _work(ylw, 2 * y.shape[1])))
-    s = ex + ey + a + b + c + d
-    d_full, l_full, columns = _gsvd_columns(xl.T @ yl, [xrw, yrw], ("xrw", "yrw"), tol, s, xl, yl)
+    cross, e = _formed(lambda t: kernel.scaled(xl, t).T @ yl, x.shape[0])
+    s = ex + ey + a + b + c + d + e
+    d_full, l_full, columns, s = _gsvd_columns(cross, [xrw, yrw], ("xrw", "yrw"), tol, s, xl, yl)
     return _assemble(GPLSSVD, k, tol, d_full, l_full, (s, c, d, ex + a + c, ey + b + d), **columns)

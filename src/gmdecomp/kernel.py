@@ -44,8 +44,8 @@ SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-10
 
 # Inputs whose largest |entry| has a frexp exponent within +-_WINDOW are used as they are: then
-# the largest intermediate, gplssvd's LAPACK input x' y under four metric halves, summed over up
-# to 2^64 terms, lies in 2^+-448, where dgesdd (2^+-459) and dsyevd (2^+-485) rescale nothing.
+# no product of up to four of them, summed over up to 2^64 terms, passes 2^+-448, inside the range
+# where dgesdd (2^+-459) and dsyevd (2^+-485) rescale nothing. A formed matrix is normalized too.
 _WINDOW = 96
 
 
@@ -94,10 +94,16 @@ def as_array(a, name):
     return a
 
 
-def normalized(a, power=1):
-    """(a / 2^(power e), e): e brings a's largest |entry| into [1/2, 2), or is 0, keeping `a`,
-    within +-_WINDOW. `power` is 2 for a metric, or a matrix whose roots are taken."""
-    e = int(np.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))[1])
+def magnitude(a):
+    """The largest |entry| of `a`: 0 when it is empty, NaN when it holds one."""
+    return max(a.max(initial=0.0), -a.min(initial=0.0))
+
+
+def normalized(a, power=1, top=None):
+    """(a / 2^(power e), e): e brings a's largest |entry|, `top` when the caller took it, into
+    [1/2, 2), or is 0, keeping `a`, within +-_WINDOW, or for a NaN or Inf. `power` is 2 for a
+    metric, or a matrix whose roots are taken."""
+    e = int(np.frexp(magnitude(a) if top is None else top)[1])
     e = 0 if abs(e) <= _WINDOW else e // power
     return (np.ldexp(a, -power * e) if e else a), e
 
@@ -117,25 +123,27 @@ def as_matrix(a, name):
 
 
 def check_symmetric(a, name):
-    """`a`, a converted 2-d array, checked to be square and symmetric within
-    tolerance; errors name the slot `name`."""
+    """(a / 4^e, e): `a`, a converted 2-d array, checked to be square and symmetric within
+    tolerance (errors name the slot `name`), then :func:`normalized` as a metric is, from the
+    largest |entry| the check took."""
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"{name} must be square, got shape {a.shape}")
-    if not is_symmetric(a):
+    top = magnitude(a)
+    if not is_symmetric(a, top):
         raise NotSymmetricError(
             f"{name} must be symmetric; it is not symmetric within a relative "
             f"tolerance of {SYMMETRY_RTOL:g}"
         )
-    return a
+    return normalized(a, 2, top)
 
 
-def is_symmetric(s):
-    """Symmetry test of a non-empty square matrix, with an absolute
-    allowance of SYMMETRY_RTOL * max|entry|."""
+def is_symmetric(s, scale=None):
+    """Symmetry test of a non-empty square matrix, with an absolute allowance of
+    SYMMETRY_RTOL * max|entry|; `scale` is that maximum when the caller took it."""
     # s - s' is exactly antisymmetric, so its largest entry is its largest
     # magnitude; neither maximum needs an |.| pass over the matrix. It is formed
     # a block of about 65 536 entries at a time, so no n x n array is.
-    scale = max(s.max(), -s.min())
+    scale = magnitude(s) if scale is None else scale
     rows = max(1, 65536 // s.shape[0])
     top = max((s[i:i + rows] - s[:, i:i + rows].T).max() for i in range(0, s.shape[0], rows))
     return bool(top <= SYMMETRY_RTOL * max(scale, 1e-300))

@@ -125,16 +125,19 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
 
 
 def _check_distance_matrix(dist):
+    """(dist / 2^e, e): the distances checked, then normalized from the largest entry that the
+    symmetry check took."""
     dist = kernel.as_matrix(dist, "dist")
     if dist.shape[0] != dist.shape[1]:
         raise NotADistanceMatrixError("distance matrix must be square")
-    if not kernel.is_symmetric(dist):
+    top = kernel.magnitude(dist)
+    if not kernel.is_symmetric(dist, top):
         raise NotADistanceMatrixError("distance matrix must be symmetric")
     if np.any(np.abs(np.diag(dist)) > 1e-12):
         raise NotADistanceMatrixError("distance matrix must have a zero diagonal")
     if np.any(dist < 0):
         raise NotADistanceMatrixError("distances must be nonnegative")
-    return dist
+    return kernel.normalized(dist, 1, top)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -158,7 +161,7 @@ def double_centered_gram(dist, weights=None):
 def mds(dist, k=0, tol=kernel.SQRT_EPS):
     """Classical (Torgerson) metric MDS via geigen of the double-centered
     squared distances. Component scores fj hold the coordinates."""
-    dist, e = kernel.normalized(_check_distance_matrix(dist))
+    dist, e = _check_distance_matrix(dist)
     return _geigen(double_centered_gram(dist), None, _checked_k(k, tol), tol, True, e)
 
 
@@ -172,7 +175,7 @@ def weighted_mds(dist, row_weights, k=0):
     unless the weights sum to one, the doubly centered matrix is not PSD
     and the trailing eigenvalues are negative.
     """
-    dist, e = kernel.normalized(_check_distance_matrix(dist))
+    dist, e = _check_distance_matrix(dist)
     w = Constraint(dist.shape[0], row_weights, name="row_weights")
     if np.any(w.weights == 0):
         raise NonPositiveWeightError("row weights must be strictly positive")
@@ -336,10 +339,10 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     ridge = np.sqrt(1.0 + omega / np.where(keep, sv.d**2, np.inf))[:, None]
     v = sv.v[:, keep]
     gram, e = kernel.normalized(np.diag(indicator.sum(axis=0)) + omega * (v @ v.T), 2)
-    reduced, a = kernel.normalized(ridge * sv.d[:, None] * sv.v.T)  # 2^-a times the caller's
+    reduced = ridge * sv.d[:, None] * sv.v.T  # the matrix the solve forms is normalized
     lw, rw = Constraint(len(reduced)), pinv_constraint(gram, "rw")  # rw: 4^e times the caller's
-    d_full, l_full, r = _gsvd_columns(reduced, [lw, rw], ("lw", "rw"), tol, a - e)
-    return _assemble(GSVD, k, tol, d_full, l_full, (a - e, 0, -e), u=sv.u @ r["u"], v=r["v"],
+    d_full, l_full, r, s = _gsvd_columns(reduced, [lw, rw], ("lw", "rw"), tol, -e)
+    return _assemble(GSVD, k, tol, d_full, l_full, (s, 0, -e), u=sv.u @ r["u"], v=r["v"],
                      q=r["q"], fj=r["fj"], p=sv.u @ (r["u"] / ridge), fi=sv.u @ (ridge * r["fi"]))
 
 

@@ -601,7 +601,8 @@ def test_geigen_checks_each_matrix_for_symmetry_once(rng, monkeypatch):
     # x at entry, a dense w in check_constraint; never the metric-weighted matrix
     checked = []
     real = kernel.is_symmetric
-    monkeypatch.setattr(kernel, "is_symmetric", lambda s: checked.append(s.shape) or real(s))
+    monkeypatch.setattr(kernel, "is_symmetric",
+                        lambda s, *top: checked.append(s.shape) or real(s, *top))
     geigen(random_spd(rng, 6), w=rng.uniform(0.5, 2.0, 6))
     assert checked == [(6, 6)]
     checked.clear()
@@ -624,7 +625,7 @@ def test_mds_checks_its_distances_once_and_makes_one_eigh(
     checked = []
     real = kernel.is_symmetric
     monkeypatch.setattr(kernel, "is_symmetric",
-                        lambda s: checked.append((s.shape, s is dist)) or real(s))
+                        lambda s, *top: checked.append((s.shape, s is dist)) or real(s, *top))
     recipe(dist)
     assert checked == [((12, 12), True)]
     assert eigh_calls == [(12, 12)]

@@ -215,7 +215,7 @@ def test_a_column_metric_that_is_not_psd_is_named_whatever_the_data_scale(
 
 def test_a_cross_product_that_underflows_through_zero_row_weights_keeps_no_component():
     # x and y have their largest rows where the row metrics weigh 0, and their other rows near
-    # 2^-600: xl' yl underflows to 0, as d does in the caller's units, and the tolerance drops it
+    # 2^-600: d, 2^-1200, underflows in the caller's units, and the tolerance drops it
     x = y = np.array([[1.0], [2.0**-600]])
     assert gplssvd(x, y, xlw=[0.0, 1.0], ylw=[0.0, 1.0]).n_retained == 0
 

@@ -275,3 +275,54 @@ def test_a_scale_free_route_gives_the_unscaled_answer_at_the_ends_of_the_range(n
     want = call(data, {}, _eig(0)).fields()
     got = call({k: np.ldexp(a, j) for k, a in data.items()}, {}, _eig(0)).fields()
     assert {k: a.tobytes() for k, a in got.items()} == {k: a.tobytes() for k, a in want.items()}
+
+
+@pytest.mark.parametrize("j", [300, 600, 1000])
+def test_large_entries_that_meet_only_zeros_leave_the_answer_of_the_entries_that_meet(j):
+    # x's large entries, near 2^j, sit on rows where y is 0, and y's where x is 0; a row metric
+    # of 0 does the same. Normalized, the other rows are near 2^-j, so the matrix to decompose
+    # is about 2^-2j: below the normal range at 2^600, it is formed again 2^1000 higher, and
+    # at 2^300 it is normalized, so l is not lost to underflow either
+    big = 2.0**j
+    calls = [
+        lambda tol: gplssvd([[big], [0.0], [1.0]], [[0.0], [big], [1.0]], tol=tol),
+        lambda tol: gplssvd([[big], [1.0]], [[big], [1.0]], xlw=[0.0, 1.0], ylw=[0.0, 1.0],
+                            tol=tol),
+        lambda tol: recipes.pls([[big], [0.0], [1.0]], [[0.0], [big], [1.0]], tol=tol,
+                                center=False, scale=False),
+        lambda tol: gsvd([[big], [1.0]], lw=[0.0, 1.0], tol=tol),
+        lambda tol: geigen(np.diag([big, 1.0]), w=[0.0, 1.0], tol=tol),
+    ]
+    for i, call in enumerate(calls):
+        for tol in (None, 0.5):
+            out = call(tol)
+            assert out.d[0] == 1.0 and out.l[0] == 1.0, (i, tol, out.d, out.l)
+
+
+def test_random_tables_whose_large_rows_never_meet_give_the_answer_of_the_rows_that_do():
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(30, 3)), rng.normal(size=(30, 2))
+    want = gplssvd(x[20:], y[20:])
+    x[:10], x[10:20], y[:10] = np.ldexp(x[:10], 600), 0.0, 0.0
+    y[10:20] = np.ldexp(y[10:20], 600)
+    got = gplssvd(x, y)
+    assert got.n_retained == want.n_retained == 2
+    for field in ("d", "l_full", "u", "v", "p", "q", "fi", "fj"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), field
+
+
+def test_an_l_past_dbl_max_is_refused_where_the_tables_large_rows_meet_zeros():
+    # d is near 2^601, so l overflows; normalized, x' y was about 2^-600 and l underflowed to 0
+    x = [[2.0**600, 1.0], [0.0, 2.0], [1.0, 0.0]]
+    y = [[0.0, 1.0], [2.0**600, 0.0], [1.0, 3.0]]
+    with pytest.raises(NumericalError, match="l_full"):
+        gplssvd(x, y, tol=None)
+
+
+def test_products_past_the_reach_of_a_retry_are_numerical():
+    # each table spans 2^1022, and x' y is 2^-2046 of the product of their largest entries:
+    # formed again 2^1000 higher it is still subnormal, so the call refuses, naming the underflow
+    x, y = [[2.0**1000], [0.0], [2.0**-22]], [[0.0], [2.0**1000], [2.0**-22]]
+    with pytest.raises(NumericalError, match="formed from the normalized inputs underflowed"):
+        gplssvd(x, y, tol=None)

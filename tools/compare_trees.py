@@ -27,6 +27,8 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
 - the routes whose answer does not depend on the data's scale (pca's eigen_cor and
   triplet_scaled, and pls, rrr and cca with their default scaling) on data at 2^540, 2^-540,
   2^1000 and 2^-1000, where every case is an answer only where inputs are normalized at entry;
+- gplssvd on tables whose rows near 2^600 never meet, and gsvd with an lw that weighs 0 at
+  x's rows near 2^600, where the matrix to decompose is formed from the rows near 1;
 - every CLI command on small inputs, and ``ca`` on a table large enough for
   two writer processes, without and with ``--plot``.
 
@@ -239,6 +241,15 @@ def _calls():
             calls[f"pca-{route}-at-2^{j}"] = lambda r=route, t=sx: recipes.pca(t, route=r)
         for method in (recipes.pls, recipes.rrr, recipes.cca):
             calls[f"{method.__name__}-at-2^{j}"] = lambda f=method, a=sx, b=sy: f(a, b)
+    # drawn after the cases above: tables whose rows near 2^600 never meet, so that x' y comes
+    # from their rows near 1 alone, and a gsvd whose lw weighs 0 at x's rows near 2^600
+    dx, dy = rng.normal(size=(30, 3)), rng.normal(size=(30, 2))
+    dx[:10], dx[10:20], dy[:10] = np.ldexp(dx[:10], 600), 0.0, 0.0
+    dy[10:20] = np.ldexp(dy[10:20], 600)
+    zero_lw = rng.uniform(0.5, 2.0, 30)
+    zero_lw[:10] = 0.0
+    calls["gplssvd-disjoint-rows-at-2^600"] = lambda: decomp.gplssvd(dx, dy)
+    calls["gsvd-zero-weight-rows-at-2^600"] = lambda: decomp.gsvd(dx, lw=zero_lw)
     return calls
 
 
