@@ -7,7 +7,8 @@ coordinate axes; applied by row scaling), or dense (a symmetric PSD
 matrix held as its eigenvalues and eigenvectors). A diagonal matrix input
 collapses to its diagonal vector, and an all-ones diagonal collapses to
 identity, so the cheap paths are taken whenever possible. Raw inputs and
-a hand-built constraint's arrays are converted by :func:`kernel.as_array`.
+a hand-built constraint's arrays are converted by :func:`kernel.as_array`,
+and their dimensions checked, once, at entry: the applications trust them.
 
 :func:`factorize` is the one function that eigendecomposes a metric, a
 caller's dense one or a Gram matrix the library formed: that one
@@ -140,9 +141,6 @@ def _apply(c, x, powers, out=None):
     on the same directions and the inverse powers are pseudo-inverses. For one
     power, a diagonal metric writes its product into `out` when given, which may
     be x; identity and dense metrics leave it alone."""
-    if c.dim != x.shape[0]:
-        raise DimensionMismatchError(
-            f"{c.name} dim {c.dim} does not conform to the rows of matrix {x.shape}")
     if c.weights is None:
         return [x for _ in powers]
     w, b = c.weights, c.basis

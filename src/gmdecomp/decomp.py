@@ -12,7 +12,7 @@ their column metrics, plus the latent variable scores. All three return the
 same :class:`DecompositionResult` record with the fields appropriate to the
 method populated (see each function's docstring). geigen checks its x and
 calls its core, _geigen, which the recipes call with the symmetric matrix they
-form: it checks the metric, and the matrix only for finiteness, before LAPACK.
+form: it checks the metric, and _formed the matrix it forms for LAPACK.
 
 Rank truncation: ``k=0`` (the default) returns every retained component;
 ``k > 0`` keeps the first k columns of every per-component output while
@@ -39,8 +39,8 @@ a measured floor; for a fixed BLAS setting, the results are the same bits.
 The thread runs in a copy of the caller's context, so under the caller's numpy errstate, and
 is joined before the call returns; the error is the sequence's: a metric's own over its
 frame's, and the first of lw, rw or of xlw, ylw, xrw, yrw to fail. Inputs are normalized by
-powers of 2 (:func:`kernel.normalized`), as is each matrix formed from them for LAPACK
-(_formed), and _assemble scales each output back.
+powers of 2 (:func:`kernel.normalized`), as is each matrix formed from them for LAPACK, in
+_formed, its one check, and _assemble scales each output back.
 """
 
 import contextvars
@@ -76,7 +76,7 @@ _FRAME_COND = 1e3
 # products is within eps of its largest entry when that is at least n times the smallest normal
 # number. Below that, it is formed again with one input raised by 2^_HEADROOM, after which only
 # products below 2^-2074 of their inputs' largest entries underflow to 0 (an intermediate past
-# DBL_MAX would be an Inf, which kernel._factorizable refuses).
+# DBL_MAX would be an Inf, which _formed refuses).
 _HEADROOM = 1000
 
 
@@ -187,12 +187,15 @@ def _formed(form, terms, power=1, spent=False):
     matrix from normalized inputs, one of them raised by 2^t, each entry a sum of up to `terms`
     products. When form(0) is below `terms` times the smallest normal number, form(_HEADROOM) is
     taken instead, unless `spent` (form(0) overwrote its input); one still below that, but not 0,
-    raises NumericalError."""
+    raises NumericalError, as does one that overflowed: a NaN or Inf, on which LAPACK may not
+    return. No other function checks a matrix the library forms."""
     m, t, floor = form(0), 0, terms * float(np.finfo(np.float64).tiny)
     top = kernel.magnitude(m)
     if top < floor and not spent:
         m, t = form(_HEADROOM), _HEADROOM
         top = kernel.magnitude(m)
+    if not top < np.inf:
+        raise NumericalError("the matrix to factorize overflowed: it holds NaN or Inf entries")
     if 0 < top < floor:
         raise NumericalError("the matrix formed from the normalized inputs underflowed")
     m, e = kernel.normalized(m, power, top)
@@ -252,7 +255,7 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
 
 def _geigen(x, w, k, tol, overwrite_x=False, ex=0):
     """geigen of `x`, a symmetric float64 matrix its caller checked or formed, for a checked `k`
-    and `tol`: only the metric `w` is checked here, and x's finiteness before LAPACK. Every kind
+    and `tol`: only the metric `w` is checked here, and the matrix formed, in _formed. Every kind
     of metric is applied one way, its half on the left of x' and then of that product's
     transpose, so no kind is tested here. A diagonal root scales in place, x itself when
     `overwrite_x` (the caller formed x and gives it up), else the first product's new buffer;

@@ -8,8 +8,9 @@ The two workhorses, :func:`tolerance_eigen` and :func:`tolerance_svd`,
 wrap a standard dense solver and drop any eigen/singular value at or below a
 threshold, a nonnegative finite number. ``tol=None`` disables it, in which
 case the full spectrum is returned, including negative eigenvalues; any
-other value raises :class:`InvalidArgumentError` naming ``tol``. A NaN or
-Inf in the matrix they are given is an overflow, a :class:`NumericalError`.
+other value raises :class:`InvalidArgumentError` naming ``tol``. Like :func:`cholesky`,
+they check nothing of the matrix they are given: it is finite by construction, or was
+checked at entry or, formed by the library, in ``decomp._formed``.
 
 ``eigh`` and ``svd`` each have one call site, in the two workhorses, and
 ``cholesky`` has one, in :func:`cholesky`, which gives ``decomp`` a dense metric's
@@ -31,7 +32,6 @@ from .errors import (
     NonFiniteError,
     NonSquareError,
     NotSymmetricError,
-    NumericalError,
     ParseError,
 )
 
@@ -101,8 +101,8 @@ def magnitude(a):
 
 def normalized(a, power=1, top=None):
     """(a / 2^(power e), e): e brings a's largest |entry|, `top` when the caller took it, into
-    [1/2, 2), or is 0, keeping `a`, within +-_WINDOW, or for a NaN or Inf. `power` is 2 for a
-    metric, or a matrix whose roots are taken."""
+    [1/2, 2), or is 0, keeping `a`, within +-_WINDOW. `power` is 2 for a metric, or a matrix
+    whose roots are taken."""
     e = int(np.frexp(magnitude(a) if top is None else top)[1])
     e = 0 if abs(e) <= _WINDOW else e // power
     return (np.ldexp(a, -power * e) if e else a), e
@@ -162,16 +162,6 @@ def canonical_signs(vectors):
     return signs
 
 
-def _factorizable(s):
-    """`s`, formed by the library from checked input, checked for LAPACK: a
-    NaN or Inf in it is an overflow, and LAPACK may not return on one."""
-    if not np.all(np.isfinite(s)):
-        raise NumericalError("the matrix to factorize overflowed: it holds NaN or Inf entries")
-    if s.ndim != 2 or s.size == 0:
-        raise EmptyMatrixError(f"the matrix to factorize must be non-empty 2-d, got {s.shape}")
-    return s
-
-
 def symmetrized(w):
     """(w + w')/2 in a new array: the bits of (w + w.T) / 2.0."""
     s = w + w.T
@@ -197,12 +187,12 @@ def tolerance_eigen(s, tol=SQRT_EPS, scale=0):
     tolerance the retained spectrum must be strictly positive; an
     eigenvalue below ``-tol`` raises
     :class:`ComplexOrNegativeEigenvalueError`. Disabling the tolerance
-    returns every eigenvalue, negatives included. Only finiteness is
-    checked here; symmetry is the caller's (``geigen`` checks its `x`).
+    returns every eigenvalue, negatives included. Finiteness and symmetry
+    are the caller's (``geigen`` checks its `x`).
     """
     tol = _threshold(tol)
     try:
-        values, vectors = np.linalg.eigh(_factorizable(s))
+        values, vectors = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     order = np.argsort(values)[::-1]
@@ -228,7 +218,7 @@ def tolerance_svd(x, tol=EPS, scale=0):
     """
     tol = _threshold(tol)
     try:
-        u, d, vt = np.linalg.svd(_factorizable(x), full_matrices=False)
+        u, d, vt = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     v = vt.T

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel
 from .constraints import Constraint, pinv_constraint
-from .decomp import GSVD, _assemble, _checked_k, _geigen, _gsvd_columns, gplssvd, gsvd
+from .decomp import GSVD, _assemble, _checked_k, _formed, _geigen, _gsvd_columns, gplssvd, gsvd
 from .errors import (
     DimensionMismatchError,
     EmptyMarginError,
@@ -41,7 +41,11 @@ _UNSET = object()
 def center_scale(data, center=True, scale=True):
     """Column-wise center and/or scale (unit variance, ddof=1): a column is divided by the root
     of its :func:`_sums_of_squares` over n - 1, the z-scores of ``pca``'s triplet_scaled route."""
-    data = kernel.as_array(data, "data")
+    return _centred(kernel.as_array(data, "data"), center, scale)
+
+
+def _centred(data, center, scale):
+    """:func:`center_scale` of `data`, a converted array; centred past DBL_MAX, NumericalError."""
     out, e = _prepared(data, center, scale)
     out = kernel.scaled(out.copy() if out is data else out, e)
     if not np.all(np.isfinite(out)):  # centred data past DBL_MAX
@@ -330,15 +334,19 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     if not 0 <= omega < np.inf:
         raise InvalidArgumentError(f"omega must be nonnegative and finite, got {omega!r}")
     if isinstance(disjunctive, DisjunctiveTable):
-        indicator = disjunctive.indicator
-    else:
-        indicator = kernel.as_matrix(disjunctive, "disjunctive")
-    centered = indicator - indicator.mean(axis=0)
-    sv = kernel.tolerance_svd(centered, tol=None)
+        disjunctive = disjunctive.indicator
+    indicator = kernel.as_matrix(disjunctive, "disjunctive")
+    sv = kernel.tolerance_svd(_centred(indicator, True, False), tol=None)
     keep = sv.d**2 > kernel.SQRT_EPS * sv.d[0] ** 2
-    ridge = np.sqrt(1.0 + omega / np.where(keep, sv.d**2, np.inf))[:, None]
-    v = sv.v[:, keep]
-    gram, e = kernel.normalized(np.diag(indicator.sum(axis=0)) + omega * (v @ v.T), 2)
+    kept = np.where(keep, sv.d, np.inf)
+    with np.errstate(over="ignore"):  # past DBL_MAX, 1 + omega / s^2 would round to omega / s^2
+        ridge = np.sqrt(1.0 + omega / kept**2)
+        ridge = np.where(ridge < np.inf, ridge, np.sqrt(omega) / kept)[:, None]
+    # v v' can exceed 1 on its diagonal by rounding: past 2^1020, 4^-g times the Gram is formed
+    v, g = sv.v[:, keep], int(omega > 2.0**1020)
+    gram = np.diag(np.ldexp(indicator.sum(axis=0), -2 * g)) + np.ldexp(omega, -2 * g) * (v @ v.T)
+    gram, e = _formed(lambda t: kernel.scaled(gram, t), indicator.shape[1], 2)
+    e += g
     reduced = ridge * sv.d[:, None] * sv.v.T  # the matrix the solve forms is normalized
     lw, rw = Constraint(len(reduced)), pinv_constraint(gram, "rw")  # rw: 4^e times the caller's
     d_full, l_full, r, s = _gsvd_columns(reduced, [lw, rw], ("lw", "rw"), tol, -e)

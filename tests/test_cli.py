@@ -459,6 +459,32 @@ def test_data_near_1e200_exit_with_an_answer_or_one_line_and_no_warning(
     assert (tmp_path / "o").exists() == (message is None)
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["rmca", "--x", "cat", "--omega", "1.7e308"], 0, None),
+    (["wmds", "--x", "dist", "--w", "masses"], 4,
+     "the matrix to factorize overflowed: it holds NaN or Inf entries"),
+], ids=["rmca-omega-1.7e308", "wmds-masses-1e200"])
+def test_a_finite_argument_near_dbl_max_exits_with_an_answer_or_one_line_and_no_warning(
+        tmp_path, argv, code, message):
+    # rmca's ridge sqrt(1 + omega / s^2) is sqrt(omega) / s where omega / s^2 overflows; masses
+    # near 1e200, which are not normalized, overflow weighted MDS's matrix, which is refused
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(10, 3))
+    files = dict(cat=[[f"L{i % k + 1 if i < k else rng.integers(1, k + 1)}" for k in (3, 2, 3)]
+                      for i in range(12)],
+                 dist=np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)),
+                 masses=np.full((10, 1), 1e200))
+    argv = [(write_csv if a == "cat" else write_matrix)(tmp_path / f"{a}.csv", files[a])
+            if a in files else a for a in argv]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "gmdecomp.cli", *argv, "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert run.returncode == code
+    assert run.stderr.splitlines() == ([f"error: {message}"] if message else [])
+    assert (tmp_path / "o").exists() == (message is None)
+
+
 def test_singular_values_whose_squares_overflow_exit_4_with_one_line(tmp_path):
     # d = 3e200: d^2 overflows in the tolerance and in l, which raises alone, with no
     # warning before it

@@ -150,15 +150,6 @@ def test_dense_application_matches_loop_oracle(rng):
     assert np.allclose(invhalf @ m @ invhalf, np.eye(4), atol=1e-9)
 
 
-def test_application_checks_conformability(rng):
-    c = canonical(np.ones(4) * 2.0, 4)
-    # applied on the left only: the rows must conform, whatever the columns
-    with pytest.raises(DimensionMismatchError):
-        constraints.apply_sqrt_metric(c, rng.normal(size=(3, 2)))
-    with pytest.raises(DimensionMismatchError):
-        constraints.apply_roots(c, rng.normal(size=(2, 4)))[0]
-
-
 @pytest.mark.parametrize("weights, basis, error, message", [
     ([-1.0, 1.0], None, NotPSDError, "lw has a negative weight"),
     ([np.nan, 1.0], None, NonFiniteError, "lw contains NaN or Inf"),

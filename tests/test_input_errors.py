@@ -20,7 +20,7 @@ from gmdecomp.errors import (
     ValidationError,
 )
 
-from conftest import align_signs, blas_threads, mca_fixture, random_spd
+from conftest import align_signs, blas_threads, categorical_table, mca_fixture, random_spd
 
 
 @pytest.fixture
@@ -267,6 +267,59 @@ _DIST = np.nan_to_num(_NAN_DIST, nan=1.5)
 def test_recipe_raw_input_non_finite_names_its_slot(slot, call):
     with pytest.raises(NonFiniteError, match=f"^{slot} contains NaN or Inf"):
         call()
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The names of the np.linalg.eigh, svd and cholesky calls made while the test runs. One
+    given a NaN or Inf fails the test in place of LAPACK, which may not return on it."""
+    calls = []
+    for name in ("eigh", "svd", "cholesky"):
+        def finite_only(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            assert np.isfinite(a).all(), f"{_name} was given a NaN or Inf"
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, finite_only)
+    return calls
+
+
+_DBL_MAX = float(np.finfo(np.float64).max)
+_RNG = np.random.default_rng(4)
+_X, _Y2 = _RNG.normal(size=(30, 3)), _RNG.normal(size=(30, 2))
+# rows near 2^600 that never meet, so that x' y comes from the rows near 1 alone
+_DX, _DY = _X.copy(), _Y2.copy()
+_DX[:10], _DX[10:20], _DY[:10] = np.ldexp(_X[:10], 600), 0.0, 0.0
+_DY[10:20] = np.ldexp(_Y2[10:20], 600)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: recipes.weighted_mds(_DIST, np.full(3, 1e200)), NumericalError),
+    (lambda: recipes.rmca(_X[:20], _DBL_MAX), None),
+    (lambda: recipes.rmca(recipes.disjunctive_coding(
+        categorical_table(np.random.default_rng(1), 12, (3, 2, 3))), _DBL_MAX), None),
+    (lambda: recipes.rmca(recipes.DisjunctiveTable(_NAN_TABLE, (), ()), 1.0), NonFiniteError),
+    *[(lambda j=j: recipes.pls(np.ldexp(_X, j), _Y2), None) for j in (1000, -1000)],
+    *[(lambda j=j: recipes.cca(np.ldexp(_X, j), _Y2), None) for j in (1000, -1000)],
+    *[(lambda j=j: recipes.pca(np.ldexp(_X, j)), None) for j in (1000, -1000)],
+    (lambda: gplssvd(_DX, _DY), None),
+    # rmca's centred table past DBL_MAX, and its Gram matrix, whose column sums overflow
+    (lambda: recipes.rmca([[1.7e308, 1.0], [-1.7e308, 2.0], [-1.7e308, 0.0]], 1.0),
+     NumericalError),
+    (np.errstate(over="ignore")(lambda: recipes.rmca([[1e308, 1.0], [1e308, 2.0], [1e308, 0.0]],
+                                                     1.0)), NumericalError),
+], ids=["wmds-huge-masses", "rmca-numeric-dbl-max", "rmca-disjunctive-dbl-max",
+        "rmca-nan-hand-built", "pls-2^1000", "pls-2^-1000", "cca-2^1000", "cca-2^-1000",
+        "pca-2^1000", "pca-2^-1000", "gplssvd-disjoint-rows", "rmca-centring-overflows",
+        "rmca-column-sums-overflow"])
+def test_lapack_is_given_only_finite_matrices(lapack_calls, call, error):
+    # caller arrays are checked at entry and formed matrices by decomp._formed, so no NaN or
+    # Inf reaches eigh, svd or cholesky, whether the call answers or raises
+    if error is None:
+        call()
+        assert lapack_calls
+    else:
+        with pytest.raises(error):
+            call()
 
 
 @pytest.mark.parametrize("route", recipes.PCA_ROUTES)

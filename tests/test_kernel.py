@@ -6,7 +6,6 @@ from gmdecomp.decomp import geigen
 from gmdecomp.errors import (
     ComplexOrNegativeEigenvalueError,
     DimensionMismatchError,
-    EmptyMatrixError,
     InvalidArgumentError,
     NonSquareError,
     NotPSDError,
@@ -211,11 +210,6 @@ def test_tolerance_svd_deterministic(rng):
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.d, b.d)
     assert np.array_equal(a.v, b.v)
-
-
-def test_tolerance_svd_empty_errors():
-    with pytest.raises(EmptyMatrixError):
-        kernel.tolerance_svd(np.zeros((0, 3)))
 
 
 def canonical(raw, dim):

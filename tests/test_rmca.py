@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from gmdecomp import kernel, recipes
 from gmdecomp.decomp import gsvd
+from gmdecomp.errors import EmptyMatrixError, NonFiniteError
 
 from conftest import align_signs, categorical_table, mca_fixture
 
 FIELDS = ("u", "p", "q", "fi", "fj", "v")
 OMEGAS = (0.0, 1.0, 5.0, 25.0)
+DBL_MAX = float(np.finfo(np.float64).max)
 
 
 def _pinv(a):
@@ -102,3 +104,43 @@ def test_rmca_rank_deficient_tables_match_the_nxn_formula(seed, n, levels, dupli
         table[-1][0] = "once"
     tab = recipes.disjunctive_coding(table)
     assert_matches_reference(recipes.rmca(tab, omega), nxn_rmca(tab.indicator, omega))
+
+
+def _hand_built(indicator):
+    """A DisjunctiveTable built by hand around `indicator`, with mca_fixture's labels."""
+    tab = recipes.disjunctive_coding(mca_fixture())
+    return recipes.DisjunctiveTable(indicator, tab.variable_spans, tab.level_labels)
+
+
+def test_a_hand_built_table_with_a_list_indicator_gives_the_arrays_answer():
+    want = recipes.rmca(recipes.disjunctive_coding(mca_fixture()), 1.0).fields()
+    got = recipes.rmca(_hand_built(recipes.disjunctive_coding(mca_fixture()).indicator.tolist()),
+                       1.0).fields()
+    assert {k: a.tobytes() for k, a in got.items()} == {k: a.tobytes() for k, a in want.items()}
+
+
+@pytest.mark.parametrize("indicator, error, message", [
+    (np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]), NonFiniteError,
+     "disjunctive contains NaN or Inf"),
+    (np.zeros((0, 3)), EmptyMatrixError, "disjunctive must be a non-empty 2-d matrix"),
+], ids=["nan", "empty"])
+def test_a_hand_built_tables_indicator_is_checked_at_entry_naming_its_slot(
+        indicator, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        recipes.rmca(_hand_built(indicator), 1.0)
+
+
+@pytest.mark.parametrize("omega", [1.7e308, DBL_MAX], ids=["1.7e308", "dbl-max"])
+@pytest.mark.parametrize("make", [
+    # a column's leverage rounds above 1, and omega times it overflowed the Gram matrix
+    lambda: np.random.default_rng(4).normal(size=(20, 3)),
+    # squared singular values below 1, where omega / s^2 overflowed the ridge
+    lambda: 0.05 * np.random.default_rng(4).normal(size=(20, 3)) + 1.0,
+    lambda: recipes.disjunctive_coding(categorical_table(np.random.default_rng(1), 12, (3, 2, 3))),
+], ids=["numeric", "numeric-small-variance", "disjunctive"])
+def test_rmca_answers_at_an_omega_near_dbl_max(make, omega):
+    # where 1 + omega / s^2 overflows it would round to omega / s^2, so the ridge is
+    # sqrt(omega) / s; the answer is the one at omega = 1e300, with no warning
+    got, want = recipes.rmca(make(), omega), recipes.rmca(make(), 1e300)
+    assert all(np.isfinite(a).all() for a in got.fields().values())
+    assert np.abs(got.d_full - want.d_full).max() <= 1e-12 * want.d_full[0]

@@ -29,6 +29,9 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
   2^1000 and 2^-1000, where every case is an answer only where inputs are normalized at entry;
 - gplssvd on tables whose rows near 2^600 never meet, and gsvd with an lw that weighs 0 at
   x's rows near 2^600, where the matrix to decompose is formed from the rows near 1;
+- rmca at omega = DBL_MAX on a numeric table and on a disjunctive one, rmca on a hand-built
+  DisjunctiveTable whose indicator is a list, and weighted MDS with masses near 1e200, whose
+  matrix overflows;
 - every CLI command on small inputs, and ``ca`` on a table large enough for
   two writer processes, without and with ``--plot``.
 
@@ -250,6 +253,18 @@ def _calls():
     zero_lw[:10] = 0.0
     calls["gplssvd-disjoint-rows-at-2^600"] = lambda: decomp.gplssvd(dx, dy)
     calls["gsvd-zero-weight-rows-at-2^600"] = lambda: decomp.gsvd(dx, lw=zero_lw)
+    # drawn after the cases above: rmca at omega = DBL_MAX on a numeric table and a disjunctive
+    # one, a hand-built table whose indicator is a list, and weighted MDS with masses near 1e200
+    numeric, dbl_max = rng.normal(size=(20, 3)), float(np.finfo(np.float64).max)
+    small = recipes.disjunctive_coding(_categories(rng, 10, (4, 3)))
+    listed = recipes.DisjunctiveTable(table.indicator.tolist(), table.variable_spans,
+                                      table.level_labels)
+    calls.update({
+        "rmca-omega-dbl-max-numeric": lambda: recipes.rmca(numeric, dbl_max),
+        "rmca-omega-dbl-max-disjunctive": lambda: recipes.rmca(small, dbl_max),
+        "rmca-hand-built-table": lambda: recipes.rmca(listed, 1),
+        "weighted-mds-masses-1e200": lambda: recipes.weighted_mds(dist, np.full(25, 1e200)),
+    })
     return calls
 
 
