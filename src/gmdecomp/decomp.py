@@ -188,7 +188,7 @@ def _formed(form, terms, power=1, spent=False):
     products. When form(0) is below `terms` times the smallest normal number, form(_HEADROOM) is
     taken instead, unless `spent` (form(0) overwrote its input); one still below that, but not 0,
     raises NumericalError, as does one that overflowed: a NaN or Inf, on which LAPACK may not
-    return. No other function checks a matrix the library forms."""
+    return. This checks each matrix formed for LAPACK but rmca's centred table (_centred)."""
     m, t, floor = form(0), 0, terms * float(np.finfo(np.float64).tiny)
     top = kernel.magnitude(m)
     if top < floor and not spent:
