@@ -184,11 +184,11 @@ def _resolve_k(k, n_total):
 
 def _formed(form, terms, power=1, spent=False):
     """(m, e): m = 2^(-power e) form(0), normalized (:func:`kernel.normalized`). form(t) forms a
-    matrix from normalized inputs, one of them raised by 2^t, each entry a sum of up to `terms`
-    products. When form(0) is below `terms` times the smallest normal number, form(_HEADROOM) is
-    taken instead, unless `spent` (form(0) overwrote its input); one still below that, but not 0,
-    raises NumericalError, as does one that overflowed: a NaN or Inf, on which LAPACK may not
-    return. This checks each matrix formed for LAPACK but rmca's centred table (_centred)."""
+    matrix from its inputs, one factor of each term raised by 2^t, each entry a sum of up to
+    `terms` terms. When form(0) is below `terms` times the smallest normal number, form(_HEADROOM)
+    is taken instead, unless `spent` (form(0) overwrote its input); one still below that, but not
+    0, raises NumericalError, as does a NaN or Inf, on which LAPACK may not return. This checks
+    every matrix formed for LAPACK but rmca's centred table, checked there as center_scale does."""
     m, t, floor = form(0), 0, terms * float(np.finfo(np.float64).tiny)
     top = kernel.magnitude(m)
     if top < floor and not spent:

@@ -41,11 +41,7 @@ _UNSET = object()
 def center_scale(data, center=True, scale=True):
     """Column-wise center and/or scale (unit variance, ddof=1): a column is divided by the root
     of its :func:`_sums_of_squares` over n - 1, the z-scores of ``pca``'s triplet_scaled route."""
-    return _centred(kernel.as_array(data, "data"), center, scale)
-
-
-def _centred(data, center, scale):
-    """:func:`center_scale` of `data`, a converted array; centred past DBL_MAX, NumericalError."""
+    data = kernel.as_array(data, "data")
     out, e = _prepared(data, center, scale)
     out = kernel.scaled(out.copy() if out is data else out, e)
     if not np.all(np.isfinite(out)):  # centred data past DBL_MAX
@@ -321,9 +317,10 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     rw = pinv(diag(column sums) + omega * X^T pinv(X X^T) X), formed with no
     n x n matrix. With the thin SVD X = U S V^T, lw acts through U only
     (Takane & Hwang 2006): the gsvd core runs on the matrix diag(ridge * s) V^T
-    under lw = I and that rw, with ridge sqrt(1 + omega / s^2) where
-    s^2 > sqrt(eps) * s_1^2 (pinv's rank cutoff) and 1 elsewhere; u, p, fi
-    are lifted back through U and the ridge, and the result assembled once.
+    under lw = I and that rw, with ridge sqrt(1 + omega / s^2), or sqrt(omega) / s
+    where 1 + omega / s^2 overflows, for s^2 > sqrt(eps) * s_1^2 (pinv's rank
+    cutoff) and 1 elsewhere; u, p, fi are lifted back through U and the ridge,
+    and the result assembled once.
     omega = 0 reproduces standard MCA up to a per-component scaling factor.
     """
     k = _checked_k(k, tol)
@@ -336,16 +333,22 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     if isinstance(disjunctive, DisjunctiveTable):
         disjunctive = disjunctive.indicator
     indicator = kernel.as_matrix(disjunctive, "disjunctive")
-    sv = kernel.tolerance_svd(_centred(indicator, True, False), tol=None)
+    with np.errstate(over="ignore"):
+        centered = indicator - indicator.mean(axis=0)
+    if not np.isfinite(centered).all():  # centred table past DBL_MAX
+        raise NumericalError("centring a column overflowed")
+    sv = kernel.tolerance_svd(centered, tol=None)
     keep = sv.d**2 > kernel.SQRT_EPS * sv.d[0] ** 2
     kept = np.where(keep, sv.d, np.inf)
     with np.errstate(over="ignore"):  # past DBL_MAX, 1 + omega / s^2 would round to omega / s^2
         ridge = np.sqrt(1.0 + omega / kept**2)
         ridge = np.where(ridge < np.inf, ridge, np.sqrt(omega) / kept)[:, None]
-    # v v' can exceed 1 on its diagonal by rounding: past 2^1020, 4^-g times the Gram is formed
+    # v v' (of one array, which numpy forms symmetric) can round above 1 on its diagonal, so that
+    # omega times it overflows: past 2^1020, 4^-1 of the Gram matrix is formed (below, 4^-1 of
+    # omega would round subnormal products)
     v, g = sv.v[:, keep], int(omega > 2.0**1020)
-    gram = np.diag(np.ldexp(indicator.sum(axis=0), -2 * g)) + np.ldexp(omega, -2 * g) * (v @ v.T)
-    gram, e = _formed(lambda t: kernel.scaled(gram, t), indicator.shape[1], 2)
+    gram, e = _formed(lambda t: np.diag(np.ldexp(indicator.sum(axis=0), t - 2 * g))
+                      + np.ldexp(omega, -2 * g) * np.ldexp(v @ v.T, t), indicator.shape[1], 2)
     e += g
     reduced = ridge * sv.d[:, None] * sv.v.T  # the matrix the solve forms is normalized
     lw, rw = Constraint(len(reduced)), pinv_constraint(gram, "rw")  # rw: 4^e times the caller's

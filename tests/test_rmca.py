@@ -144,3 +144,13 @@ def test_rmca_answers_at_an_omega_near_dbl_max(make, omega):
     got, want = recipes.rmca(make(), omega), recipes.rmca(make(), 1e300)
     assert all(np.isfinite(a).all() for a in got.fields().values())
     assert np.abs(got.d_full - want.d_full).max() <= 1e-12 * want.d_full[0]
+
+
+def test_an_underflowed_gram_matrix_is_formed_again_from_its_inputs():
+    # column sums of 0 leave omega v v' as the Gram matrix, whose products are subnormal at
+    # omega = 2^-1030: formed again at 2^1000, every field is a power of 2 times the answer at
+    # omega = 2^-1000 (rw is 4^15 times that one, and the ridge 1 in both), bit for bit
+    x = np.ldexp([[1.0, 2.0, -1.0], [-3.0, 0.5, 4.0], [2.0, -2.5, -3.0]], -100)
+    want, got = recipes.rmca(x, 2.0**-1000, k=2), recipes.rmca(x, 2.0**-1030, k=2)
+    for name, power in dict(d=15, u=0, v=0, p=0, q=-15, fi=15, fj=30).items():
+        assert getattr(got, name).tobytes() == np.ldexp(getattr(want, name), power).tobytes()

@@ -31,7 +31,7 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
   x's rows near 2^600, where the matrix to decompose is formed from the rows near 1;
 - rmca at omega = DBL_MAX on a numeric table and on a disjunctive one, rmca on a hand-built
   DisjunctiveTable whose indicator is a list, and weighted MDS with masses near 1e200, whose
-  matrix overflows;
+  matrix overflows; rmca at omega = 1e-300, whose Gram matrix holds subnormal products;
 - every CLI command on small inputs, and ``ca`` on a table large enough for
   two writer processes, without and with ``--plot``.
 
@@ -264,6 +264,7 @@ def _calls():
         "rmca-omega-dbl-max-disjunctive": lambda: recipes.rmca(small, dbl_max),
         "rmca-hand-built-table": lambda: recipes.rmca(listed, 1),
         "weighted-mds-masses-1e200": lambda: recipes.weighted_mds(dist, np.full(25, 1e200)),
+        "rmca-omega-1e-300": lambda: recipes.rmca(np.abs(numeric) + 0.1, 1e-300),
     })
     return calls
 
