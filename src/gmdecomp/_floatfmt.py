@@ -2,7 +2,11 @@
 
 ``repr`` is the shortest decimal that rounds back to the double, the closest if several are.
 Schubfach (Giulietti 2020, "The Schubfach way to render doubles") finds it in uint64 arithmetic
-(never mixed with int64, which numpy would promote to float64). The bytes follow ``repr``: fixed
+(never mixed with int64, which numpy would promote to float64). It takes one product per value:
+g cb 2^h, of the 128-bit power of ten g and the scaled significand cb, as three 64-bit words; the
+products of the interval's lower and upper ends are that one less g 2^(h + 1 - closer) and plus
+g 2^(h + 1), carried between the words. Each of the three is then rounded to odd from its top
+two words, as Schubfach rounds its three 128-bit products. The bytes follow ``repr``: fixed
 form for a decimal point position (decpt) from -3 to 16, ``.0`` on an integral value, else
 ``d.ddde±XX``; ``-0.0``, ``nan``, ``inf``. Each cell's layout is a row of a small table indexed by
 (sign, form, digit count, row end), read with one flat gather and one mask compaction.
@@ -20,17 +24,37 @@ _P10 = 10 ** np.arange(18, dtype=np.uint64)
 _M32, _M57 = np.uint64(2**32 - 1), np.uint64(2**57 - 1)
 
 
-def _round_to_odd(g_hi, g_lo, cp):
-    """g cp / 2^128 for g = g_hi 2^64 + g_lo, its last bit set when bits 64-127 exceed 1."""
-    def mul(a, b):  # the high and low words of a b
-        a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
-        low, m1, m2 = a0 * b0, a0 * b1, a1 * b0
-        mid = (low >> 32) + (m1 & _M32) + (m2 & _M32)
-        return a1 * b1 + (m1 >> 32) + (m2 >> 32) + (mid >> 32), (mid << 32) | (low & _M32)
+def _mul(a, b):
+    """The high and low words of a b."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    low, m1, m2 = a0 * b0, a0 * b1, a1 * b0
+    mid = (low >> 32) + (m1 & _M32) + (m2 & _M32)
+    return a1 * b1 + (m1 >> 32) + (m2 >> 32) + (mid >> 32), (mid << 32) | (low & _M32)
 
-    x_hi, (y_hi, y_lo) = mul(g_lo, cp)[0], mul(g_hi, cp)
-    y_lo = y_lo + x_hi
-    return (y_hi + (y_lo < x_hi)) | (y_lo > 1)
+
+def _shifted(g_hi, g_lo, s):
+    """The three words of g 2^s for g = g_hi 2^64 + g_lo and 1 <= s <= 63."""
+    return g_hi >> (64 - s), (g_hi << s) | (g_lo >> (64 - s)), g_lo << s
+
+
+def _products(g_hi, g_lo, cb, h, closer):
+    """g cp / 2^128 rounded to odd (its last bit set when bits 64-127 of g cp exceed 1) for
+    cp = (cb - 2 + closer) 2^h, cb 2^h and (cb + 2) 2^h: the lower, middle and upper products,
+    from the one 192-bit product g cb 2^h, less g 2^(h + 1 - closer) and plus g 2^(h + 1)."""
+    (x_hi, w0), (y_hi, y_lo) = _mul(g_lo, cb << h), _mul(g_hi, cb << h)
+    w1 = y_lo + x_hi
+    w2 = y_hi + (w1 < x_hi)
+    d2, d1, d0 = _shifted(g_hi, g_lo, h + 1 - closer)
+    borrow = w0 < d0
+    l1 = w1 - d1
+    l2 = w2 - d2 - ((w1 < d1) | (l1 < borrow))
+    l1 -= borrow
+    d2, d1, d0 = _shifted(g_hi, g_lo, h + 1)
+    carry = w0 + d0 < d0
+    u1 = w1 + d1
+    u2 = w2 + d2 + ((u1 < d1) | (u1 + carry < carry))
+    u1 += carry
+    return l2 | (l1 > 1), w2 | (w1 > 1), u2 | (u1 > 1)
 
 
 @cache
@@ -65,8 +89,9 @@ def _tables():
     return g_hi, g_lo, cell.astype(np.uint8).reshape(-1, _WIDTH), (neg + size + 1 + last).ravel()
 
 
-def _source(x, last):
-    """The source bytes of the float64 values `x`, a column each, and each one's layout key."""
+def _source(x, last, src):
+    """Each float64 value of `x`'s layout key, once its source bytes are written to the first
+    x.size columns of `src`, a column each (rows 20 on, the constants, are the caller's)."""
     g_hi, g_lo = _tables()[:2]
     bits = x.view(np.uint64)
     be, t = (bits >> 52) & 0x7FF, bits & (2**52 - 1)
@@ -77,8 +102,7 @@ def _source(x, last):
     k = (q * 315653 - np.where(closer, 131237, 0)) >> 20
     h = (q + ((-k * 1741647) >> 19) + 1).astype(np.uint64)
     odd, cb = c & 1, c << 2
-    g = g_hi[292 - k], g_lo[292 - k]
-    lower, vb, upper = (_round_to_odd(*g, cp << h) for cp in (cb - 2 + closer, cb, cb + 2))
+    lower, vb, upper = _products(g_hi[292 - k], g_lo[292 - k], cb, h, closer)
     lower, upper, s, sp = lower + odd, upper - odd, vb >> 2, vb // 40  # sp = s // 10
     short = (s >= 10) & ((lower <= 40 * sp) != (40 * sp + 40 <= upper))
     w_in, mid = 4 * s + 4 <= upper, 4 * s + 2  # mid: halfway between s and s + 1
@@ -88,20 +112,19 @@ def _source(x, last):
     n = np.searchsorted(_P10, f, side="right")  # digits of f
     decpt, exp = np.where(zero, 1, n + k + short), np.abs(n + k + short - 1)
     left = f * _P10[17 - n]  # the 17 digits of f, zero-padded on the right
-    src = np.empty((20 + len(_CONST), x.size), np.uint8)
+    src = src[:, :x.size]
     frac = np.stack([left // 10**8, left % 10**8]) * np.uint64(-(-2**57 // 10**8))
     for i in range(9):  # frac holds each 9-digit half as a 57-bit fraction: take a digit of each
         src[i:i + 9:8] = frac >> 57  # the low half's first digit, 0, is overwritten at i = 8
         frac = (frac & _M57) * 10
     src[17], src[18], src[19] = exp // 100, exp // 10 % 10, exp % 10
     src[:20] += ord("0")
-    src[20:] = np.frombuffer(_CONST, np.uint8)[:, None]
     nonzero = (src[:17] != ord("0")) * np.arange(1, 18, dtype=np.uint8)[:, None]
     n_sig = np.where(f == 0, 1, nonzero.max(axis=0))  # digits up to the last nonzero one
 
     form = np.where((decpt >= -3) & (decpt <= 16), decpt + 3, 20 + 2 * (decpt < 1) + (exp >= 100))
     form = np.where(special, 24 + (t == 0), form)
-    return src, (((np.signbit(x) & ~(special & (t != 0))) * 26 + form) * 17 + n_sig - 1) * 2 + last
+    return (((np.signbit(x) & ~(special & (t != 0))) * 26 + form) * 17 + n_sig - 1) * 2 + last
 
 
 def write_rows(fh, values, heads=None):
@@ -112,14 +135,18 @@ def write_rows(fh, values, heads=None):
     if k == 0:
         return fh.write(b"".join(head + b"\r\n" for head in heads))
     step, (layout, sizes) = max(1, _CHUNK // k), _tables()[2:]
-    last = np.arange(step * k) % k == k - 1
+    width = min(step, n) * k  # the cells of the largest chunk
+    last = np.arange(width) % k == k - 1
+    src = np.empty((20 + len(_CONST), width), np.uint8)
+    src[20:] = np.frombuffer(_CONST, np.uint8)[:, None]
+    layout = layout * np.intp(width)  # each layout byte's source row as an offset into src
     for r0 in range(0, n, step):
         # the arrays that made the source bytes are freed before the gather's int64 index
         x = np.ascontiguousarray(values[r0:r0 + step], np.float64).ravel()
-        src, key = _source(x, last[:x.size])
+        key = _source(x, last[:x.size], src)
         out = np.empty((x.size, _WIDTH), np.uint8)
         for i in range(0, x.size, 1024):  # the index of 1024 cells at a time
-            flat = layout[key[i:i + 1024]] * np.intp(x.size)
+            flat = layout[key[i:i + 1024]]
             flat += np.arange(i, min(i + 1024, x.size))[:, None]
             out[i:i + 1024] = src.ravel()[flat]
         out, ends = out[out != 0], np.cumsum(sizes[key].reshape(-1, k).sum(axis=1)).tolist()

@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
 import warnings
 from dataclasses import dataclass
@@ -174,14 +175,22 @@ def _write_whole(path, write, *args):
         raise
 
 
+def _copy(tmp, source):
+    shutil.copyfile(source, tmp)
+
+
 def _write_all(files):
-    for path, write, *args in files:
+    """Write each (paths, write, *args) entry's first path as `write(tmp, *args)` and the others
+    as copies of it."""
+    for (path, *copies), write, *args in files:
         _write_whole(path, write, *args)
+        for other in copies:
+            _write_whole(other, _copy, path)
 
 
 def _write_files(csvs, plots):
-    """Write (path, write, *args) files as `write(tmp, *args)`: the CSVs, whose first arg is the
-    value, then the plots. With 2 CPUs and 2 shares' worth of cells, the CSVs are dealt longest
+    """Write (paths, write, *args) files as :func:`_write_all` does: the CSVs, whose first arg is
+    the value, then the plots. With 2 CPUs and 2 shares' worth of cells, the CSVs are dealt longest
     first to the share with fewer cells, and a forked child writes the larger share while this
     process writes the other and then the plots; the child's error is raised here."""
     def cells(share):
@@ -223,22 +232,28 @@ def write_result(result, outdir, labels=None, command_line=None, n_rows=None, n_
     summary records the tolerance the decomposition used ("off" when
     disabled) and the names of the other files written. Each file appears
     whole; with 2 CPUs, 2 processes write a large result, and the summary
-    is written once both are done.
+    is written once both are done. Fields that are one array (the same data,
+    shape and strides, as d and d_full at k = 0) and have the same labels are
+    formatted once, into the first one's file; the others are copies of it.
     """
     outdir, labels = Path(outdir), labels or {}
     outdir.mkdir(parents=True, exist_ok=True)
-    fields = result.fields()
-    csvs = [(outdir / f"{name}.csv", _write_csv, value, labels.get(name))
-            for name, value in fields.items()]
-    plots = [(outdir / "scree.svg", _write_svg, _scree_svg, list(result.l_full))] if plot else []
+    fields, groups = result.fields(), {}
+    for name, value in fields.items():
+        rows = labels.get(name)
+        key = (value.__array_interface__["data"][0], value.shape, value.strides, value.dtype,
+               rows if rows is None else tuple(rows))
+        groups.setdefault(key, [[], _write_csv, value, rows])[0].append(outdir / f"{name}.csv")
+    csvs = list(groups.values())
+    plots = [([outdir / "scree.svg"], _write_svg, _scree_svg, list(result.l_full))] if plot else []
     if plot and result.n_retained >= 2:
-        plots += [(outdir / f"scores_{name}.svg", _write_svg, _scatter_svg, fields[name][:, :2],
+        plots += [([outdir / f"scores_{name}.svg"], _write_svg, _scatter_svg, fields[name][:, :2],
                    labels.get(name)) for name in ("fi", "fj") if name in fields]
     _write_files(csvs, plots)
     summary = dict(method=result.method, n_rows=n_rows, n_cols=n_cols, command_line=command_line,
                    n_total_components=result.n_total_components, n_retained=result.n_retained,
                    tol="off" if result.tol is None else float(result.tol),
-                   files=sorted(path.name for path, *_ in csvs + plots))
+                   files=sorted(path.name for paths, *_ in csvs + plots for path in paths))
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     _write_whole(outdir / "summary.json", Path.write_text, text, "utf-8")
 
@@ -292,9 +307,9 @@ def _scatter_svg(scores, labels=None):
     span_x = max(xs.max() - x0, 5e-301)
     span_y = max(ys.max() - y0, 5e-301)
     body = [f'<rect width="{width}" height="{height}" fill="white"/>\n']
-    for i in range(scores.shape[0]):
-        px = pad + (xs[i] - x0) / span_x * (width - 2 * pad)
-        py = height - pad - (ys[i] - y0) / span_y * (height - 2 * pad)
+    pxs = (pad + (xs - x0) / span_x * (width - 2 * pad)).tolist()
+    pys = (height - pad - (ys - y0) / span_y * (height - 2 * pad)).tolist()
+    for i, (px, py) in enumerate(zip(pxs, pys)):
         body.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="firebrick"/>\n')
         if labels is not None:
             body.append(

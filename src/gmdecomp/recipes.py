@@ -24,6 +24,7 @@ from .errors import (
     NegativeCountError,
     NonPositiveWeightError,
     NotADistanceMatrixError,
+    NotPSDError,
     NumericalError,
     SingleLevelVariableError,
     ZeroVarianceColumnError,
@@ -338,11 +339,11 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     if not np.isfinite(centered).all():  # centred table past DBL_MAX
         raise NumericalError("centring a column overflowed")
     sv = kernel.tolerance_svd(centered, tol=None)
-    keep = sv.d**2 > kernel.SQRT_EPS * sv.d[0] ** 2
-    kept = np.where(keep, sv.d, np.inf)
+    sd, es = kernel.normalized(sv.d)  # the cutoff and omega / s^2 on s / 2^es and omega / 4^es
+    keep, ridge = sd**2 > kernel.SQRT_EPS * sd[0] ** 2, np.ones((sd.size, 1))
     with np.errstate(over="ignore"):  # past DBL_MAX, 1 + omega / s^2 would round to omega / s^2
-        ridge = np.sqrt(1.0 + omega / kept**2)
-        ridge = np.where(ridge < np.inf, ridge, np.sqrt(omega) / kept)[:, None]
+        root = np.sqrt(1.0 + kernel.scaled(omega, -2 * es) / sd[keep] ** 2)
+        ridge[keep, 0] = np.where(root < np.inf, root, np.sqrt(omega) / sv.d[keep])
     # v v' (of one array, which numpy forms symmetric) can round above 1 on its diagonal, so that
     # omega times it overflows: past 2^1020, 4^-1 of the Gram matrix is formed (below, 4^-1 of
     # omega would round subnormal products)
@@ -351,7 +352,12 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
                       + np.ldexp(omega, -2 * g) * np.ldexp(v @ v.T, t), indicator.shape[1], 2)
     e += g
     reduced = ridge * sv.d[:, None] * sv.v.T  # the matrix the solve forms is normalized
-    lw, rw = Constraint(len(reduced)), pinv_constraint(gram, "rw")  # rw: 4^e times the caller's
+    try:
+        rw = pinv_constraint(gram, "rw")  # 4^e times the caller's
+    except NotPSDError:  # a column sum below 0, which no disjunctive table has
+        raise NotPSDError(f"disjunctive: its column sums, with omega = {omega:g}, give a column "
+                          "metric that is not positive semi-definite") from None
+    lw = Constraint(len(reduced))
     d_full, l_full, r, s = _gsvd_columns(reduced, [lw, rw], ("lw", "rw"), tol, -e)
     return _assemble(GSVD, k, tol, d_full, l_full, (s, 0, -e), u=sv.u @ r["u"], v=r["v"],
                      q=r["q"], fj=r["fj"], p=sv.u @ (r["u"] / ridge), fi=sv.u @ (ridge * r["fi"]))

@@ -275,6 +275,33 @@ def test_summary_lists_the_files_of_its_own_run(tmp_path):
     assert all((out / name).is_file() for name in svgs)
 
 
+@pytest.mark.parametrize("command, k, formatted, copies", [
+    ("ca", 0, 8, [("d", "d_full"), ("l", "l_full")]),
+    ("ca", 2, 10, []),  # d is a prefix of d_full, another array
+    ("pls", 2, 10, [("u", "p"), ("v", "q")]),  # identity metrics
+    ("pls", 0, 8, [("d", "d_full"), ("l", "l_full"), ("u", "p"), ("v", "q")]),
+], ids=["ca", "ca-k2", "pls-k2", "pls"])
+def test_a_field_that_is_another_fields_array_is_formatted_once(
+        tmp_path, monkeypatch, command, k, formatted, copies):
+    # counted, not timed: the formatter's calls against the CSV files written
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    calls, write_rows = [], cli._floatfmt.write_rows
+    monkeypatch.setattr(cli._floatfmt, "write_rows",
+                        lambda *args: calls.append(1) or write_rows(*args))
+    rng = np.random.default_rng(8)
+    x = write_matrix(tmp_path / "x.csv", rng.poisson(5.0, size=(9, 5)) + 1.0)
+    y = write_matrix(tmp_path / "y.csv", rng.normal(size=(9, 4)))
+    out = tmp_path / "o"
+    argv = [command, "--x", x] + ["--y", y] * (command == "pls") + ["--k", str(k)]
+    assert cli.main(argv + ["--out", str(out), "--rownames", "--plot"]) == 0
+    names = sorted(p.name for p in out.iterdir() if p.name != "summary.json")
+    assert json.loads((out / "summary.json").read_text())["files"] == names
+    written = [name for name in names if name.endswith(".csv")]
+    assert len(calls) == formatted and len(written) == formatted + len(copies)
+    for a, b in copies:
+        assert (out / f"{a}.csv").read_bytes() == (out / f"{b}.csv").read_bytes()
+
+
 def test_a_run_below_the_cell_floor_forks_nothing(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     x = write_matrix(tmp_path / "x.csv", np.random.default_rng(5).normal(size=(20, 5)))

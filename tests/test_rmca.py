@@ -8,14 +8,16 @@ gsvd. Fields are compared up to column sign; where a singular value repeats,
 the block's basis is arbitrary and its projector is compared instead.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gmdecomp import kernel, recipes
+from gmdecomp import cli, kernel, recipes
 from gmdecomp.decomp import gsvd
-from gmdecomp.errors import EmptyMatrixError, NonFiniteError
+from gmdecomp.errors import EmptyMatrixError, NonFiniteError, NotPSDError
 
 from conftest import align_signs, categorical_table, mca_fixture
 
@@ -154,3 +156,35 @@ def test_an_underflowed_gram_matrix_is_formed_again_from_its_inputs():
     want, got = recipes.rmca(x, 2.0**-1000, k=2), recipes.rmca(x, 2.0**-1030, k=2)
     for name, power in dict(d=15, u=0, v=0, p=0, q=-15, fi=15, fj=30).items():
         assert getattr(got, name).tobytes() == np.ldexp(getattr(want, name), power).tobytes()
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+def test_a_negative_column_sum_is_refused_naming_the_callers_table(omega):
+    # diag(column sums) + omega X' pinv(X X') X, whose pseudo-inverse is rw, is PSD for a
+    # disjunctive table, whose column sums are counts; this table's first two are -1.1 and -3.4
+    x = np.random.default_rng(1).normal(size=(20, 3))
+    with pytest.raises(NotPSDError, match=f"^disjunctive: its column sums, with omega = {omega:g}, "
+                       "give a column metric that is not positive semi-definite$") as info:
+        recipes.rmca(x, omega)
+    assert next(code for cls, code in cli._EXIT_CODES if isinstance(info.value, cls)) == 3
+
+
+def test_omega_moves_d_where_the_squared_singular_values_pass_dbl_max():
+    # s^2 near 1e613: squared in the caller's units, every component fell below the rank
+    # cutoff, and omega dropped out of the Gram matrix with only an overflow warning
+    x = np.abs(np.random.default_rng(0).normal(size=(20, 3))) * 1e306
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_zero, at_max = recipes.rmca(x, 0.0).d, recipes.rmca(x, 1.7e308).d
+    assert at_zero.size == at_max.size == 3
+    assert np.all(at_max < 0.5 * at_zero)
+
+
+def test_a_table_near_2_to_the_minus_200_answers_at_omega_1e300():
+    # omega / 4^es overflows there: the ridge takes sqrt(omega) / s on the kept directions,
+    # and stays 1 on the null ones that a disjunctive coding always has
+    tab = recipes.disjunctive_coding(categorical_table(np.random.default_rng(1), 12, (3, 2, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = recipes.rmca(np.ldexp(tab.indicator, -200), 1e300)
+    assert got.d.size > 0 and all(np.isfinite(a).all() for a in got.fields().values())

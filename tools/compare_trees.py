@@ -32,8 +32,10 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
 - rmca at omega = DBL_MAX on a numeric table and on a disjunctive one, rmca on a hand-built
   DisjunctiveTable whose indicator is a list, and weighted MDS with masses near 1e200, whose
   matrix overflows; rmca at omega = 1e-300, whose Gram matrix holds subnormal products;
-- every CLI command on small inputs, and ``ca`` on a table large enough for
-  two writer processes, without and with ``--plot``.
+- every CLI command on small inputs; ``ca --k 2``, whose ``d`` is a prefix of ``d_full``, not
+  the same array, and ``gsvd`` with no ``--lw`` or ``--rw``, whose ``u`` is ``p`` and ``v`` is
+  ``q``, so that the writer formats one file and copies it to the other; and ``ca`` on a table
+  large enough for two writer processes; each without and with ``--plot``.
 
 ``--blas pinned`` (the default) sets OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
 to 1 in both subprocesses, as the benchmark does; ``--blas default`` unsets
@@ -303,6 +305,7 @@ def _cli_inputs(rng, root):
         "plsca": ["--x", cat, "--y", cat_y],
     }
     cases = {name: [name, *argv] for name, argv in cases.items()}
+    cases["ca-k2"], cases["gsvd-identity"] = cases["ca"] + ["--k", "2"], ["gsvd", "--x", x]
     # drawn after the inputs above: a ca result of over 2 _CELLS_PER_PROCESS cells, which
     # two writer processes write when 2 CPUs are available
     cases["ca-large"] = ["ca", "--x", numbers("counts_large", rng.poisson(5.0, (200, 40)) + 1.0)]
