@@ -82,9 +82,9 @@ def check_constraint(raw, dim, name="constraint"):
     Missing constraints are mathematically identity matrices. Vectors are
     diagonal weights; a diagonal matrix is demoted to its diagonal, and an
     all-ones diagonal to identity; a `Constraint` keeps its basis. Anything
-    else must be a symmetric matrix w of shape (dim, dim), returned as its
-    float64 array, uncopied when e is 0: the LAPACK calls that read it symmetrize it.
-    `name` names the slot. Returns (c, e): c is 4^-e times the metric (:func:`kernel.normalized`).
+    else must be a symmetric matrix w of shape (dim, dim), returned exactly symmetric, as
+    :func:`kernel.check_symmetric` gives it. `name` names the slot. Returns (c, e): c is 4^-e
+    times the metric (:func:`kernel.normalized`).
     """
     dim = int(dim)
     if raw is None:
@@ -97,7 +97,7 @@ def check_constraint(raw, dim, name="constraint"):
         weights, e = kernel.normalized(np.ones(0) if raw.weights is None else raw.weights, 2)
         return (replace(raw, weights=weights) if e else raw), e
     arr = kernel.as_array(raw, name)
-    if arr.shape == (dim, dim) and np.array_equal(arr, np.diag(np.diag(arr))):
+    if arr.shape == (dim, dim) and np.count_nonzero(arr) == np.count_nonzero(np.diagonal(arr)):
         arr = np.diag(arr).copy()
     if arr.ndim == 1:
         arr, e = kernel.normalized(arr, 2)
@@ -111,13 +111,13 @@ def check_constraint(raw, dim, name="constraint"):
 
 
 def factorize(checked, name="constraint"):
-    """A :func:`check_constraint` result, or a Gram matrix, as a `Constraint`: a matrix,
-    :func:`kernel.symmetrized` for this call only, is eigendecomposed once, which checks it
-    is PSD and gives its eigenpairs, eigenvalues descending and clipped at 0. A finite matrix
-    that is not PSD raises NotPSDError naming the slot `name`."""
+    """A :func:`check_constraint` result, or a Gram matrix, as a `Constraint`: a matrix, exactly
+    symmetric as both are, is eigendecomposed once, as it is, which checks it is PSD and gives
+    its eigenpairs, eigenvalues descending and clipped at 0. A finite matrix that is not PSD
+    raises NotPSDError naming the slot `name`."""
     if isinstance(checked, Constraint):
         return checked
-    eig = kernel.tolerance_eigen(kernel.symmetrized(checked), tol=None)
+    eig = kernel.tolerance_eigen(checked, tol=None)
     lam = eig.values
     if lam.min() < -kernel.PSD_RTOL * max(lam[0], 0.0):
         raise NotPSDError(f"{name} is not positive semi-definite (min eigenvalue {lam.min():.6g})")

@@ -28,8 +28,8 @@ and scores are then w^(-1/2) L U, w^(-1) L U and L U diag(d), and the final v
 gets the canonical signs. factorize, the metric's one PSD check and the only
 source of its roots, keeps a frame only when its smallest eigenvalue is at least
 the largest over _FRAME_COND; else, or with no Cholesky factor, the solve is
-redone through the roots, which all other metrics take. Here w is (w + w')/2,
-which the Cholesky call and factorize's eigh each form for themselves.
+redone through the roots, which all other metrics take. Here w is the metric as checked at
+entry, exactly symmetric: a w off exact symmetry is (w + w')/2 there, one copy for the call.
 
 A second thread solves in the frames while the caller factorizes every metric
 in order, and after the solve maps one side back while the caller maps the
@@ -298,11 +298,11 @@ def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS, *, _shift=(0, 0, 0)):
 
 
 def _factor(w):
-    """The frame of `w`, a checked dense matrix: the Cholesky factor L of its symmetrized copy, or
-    None when that has none or when its condition number's lower bound, w's largest diagonal
-    entry (at most its top eigenvalue) over the least pivot L_ii^2 (at least its least), tops
-    _FRAME_COND. The bound squares no entry of w, so w's scale does not decide it."""
-    low = kernel.cholesky(kernel.symmetrized(w))
+    """The frame of `w`, a checked dense matrix: its Cholesky factor L, or None when it has none
+    or when its condition number's lower bound, w's largest diagonal entry (at most its top
+    eigenvalue) over the least pivot L_ii^2 (at least its least), tops _FRAME_COND. The bound
+    squares no entry of w, so w's scale does not decide it."""
+    low = kernel.cholesky(w)
     if low is None:
         return None
     return low if np.diag(w).max() / np.diag(low).min() ** 2 <= _FRAME_COND else None
@@ -323,9 +323,9 @@ def _lift(h, vectors):
 def _solve(slots, names, solve, work):
     """(factorized, halves, solve(*halves)) for `slots`, checked metrics the caller factorizes in
     order, solved through their roots, unless BLAS runs one thread and a slot is a dense matrix:
-    then a second thread (when _side_by_side says) solves them in their frames meanwhile. Each
-    factorization and each frame symmetrizes its metric itself, for its LAPACK call only. A
-    refused frame becomes the root; then, or with none or no solve, the solve is redone."""
+    then a second thread (when _side_by_side says) solves them in their frames meanwhile. Both
+    threads read each metric as it was checked, with no copy. A refused frame becomes the root;
+    then, or with none or no solve, the solve is redone."""
     def factorize_all():
         return [factorize(w, name) for w, name in zip(slots, names)]
 

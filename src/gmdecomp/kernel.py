@@ -16,8 +16,9 @@ checked at entry or, formed by the library, in ``decomp._formed``.
 ``cholesky`` has one, in :func:`cholesky`, which gives ``decomp`` a dense metric's
 Cholesky factor to solve in while the metric is eigendecomposed. Neither checks a
 metric: :func:`constraints.factorize` turns the tolerance off and checks the spectrum
-is PSD, a failed Cholesky is only a metric without a factor, and each reads its own
-:func:`symmetrized` copy of the metric, freed as its caller returns.
+is PSD, and a failed Cholesky is only a metric without a factor. Both read the matrix
+they are given, exactly symmetric: :func:`check_symmetric` gives a matrix off exact
+symmetry as its one :func:`symmetrized` copy, the array that serves the whole call.
 """
 
 from dataclasses import dataclass
@@ -125,28 +126,32 @@ def as_matrix(a, name):
 def check_symmetric(a, name):
     """(a / 4^e, e): `a`, a converted 2-d array, checked to be square and symmetric within
     tolerance (errors name the slot `name`), then :func:`normalized` as a metric is, from the
-    largest |entry| the check took."""
+    largest |entry| the check took, and :func:`symmetrized` when the check found it off exact
+    symmetry; an exactly symmetric `a` is returned as it is, uncopied when e is 0."""
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"{name} must be square, got shape {a.shape}")
     top = magnitude(a)
-    if not is_symmetric(a, top):
+    off = asymmetry(a, top)
+    if off > 1:
         raise NotSymmetricError(
             f"{name} must be symmetric; it is not symmetric within a relative "
             f"tolerance of {SYMMETRY_RTOL:g}"
         )
-    return normalized(a, 2, top)
+    a, e = normalized(a, 2, top)
+    return (symmetrized(a) if off else a), e
 
 
-def is_symmetric(s, scale=None):
-    """Symmetry test of a non-empty square matrix, with an absolute allowance of
-    SYMMETRY_RTOL * max|entry|; `scale` is that maximum when the caller took it."""
+def asymmetry(s, scale=None):
+    """The largest |entry| of s - s', for a non-empty square matrix `s`, over the allowance
+    SYMMETRY_RTOL * max|entry| (`scale` when the caller took that maximum): at most 1 when `s`
+    is symmetric within tolerance, and 0 only when it is exactly symmetric."""
     # s - s' is exactly antisymmetric, so its largest entry is its largest
     # magnitude; neither maximum needs an |.| pass over the matrix. It is formed
     # a block of about 65 536 entries at a time, so no n x n array is.
     scale = magnitude(s) if scale is None else scale
     rows = max(1, 65536 // s.shape[0])
     top = max((s[i:i + rows] - s[:, i:i + rows].T).max() for i in range(0, s.shape[0], rows))
-    return bool(top <= SYMMETRY_RTOL * max(scale, 1e-300))
+    return top / (SYMMETRY_RTOL * max(scale, 1e-300))
 
 
 def canonical_signs(vectors):
@@ -171,7 +176,7 @@ def symmetrized(w):
 
 def cholesky(w):
     """The lower Cholesky factor of `w`, an exactly symmetric finite matrix such as a dense
-    metric's :func:`symmetrized` copy, or None when it is not positive definite."""
+    metric :func:`check_symmetric` gave, or None when it is not positive definite."""
     try:
         return np.linalg.cholesky(w)
     except np.linalg.LinAlgError:

@@ -132,7 +132,7 @@ def _check_distance_matrix(dist):
     if dist.shape[0] != dist.shape[1]:
         raise NotADistanceMatrixError("distance matrix must be square")
     top = kernel.magnitude(dist)
-    if not kernel.is_symmetric(dist, top):
+    if kernel.asymmetry(dist, top) > 1:
         raise NotADistanceMatrixError("distance matrix must be symmetric")
     if np.any(np.abs(np.diag(dist)) > 1e-12):
         raise NotADistanceMatrixError("distance matrix must have a zero diagonal")
@@ -320,8 +320,9 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     (Takane & Hwang 2006): the gsvd core runs on the matrix diag(ridge * s) V^T
     under lw = I and that rw, with ridge sqrt(1 + omega / s^2), or sqrt(omega) / s
     where 1 + omega / s^2 overflows, for s^2 > sqrt(eps) * s_1^2 (pinv's rank
-    cutoff) and 1 elsewhere; u, p, fi are lifted back through U and the ridge,
-    and the result assembled once.
+    cutoff) and 1 elsewhere, and ridge * s = sqrt(omega) where the ridge passes
+    DBL_MAX; u, p, fi are lifted back through U and the ridge, and the result
+    assembled once, which refuses an fi past DBL_MAX.
     omega = 0 reproduces standard MCA up to a per-component scaling factor.
     """
     k = _checked_k(k, tol)
@@ -344,14 +345,16 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
     with np.errstate(over="ignore"):  # past DBL_MAX, 1 + omega / s^2 would round to omega / s^2
         root = np.sqrt(1.0 + kernel.scaled(omega, -2 * es) / sd[keep] ** 2)
         ridge[keep, 0] = np.where(root < np.inf, root, np.sqrt(omega) / sv.d[keep])
-    # v v' (of one array, which numpy forms symmetric) can round above 1 on its diagonal, so that
-    # omega times it overflows: past 2^1020, 4^-1 of the Gram matrix is formed (below, 4^-1 of
-    # omega would round subnormal products)
-    v, g = sv.v[:, keep], int(omega > 2.0**1020)
-    gram, e = _formed(lambda t: np.diag(np.ldexp(indicator.sum(axis=0), t - 2 * g))
-                      + np.ldexp(omega, -2 * g) * np.ldexp(v @ v.T, t), indicator.shape[1], 2)
+    # the column sums and omega over 4^g, as a metric is normalized at entry; v v' is of one
+    # array, which numpy forms symmetric
+    pair, g = kernel.normalized(np.append(indicator.sum(axis=0), omega), 2)
+    sums, om, v = pair[:-1], pair[-1], sv.v[:, keep]
+    gram, e = _formed(lambda t: np.diag(np.ldexp(sums, t)) + om * np.ldexp(v @ v.T, t),
+                      indicator.shape[1], 2)
     e += g
-    reduced = ridge * sv.d[:, None] * sv.v.T  # the matrix the solve forms is normalized
+    # ridge * s, sqrt(s^2 + omega) on a kept direction, is sqrt(omega) where the ridge overflows;
+    # the matrix the solve forms is normalized
+    reduced = np.where(ridge < np.inf, ridge * sv.d[:, None], np.sqrt(omega)) * sv.v.T
     try:
         rw = pinv_constraint(gram, "rw")  # 4^e times the caller's
     except NotPSDError:  # a column sum below 0, which no disjunctive table has
@@ -359,8 +362,10 @@ def rmca(disjunctive, omega, k=0, tol=kernel.EPS):
                           "metric that is not positive semi-definite") from None
     lw = Constraint(len(reduced))
     d_full, l_full, r, s = _gsvd_columns(reduced, [lw, rw], ("lw", "rw"), tol, -e)
+    with np.errstate(over="ignore", invalid="ignore"):  # an Inf in fi is _assemble's to refuse
+        p, fi = sv.u @ (r["u"] / ridge), sv.u @ (ridge * r["fi"])
     return _assemble(GSVD, k, tol, d_full, l_full, (s, 0, -e), u=sv.u @ r["u"], v=r["v"],
-                     q=r["q"], fj=r["fj"], p=sv.u @ (r["u"] / ridge), fi=sv.u @ (ridge * r["fi"]))
+                     q=r["q"], fj=r["fj"], p=p, fi=fi)
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,28 @@ def test_a_finite_argument_near_dbl_max_exits_with_an_answer_or_one_line_and_no_
     assert (tmp_path / "o").exists() == (message is None)
 
 
+def test_rmca_row_scores_past_dbl_max_exit_4_with_one_line(tmp_path, capsys, monkeypatch):
+    # a coded table is 0 or 1, so its indicator is scaled to 1e-170 as it is coded: at
+    # omega = 1e300 the row scores fi overflow, which the result's check refuses alone, with no
+    # warning line before it
+    real = cli.recipes.disjunctive_coding
+
+    def coding(*args, **kw):
+        tab = real(*args, **kw)
+        return cli.recipes.DisjunctiveTable(1e-170 * tab.indicator, tab.variable_spans,
+                                            tab.level_labels)
+
+    monkeypatch.setattr(cli.recipes, "disjunctive_coding", coding)
+    rng = np.random.default_rng(3)
+    cat = write_csv(tmp_path / "cat.csv", [[f"L{i % k + 1 if i < k else rng.integers(1, k + 1)}"
+                                            for k in (3, 2, 3)] for i in range(12)])
+    out = tmp_path / "o"
+    assert cli.main(["rmca", "--x", cat, "--omega", "1e300", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --omega 1e+300: gsvd: the result field fi holds NaN or Inf values"]
+    assert not out.exists()
+
+
 def test_singular_values_whose_squares_overflow_exit_4_with_one_line(tmp_path):
     # d = 3e200: d^2 overflows in the tolerance and in l, which raises alone, with no
     # warning before it

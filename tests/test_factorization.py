@@ -266,15 +266,15 @@ def test_without_blas_on_one_thread_dense_metrics_take_their_roots(
     assert cholesky_calls == []
 
 
-def test_a_dense_row_metric_is_copied_only_for_its_eigh(rng, traced_peak, blas_default):
+def test_an_exactly_symmetric_dense_row_metric_is_not_copied(rng, traced_peak, blas_default):
     # traced bytes, never time: symmetrized copies made when the metrics were checked, and
     # kept until both row metrics were factorized, peaked at 4.05 n^2 doubles at n = 300;
-    # a copy made for each eigh alone, and freed with it, keeps the peak near 3.04
+    # a copy made for each eigh alone, and freed with it, at 3.04; with no copy, at 2.04
     n = 300
     x, y = rng.normal(size=(n, 7)), rng.normal(size=(n, 5))
     xlw, ylw = random_spd(rng, n), random_spd(rng, n)
     gplssvd(x, y, xlw=xlw, ylw=ylw)
-    assert traced_peak(gplssvd, x, y, xlw=xlw, ylw=ylw) <= 3.75 * n * n * 8
+    assert traced_peak(gplssvd, x, y, xlw=xlw, ylw=ylw) <= 2.5 * n * n * 8
 
 
 def _nearly_symmetric(rng, n):
@@ -303,6 +303,50 @@ def test_a_nearly_symmetric_metric_gives_the_bits_of_its_symmetrized_matrix(
         exact = {slot: (w + w.T) / 2 for slot, w in metrics.items()}
         assert not all(np.array_equal(w, exact[slot]) for slot, w in metrics.items())
         _check_fields(call(**metrics), call(**exact).fields())
+
+
+@pytest.mark.parametrize("blas, cpus", [("blas_one_thread", 1), ("blas_one_thread", 2),
+                                        ("blas_default", 2)], ids=["frames", "frames-2-cpus",
+                                                                   "roots"])
+def test_only_a_metric_off_exact_symmetry_is_symmetrized_once_at_entry(
+        rng, monkeypatch, request, blas, cpus):
+    # check_symmetric copies a dense metric into (w + w')/2 only when it is off exact symmetry;
+    # factorize and the frames read the matrix they are given, on either thread
+    request.getfixturevalue(blas)
+    monkeypatch.setattr(decomp, "cpu_count", lambda: cpus)
+    copied, real = [], kernel.symmetrized
+    monkeypatch.setattr(kernel, "symmetrized", lambda w: copied.append(w.shape) or real(w))
+    n, p, q = 100, 80, 60
+    x, y, s = rng.normal(size=(n, p)), rng.normal(size=(n, q)), random_spd(rng, p)
+    sizes = dict(lw=n, rw=p, w=p, xlw=n, ylw=n, xrw=p, yrw=q)
+    exact = {slot: random_spd(rng, m) for slot, m in sizes.items()}
+    near = {slot: _nearly_symmetric(rng, m) for slot, m in sizes.items()}
+    for call, slots in (
+            (lambda **m: gsvd(x, **m), ("lw", "rw")),
+            (lambda **m: geigen(s, **m), ("w",)),
+            (lambda **m: gplssvd(x, y, **m), ("xlw", "xrw", "ylw", "yrw"))):
+        copied.clear()
+        call(**{slot: exact[slot] for slot in slots})
+        assert copied == []
+        for off in slots:
+            call(**{slot: (near if slot == off else exact)[slot] for slot in slots})
+            assert copied == [(sizes[off],) * 2]
+            copied.clear()
+        call(**{slot: near[slot] for slot in slots})
+        assert copied == [(sizes[slot],) * 2 for slot in slots]
+
+
+@pytest.mark.parametrize("n", [80, 200])
+@pytest.mark.parametrize("blas", ["blas_one_thread", "blas_default"], ids=["frames", "roots"])
+def test_geigen_of_x_and_of_its_transpose_give_the_same_bits(rng, request, blas, n):
+    # an x off exact symmetry within the tolerance is decomposed as (x + x')/2, as every metric
+    # is, so which triangle LAPACK reads does not matter
+    request.getfixturevalue(blas)
+    x = _nearly_symmetric(rng, n)
+    assert not np.array_equal(x, x.T)
+    for w in (None, rng.uniform(0.5, 2.0, n), random_spd(rng, n)):
+        _check_fields(geigen(x.T, w=w), geigen(x, w=w).fields())
+        _check_fields(geigen(x, w=w), geigen((x + x.T) / 2, w=w).fields())
 
 
 @pytest.mark.parametrize("n, p, q", [(15, 4, 6), (150, 120, 110)])
@@ -600,8 +644,8 @@ def test_gplssvd_invariants_property(seed, n, mx, my, kinds, frames):
 def test_geigen_checks_each_matrix_for_symmetry_once(rng, monkeypatch):
     # x at entry, a dense w in check_constraint; never the metric-weighted matrix
     checked = []
-    real = kernel.is_symmetric
-    monkeypatch.setattr(kernel, "is_symmetric",
+    real = kernel.asymmetry
+    monkeypatch.setattr(kernel, "asymmetry",
                         lambda s, *top: checked.append(s.shape) or real(s, *top))
     geigen(random_spd(rng, 6), w=rng.uniform(0.5, 2.0, 6))
     assert checked == [(6, 6)]
@@ -623,8 +667,8 @@ def test_mds_checks_its_distances_once_and_makes_one_eigh(
     # dist at entry; never the double-centred matrix, symmetric by construction
     dist = _distances(rng, 12)
     checked = []
-    real = kernel.is_symmetric
-    monkeypatch.setattr(kernel, "is_symmetric",
+    real = kernel.asymmetry
+    monkeypatch.setattr(kernel, "asymmetry",
                         lambda s, *top: checked.append((s.shape, s is dist)) or real(s, *top))
     recipe(dist)
     assert checked == [((12, 12), True)]

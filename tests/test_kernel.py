@@ -79,8 +79,9 @@ def test_symmetric_eigen_rejects_bad_input():
         geigen(np.array([[1.0, 2.0], [0.0, 1.0]]), tol=None)
 
 
-def test_is_symmetric_matches_the_magnitude_formula(rng):
-    # reference: |s - s'| against SYMMETRY_RTOL * max|s|, entry by entry
+def test_asymmetry_matches_the_magnitude_formula(rng):
+    # reference: |s - s'| against SYMMETRY_RTOL * max|s|, entry by entry; asymmetry is at most 1
+    # exactly when the reference holds, and 0 only for an exactly symmetric matrix
     def reference(s):
         allowed = kernel.SYMMETRY_RTOL * max(np.abs(s).max(), 1e-300)
         return bool(np.abs(s - s.T).max() <= allowed)
@@ -90,24 +91,28 @@ def test_is_symmetric_matches_the_magnitude_formula(rng):
         n = int(rng.integers(1, 6))
         a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-200, 200)
         s = (a + a.T) / 2
+        assert kernel.asymmetry(s) == 0
         s = s + rng.normal(size=(n, n)) * np.abs(s).max() * 10.0 ** rng.uniform(-12, -9)
         if rng.random() < 0.2:
             s = -np.abs(s)
-        assert kernel.is_symmetric(s) == reference(s)
+        assert (kernel.asymmetry(s) <= 1) == reference(s)
+        assert (kernel.asymmetry(s) == 0) == np.array_equal(s, s.T)
         decisions.add(reference(s))
     assert decisions == {True, False}
 
 
-def test_is_symmetric_forms_no_n_by_n_array(rng, traced_peak):
+def test_asymmetry_forms_no_n_by_n_array(rng, traced_peak):
     # s - s' is formed a block of about 65 536 entries at a time: 0.5 MiB, not 7.6 MiB
     a = rng.normal(size=(1000, 1000))
     s = (a + a.T) / 2
-    assert traced_peak(kernel.is_symmetric, s) < 2**20
+    assert traced_peak(kernel.asymmetry, s) < 2**20
+    assert kernel.asymmetry(s) == 0
     # an entry off symmetry in the last block decides, inside the allowance and past it
     for off, symmetric in ((1e-12, True), (1e-8, False)):
         t = s.copy()
         t[999, 3] += off * np.abs(s).max()
-        assert kernel.is_symmetric(t) is symmetric
+        assert bool(kernel.asymmetry(t) <= 1) is symmetric
+        assert kernel.asymmetry(t) > 0
 
 
 def test_symmetrized_gives_the_bits_of_the_mean_of_w_and_its_transpose(rng):

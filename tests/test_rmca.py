@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from gmdecomp import cli, kernel, recipes
 from gmdecomp.decomp import gsvd
-from gmdecomp.errors import EmptyMatrixError, NonFiniteError, NotPSDError
+from gmdecomp.errors import EmptyMatrixError, NonFiniteError, NotPSDError, NumericalError
 
 from conftest import align_signs, categorical_table, mca_fixture
 
@@ -178,6 +178,24 @@ def test_omega_moves_d_where_the_squared_singular_values_pass_dbl_max():
         at_zero, at_max = recipes.rmca(x, 0.0).d, recipes.rmca(x, 1.7e308).d
     assert at_zero.size == at_max.size == 3
     assert np.all(at_max < 0.5 * at_zero)
+
+
+@pytest.mark.parametrize("omega", [1e300, DBL_MAX], ids=["1e300", "dbl-max"])
+@pytest.mark.parametrize("make", [
+    lambda: np.random.default_rng(1).normal(size=(20, 3)),
+    lambda: np.abs(np.random.default_rng(2).normal(size=(15, 4))),
+    lambda: recipes.disjunctive_coding(
+        categorical_table(np.random.default_rng(1), 12, (3, 2, 3))).indicator,
+], ids=["numeric", "abs-numeric", "disjunctive"])
+def test_row_scores_past_dbl_max_are_refused_naming_fi_with_no_warning(make, omega):
+    # on a table near 1e-170 the ridge sqrt(omega) / s passes DBL_MAX, but ridge * s, near
+    # sqrt(omega), does not: the reduced matrix is finite and solved, and only fi, lifted through
+    # the ridge, overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match="^gsvd: the result field fi holds NaN or Inf values$"):
+            recipes.rmca(1e-170 * make(), omega)
 
 
 def test_a_table_near_2_to_the_minus_200_answers_at_omega_1e300():

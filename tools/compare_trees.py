@@ -14,6 +14,9 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
 - a gsvd and a geigen with a dense metric at each condition number 1e1-1e7;
 - dense metrics off exact symmetry within the symmetry tolerance, as gsvd's lw,
   geigen's w and gplssvd's xlw and xrw, below and above the overlap floor;
+- geigen of an x off exact symmetry by 1e-13 under an identity, a diagonal and a dense w,
+  below and above the overlap floor (geigen-near-symmetric-x-small and -large, and their
+  -diagonal-w and -dense-w cases);
 - the overflow range: rrr and cca with unscaled Gram matrices above DBL_MAX / 2,
   and gsvd's lw (with the tolerance off) and geigen's w with entries above
   DBL_MAX / 2 and a finite spectrum, exactly symmetric and not, below and
@@ -35,7 +38,8 @@ corpus in a subprocess of its own, which imports that tree's ``src/`` only:
 - every CLI command on small inputs; ``ca --k 2``, whose ``d`` is a prefix of ``d_full``, not
   the same array, and ``gsvd`` with no ``--lw`` or ``--rw``, whose ``u`` is ``p`` and ``v`` is
   ``q``, so that the writer formats one file and copies it to the other; and ``ca`` on a table
-  large enough for two writer processes; each without and with ``--plot``.
+  large enough for two writer processes; ``geigen`` on an x off exact symmetry by 1e-13
+  (``geigen-near-symmetric-x``); each without and with ``--plot``.
 
 ``--blas pinned`` (the default) sets OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
 to 1 in both subprocesses, as the benchmark does; ``--blas default`` unsets
@@ -195,8 +199,8 @@ def _calls():
         "gsvd-dense-lw-diagonal-rw": lambda: decomp.gsvd(bx, lw=big[0], rw=diagonal[:120]),
     })
     sweep((1e6, 1e7))
-    # metrics off exact symmetry, which each LAPACK call reads symmetrized, drawn after the
-    # cases above: below the overlap floor, and above it
+    # metrics off exact symmetry, which are symmetrized once, where they are checked, drawn
+    # after the cases above: below the overlap floor, and above it
     for size, tx, ty in (("small", x, y), ("large", bx, by)):
         n, cols = tx.shape
         near = dict(lw=_nearly_symmetric(rng, n), w=_nearly_symmetric(rng, cols),
@@ -268,6 +272,14 @@ def _calls():
         "weighted-mds-masses-1e200": lambda: recipes.weighted_mds(dist, np.full(25, 1e200)),
         "rmca-omega-1e-300": lambda: recipes.rmca(np.abs(numeric) + 0.1, 1e-300),
     })
+    # drawn after the cases above: geigen of an x off exact symmetry under each kind of metric,
+    # below the overlap floor and above it
+    for size, n in (("small", 7), ("large", 150)):
+        near_x = _nearly_symmetric(rng, n)
+        for kind, w in (("", None), ("-diagonal-w", rng.uniform(0.5, 2.0, n)),
+                        ("-dense-w", _spd(rng, n))):
+            calls[f"geigen-near-symmetric-x{kind}-{size}"] = lambda t=near_x, m=w: decomp.geigen(
+                t, w=m)
     return calls
 
 
@@ -309,6 +321,9 @@ def _cli_inputs(rng, root):
     # drawn after the inputs above: a ca result of over 2 _CELLS_PER_PROCESS cells, which
     # two writer processes write when 2 CPUs are available
     cases["ca-large"] = ["ca", "--x", numbers("counts_large", rng.poisson(5.0, (200, 40)) + 1.0)]
+    # drawn after the inputs above: geigen of an x off exact symmetry
+    near_x = numbers("near_x", _nearly_symmetric(rng, 4))
+    cases["geigen-near-symmetric-x"] = ["geigen", "--x", near_x, "--w", cases["geigen"][-1]]
     return cases
 
 
