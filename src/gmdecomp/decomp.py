@@ -10,9 +10,9 @@ lw^(1/2) U diag(d).
 gplssvd is the gsvd of the two tables' row-weighted cross-product under
 their column metrics, plus the latent variable scores. All three return the
 same :class:`DecompositionResult` record with the fields appropriate to the
-method populated (see each function's docstring). geigen checks its x and
-calls its core, _geigen, which the recipes call with the symmetric matrix they
-form: it checks the metric, and _formed the matrix it forms for LAPACK.
+method populated (see each function's docstring). Each checks k and tol, converts and normalizes
+the caller's tables and calls its core, _geigen, _gsvd or _gplssvd, as every recipe does with the
+arrays it formed: a core checks the metrics, and _formed the matrix it forms for LAPACK.
 
 Rank truncation: ``k=0`` (the default) returns every retained component;
 ``k > 0`` keeps the first k columns of every per-component output while
@@ -249,17 +249,17 @@ def geigen(x, w=None, k=0, tol=kernel.SQRT_EPS):
         dropped; None disables the tolerance and keeps negative eigenvalues.
     """
     k = _checked_k(k, tol)
-    x, e = kernel.check_symmetric(kernel.as_matrix(x, "x"), "x")
-    return _geigen(x, w, k, tol, ex=e)
+    x, ex = kernel.check_symmetric(kernel.as_matrix(x, "x"), "x")
+    return _geigen(x, ex, w, k, tol)
 
 
-def _geigen(x, w, k, tol, overwrite_x=False, ex=0):
-    """geigen of `x`, a symmetric float64 matrix its caller checked or formed, for a checked `k`
-    and `tol`: only the metric `w` is checked here, and the matrix formed, in _formed. Every kind
-    of metric is applied one way, its half on the left of x' and then of that product's
-    transpose, so no kind is tested here. A diagonal root scales in place, x itself when
-    `overwrite_x` (the caller formed x and gives it up), else the first product's new buffer;
-    x is 4^-ex times the caller's."""
+def _geigen(x, ex, w, k, tol, overwrite_x=False):
+    """geigen of `x`, a symmetric float64 matrix its caller checked or formed, 4^-ex times the
+    caller's, for a checked `k` and `tol`: only the metric `w` is checked here, and the matrix
+    formed, in _formed. Every kind of metric is applied one way, its half on the left of x' and
+    then of that product's transpose, so no kind is tested here. A diagonal root scales in
+    place, x itself when `overwrite_x` (the caller formed x and gives it up), else the first
+    product's new buffer."""
     w, ew = check_constraint(w, x.shape[0], "w")
 
     def eigen(h):
@@ -280,20 +280,25 @@ def _geigen(x, w, k, tol, overwrite_x=False, ex=0):
                      **(_signed(columns) if isinstance(h, np.ndarray) else columns))
 
 
-def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS, *, _shift=(0, 0, 0)):
+def gsvd(x, lw=None, rw=None, k=0, tol=kernel.EPS):
     """Generalized SVD of a rectangular matrix under row/column metrics.
 
     Decomposes x = P diag(d) Q^T with P^T lw P = I = Q^T rw Q by taking the
     SVD of lw^(1/2) x rw^(1/2). Row scores fi = lw P diag(d), column scores
-    fj = rw Q diag(d). For a recipe, x, lw and rw are 2^-_shift[0], 4^-_shift[1] and
-    4^-_shift[2] times its caller's.
+    fj = rw Q diag(d).
     """
     k = _checked_k(k, tol)
     x, ex = kernel.normalized(kernel.as_matrix(x, "x"))
+    return _gsvd(x, ex, lw, rw, k, tol)
+
+
+def _gsvd(x, ex, lw, rw, k, tol, b=0):
+    """gsvd of `x`, a float64 matrix its caller checked or formed, 2^-ex times the caller's, for a
+    checked `k` and `tol`: lw and rw are checked here, and rw is 4^-b times the caller's."""
     lw, a = check_constraint(lw, x.shape[0], "lw")
-    rw, b = check_constraint(rw, x.shape[1], "rw")
-    s, a, b = ex + a + b + sum(_shift), a + _shift[1], b + _shift[2]
-    d_full, l_full, columns, s = _gsvd_columns(x, [lw, rw], ("lw", "rw"), tol, s)
+    rw, eb = check_constraint(rw, x.shape[1], "rw")
+    b += eb
+    d_full, l_full, columns, s = _gsvd_columns(x, [lw, rw], ("lw", "rw"), tol, ex + a + b)
     return _assemble(GSVD, k, tol, d_full, l_full, (s, a, b), **columns)
 
 
@@ -349,7 +354,7 @@ def _solve(slots, names, solve, work):
     return factorized, halves, out
 
 
-def _gsvd_columns(x, slots, names, tol, scale=0, xl=None, yl=None):
+def _gsvd_columns(x, slots, names, tol, scale, xl=None, yl=None):
     """The unchecked d_full, l_full = d_full^2 and column fields of the gsvd of `x`, a float64
     matrix its caller checked or formed, under the checked slots, and s: d in the caller's units
     is 2^s d_full when the gsvd's d is 2^scale times the caller's (the solve normalizes the
@@ -397,28 +402,33 @@ def _signed(columns):
     return columns
 
 
-def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS, *, _shift=(0,) * 4):
+def gplssvd(x, y, xlw=None, ylw=None, xrw=None, yrw=None, k=0, tol=kernel.EPS):
     """Generalized PLS-SVD of the relationship between two data matrices.
 
     With xl = xlw^(1/2) x and yl = ylw^(1/2) y, this is the gsvd of the
     cross-product xl^T yl under the column metrics: lw=xrw, rw=yrw. It
     shares that gsvd's u, d, v, p, q, fi and fj; the latent variable
     scores lx = xl xrw p and ly = yl yrw q have cross-product diagonal d.
-    The cross-product is formed once, and normalized. `_shift` is as for gsvd, for x, y, xrw
-    and yrw.
+    The cross-product is formed once, and normalized.
     """
     k = _checked_k(k, tol)
     x, ex = kernel.normalized(kernel.as_matrix(x, "x"))
     y, ey = kernel.normalized(kernel.as_matrix(y, "y"))
+    return _gplssvd(x, ex, y, ey, xlw, ylw, xrw, yrw, k, tol)
+
+
+def _gplssvd(x, ex, y, ey, xlw, ylw, xrw, yrw, k, tol, c=0, d=0):
+    """gplssvd of `x` and `y`, taken as :func:`_gsvd` takes x, 2^-ex and 2^-ey times the caller's:
+    the rows and metrics are checked here, and xrw and yrw are 4^-c and 4^-d times the caller's."""
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatchError(
             f"x and y must share rows: {x.shape[0]} vs {y.shape[0]}"
         )
     xlw, a = check_constraint(xlw, x.shape[0], "xlw")
-    xrw, c = check_constraint(xrw, x.shape[1], "xrw")
+    xrw, ec = check_constraint(xrw, x.shape[1], "xrw")
     ylw, b = check_constraint(ylw, y.shape[0], "ylw")
-    yrw, d = check_constraint(yrw, y.shape[1], "yrw")
-    ex, ey, c, d = (e + f for e, f in zip((ex, ey, c, d), _shift))
+    yrw, ed = check_constraint(yrw, y.shape[1], "yrw")
+    c, d = c + ec, d + ed
     xl, yl = _side_by_side(lambda: apply_sqrt_metric(factorize(xlw, "xlw"), x),
                            lambda: apply_sqrt_metric(factorize(ylw, "ylw"), y),
                            min(_work(xlw, 2 * x.shape[1]), _work(ylw, 2 * y.shape[1])))

@@ -1,7 +1,7 @@
 """Method-level constructors built on geigen / gsvd / gplssvd.
 
-Each recipe performs the preprocessing a method prescribes and delegates to
-one of the three generalized decompositions with the right constraints:
+Each recipe performs the preprocessing a method prescribes and calls the core of one of the
+three generalized decompositions (_geigen, _gsvd, _gplssvd) with the arrays it formed:
 
 - PCA (four equivalent routes through geigen and gsvd)
 - classical and weighted multidimensional scaling
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel
 from .constraints import Constraint, pinv_constraint
-from .decomp import GSVD, _assemble, _checked_k, _formed, _geigen, _gsvd_columns, gplssvd, gsvd
+from .decomp import GSVD, _assemble, _checked_k, _formed, _geigen, _gplssvd, _gsvd, _gsvd_columns
 from .errors import (
     DimensionMismatchError,
     EmptyMarginError,
@@ -108,17 +108,18 @@ def pca(data, route="eigen_cor", k=0, tol=_UNSET):
     tol = (kernel.SQRT_EPS if eigen else kernel.EPS) if tol is _UNSET else tol  # geigen's, gsvd's
     # Every route but the covariance one scales a column by its variance.
     col_sumsq = None if route == "eigen_cov" else _sums_of_squares(centered, dof)
+    k = _checked_k(k, tol)
     if eigen:
         cov = centered.T @ centered / dof  # exactly symmetric: numpy forms a' a as one
         if route == "eigen_cor":
             sd = np.sqrt(np.diag(cov))
             cov = cov / np.outer(sd, sd)
-        return _geigen(cov, None, _checked_k(k, tol), tol, True, e if route == "eigen_cov" else 0)
+        return _geigen(cov, e if route == "eigen_cov" else 0, None, k, tol, True)
     row_constraints = np.full(n, 1.0 / dof)
     if route == "triplet_scaled":  # the z-scores center_scale gives
-        return gsvd(centered / np.sqrt(col_sumsq / dof), lw=row_constraints, k=k, tol=tol)
+        return _gsvd(centered / np.sqrt(col_sumsq / dof), 0, row_constraints, None, k, tol)
     col_constraints = dof / col_sumsq  # 4^e times the caller's
-    return gsvd(centered, lw=row_constraints, rw=col_constraints, k=k, tol=tol, _shift=(e, 0, -e))
+    return _gsvd(centered, e, row_constraints, col_constraints, k, tol, b=-e)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,7 @@ def mds(dist, k=0, tol=kernel.SQRT_EPS):
     """Classical (Torgerson) metric MDS via geigen of the double-centered
     squared distances. Component scores fj hold the coordinates."""
     dist, e = _check_distance_matrix(dist)
-    return _geigen(double_centered_gram(dist), None, _checked_k(k, tol), tol, True, e)
+    return _geigen(double_centered_gram(dist), e, None, _checked_k(k, tol), tol, True)
 
 
 def weighted_mds(dist, row_weights, k=0):
@@ -181,7 +182,7 @@ def weighted_mds(dist, row_weights, k=0):
     if np.any(w.weights == 0):
         raise NonPositiveWeightError("row weights must be strictly positive")
     gram = double_centered_gram(dist, w.weights)
-    return _geigen(gram, w, _checked_k(k, None), None, True, e)
+    return _geigen(gram, e, w, _checked_k(k, None), None, True)
 
 
 def mds_score_sets(result):
@@ -237,13 +238,8 @@ def ca(counts, k=0, tol=kernel.EPS):
     matrix under reciprocal row/column probability metrics. The eigenvalues
     sum to chi-square / N (the total inertia)."""
     prof = ca_preprocess(counts)
-    return gsvd(
-        prof.deviations,
-        lw=1.0 / prof.row_prob,
-        rw=1.0 / prof.col_prob,
-        k=k,
-        tol=tol,
-    )
+    return _gsvd(prof.deviations, 0, 1.0 / prof.row_prob, 1.0 / prof.col_prob,
+                 _checked_k(k, tol), tol)
 
 
 @dataclass(frozen=True)
@@ -382,7 +378,7 @@ def pls(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     """Partial least squares SVD: gplssvd of the two (preprocessed) data
     matrices with identity constraints."""
     (xp, ex), (yp, ey) = _preprocess_pair(x, y, center, scale)
-    return gplssvd(xp, yp, k=k, tol=tol, _shift=(ex, ey, 0, 0))
+    return _gplssvd(xp, ex, yp, ey, None, None, None, None, _checked_k(k, tol), tol)
 
 
 def rrr(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
@@ -390,7 +386,7 @@ def rrr(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     pseudo-inverse of X'X as the column metric for x."""
     (xp, ex), (yp, ey) = _preprocess_pair(x, y, center, scale)
     xrw = pinv_constraint(xp.T @ xp, "xrw")  # 4^ex times the caller's
-    return gplssvd(xp, yp, xrw=xrw, k=k, tol=tol, _shift=(ex, ey, -ex, 0))
+    return _gplssvd(xp, ex, yp, ey, None, None, xrw, None, _checked_k(k, tol), tol, c=-ex)
 
 
 def cca(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
@@ -399,7 +395,7 @@ def cca(x, y, k=0, tol=kernel.EPS, center=True, scale=True):
     canonical correlations."""
     (xp, ex), (yp, ey) = _preprocess_pair(x, y, center, scale)
     xrw, yrw = pinv_constraint(xp.T @ xp, "xrw"), pinv_constraint(yp.T @ yp, "yrw")
-    return gplssvd(xp, yp, xrw=xrw, yrw=yrw, k=k, tol=tol, _shift=(ex, ey, -ex, -ey))
+    return _gplssvd(xp, ex, yp, ey, None, None, xrw, yrw, _checked_k(k, tol), tol, c=-ex, d=-ey)
 
 
 def canonical_correlations(result):
@@ -436,13 +432,6 @@ def plsca(cat_x, cat_y, k=0, tol=kernel.EPS):
         raise DimensionMismatchError("categorical tables must share rows")
     prof_x = ca_preprocess(tab_x.indicator)
     prof_y = ca_preprocess(tab_y.indicator)
-    return gplssvd(
-        prof_x.deviations,
-        prof_y.deviations,
-        xlw=1.0 / prof_x.row_prob,
-        ylw=1.0 / prof_y.row_prob,
-        xrw=1.0 / prof_x.col_prob,
-        yrw=1.0 / prof_y.col_prob,
-        k=k,
-        tol=tol,
-    )
+    return _gplssvd(prof_x.deviations, 0, prof_y.deviations, 0,
+                    1.0 / prof_x.row_prob, 1.0 / prof_y.row_prob,
+                    1.0 / prof_x.col_prob, 1.0 / prof_y.col_prob, _checked_k(k, tol), tol)

@@ -124,6 +124,25 @@ def test_caller_input_is_converted_in_one_place():
     assert sites == ["cli.load_matrix_csv", "kernel.as_array"]
 
 
+def test_recipes_call_the_decomposition_cores_only():
+    # a recipe hands the arrays it formed, and their powers of 2, to a core; a public
+    # decomposition would convert and scan them again as a caller's input
+    tree = ast.parse(Path(recipes.__file__).read_text(encoding="utf-8"))
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not called & {"geigen", "gsvd", "gplssvd"}
+    assert {"_geigen", "_gsvd", "_gplssvd"} <= called
+
+
+def test_public_decompositions_take_no_private_parameter():
+    # a recipe's powers of 2 go to a core, so a public signature holds only documented parameters
+    tree = ast.parse(Path(gmdecomp.decomp.__file__).read_text(encoding="utf-8"))
+    params = {top.name: [a.arg for a in ast.walk(top.args) if isinstance(a, ast.arg)]
+              for top in tree.body if isinstance(top, ast.FunctionDef)}
+    for name in ("geigen", "gsvd", "gplssvd"):
+        assert not [p for p in params[name] if p.startswith("_")], name
+
+
 _DIST = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gmdecomp.errors import (
     NegativeCountError,
     NonPositiveWeightError,
     NotADistanceMatrixError,
+    NumericalError,
     SingleLevelVariableError,
     ZeroVarianceColumnError,
 )
@@ -40,6 +43,31 @@ def test_center_scale_zero_variance(rng):
     data[:, 1] = 7.0
     with pytest.raises(ZeroVarianceColumnError):
         recipes.center_scale(data)
+
+
+def test_center_scale_refuses_a_centred_column_past_dbl_max_with_no_warning():
+    # the column centres to about -2/3 * 3.4e308 in the caller's units, which no float64 holds
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="^centring a column overflowed$"):
+            recipes.center_scale([[1.7e308], [-1.7e308], [1.7e308]], scale=False)
+    assert caught == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: recipes.pca(t, route="eigen_cor"),
+    lambda t: recipes.pca(t, route="triplet_scaled"),
+    lambda t: recipes.pca(t, route="triplet_metric"),
+    lambda t: recipes.pls(t[:, :2], t),
+    recipes.center_scale,
+], ids=["eigen_cor", "triplet_scaled", "triplet_metric", "pls", "center_scale"])
+def test_a_column_far_below_its_tables_scale_is_refused_where_its_variance_is_taken(rng, call):
+    # the table is normalized as a whole, so the last column's sum of squares, about 2^-1076,
+    # underflows; ROADMAP item 13 (one power of 2 per column) turns these refusals into answers
+    table = rng.normal(size=(30, 4))
+    table[:, -1] *= 2.0**-540
+    with pytest.raises(NumericalError, match="^a column's sum of squares underflowed$"):
+        call(table)
 
 
 def test_pseudo_inverse_moore_penrose(rng):
@@ -455,3 +483,32 @@ def test_plsca_independent_tables_near_zero_association():
 def test_plsca_rejects_row_mismatch():
     with pytest.raises(DimensionMismatchError):
         recipes.plsca([["a", "x"], ["b", "y"]], [["p", "s"], ["q", "t"], ["p", "s"]])
+
+
+# ---------------------------------------------------------------------------
+# each caller table is converted once
+
+
+@pytest.mark.parametrize("recipe, names", [
+    (lambda x, y, cx, cy: recipes.ca(np.abs(x) + 1), ["counts"]),
+    (lambda x, y, cx, cy: recipes.mca(cx), ["counts"]),
+    (lambda x, y, cx, cy: recipes.pca(x, route="triplet_scaled"), ["data"]),
+    (lambda x, y, cx, cy: recipes.pca(x, route="triplet_metric"), ["data"]),
+    (lambda x, y, cx, cy: recipes.pls(x, y), ["x", "y"]),
+    (lambda x, y, cx, cy: recipes.rrr(x, y), ["x", "y"]),
+    (lambda x, y, cx, cy: recipes.cca(x, y), ["x", "y"]),
+    (lambda x, y, cx, cy: recipes.plsca(cx, cy), ["counts", "counts"]),
+], ids=["ca", "mca", "triplet_scaled", "triplet_metric", "pls", "rrr", "cca", "plsca"])
+def test_a_recipe_converts_each_caller_table_once(rng, monkeypatch, recipe, names):
+    # a recipe hands the tables it formed to a decomposition's core, which converts nothing
+    converted, as_matrix = [], kernel.as_matrix
+
+    def counting(a, name):
+        converted.append(name)
+        return as_matrix(a, name)
+
+    monkeypatch.setattr(kernel, "as_matrix", counting)
+    cx = [[rng.choice(list("abc")), rng.choice(list("de"))] for _ in range(20)]
+    cy = [[rng.choice(list("pqr")), rng.choice(list("st"))] for _ in range(20)]
+    recipe(rng.normal(size=(20, 4)), rng.normal(size=(20, 3)), cx, cy)
+    assert converted == names
